@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence
+from typing import Collection, Dict, List, Optional, Sequence
 
 from .backends import (DEFAULT_API_KEY_ENV, BackendConfig, BackendError,
                        batch_complete, prompt_digest)
@@ -26,15 +26,19 @@ from .kb import load_mapping, title_to_qid
 from .manifest import build_run_manifest, write_manifest
 from .parsing import (STATUS_UNPARSEABLE, PredictionRecord, load_predictions,
                       parse_predictions, save_predictions)
-from .popularity import (DEFAULT_THETAS, INF, STRATIFY_CSV_FIELDS, load_counts,
-                         stratify, stratify_csv_rows)
+from .popularity import (DEFAULT_THETAS, STRATIFY_CSV_FIELDS, load_counts, stratify,
+                         stratify_csv_rows)
 from .prompting import DEFAULT_TEMPLATE_VERSION, build_prompt, default_template_text, parse_template
 from .scoring import (CSV_FIELDS, NIL_EXCLUDE_AND_IGNORE, MatchConfig, csv_fields,
                       percent, report_to_dict, score)
 
 
-def load_config(path: str) -> Dict[str, str]:
-    """key=value per line; blank lines and # comments ignored."""
+def load_config(path: str, keys: Collection[str]) -> Dict[str, str]:
+    """key=value per line; blank lines and # comments ignored.
+
+    Every key must be one of keys, so a misspelt option fails instead of
+    silently leaving its default in force.
+    """
     values: Dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, 1):
@@ -44,7 +48,11 @@ def load_config(path: str) -> Dict[str, str]:
             if "=" not in stripped:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, _, value = stripped.partition("=")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in keys:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}; "
+                                 f"expected one of {', '.join(sorted(keys))}")
+            values[key] = value.strip()
     return values
 
 
@@ -57,7 +65,8 @@ class _Options:
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
-        self.config = load_config(args.config) if getattr(args, "config", None) else {}
+        self.config = (load_config(args.config, args.config_keys)
+                       if getattr(args, "config", None) else {})
 
     def get(self, key: str, default=None, cast=None):
         value = getattr(self.args, key.replace("-", "_"))
@@ -73,23 +82,6 @@ class _Options:
         if value is None:
             raise ValueError(f"missing required option --{key}")
         return value
-
-
-def parse_thetas(raw: str) -> List[float]:
-    thetas: List[float] = []
-    for token in raw.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if token.lower() in ("inf", "∞"):
-            thetas.append(INF)
-        elif token.isdigit() and int(token) > 0:
-            thetas.append(float(int(token)))
-        else:
-            raise ValueError(f"invalid theta {token!r}: expected a positive integer or inf")
-    if not thetas:
-        raise ValueError("empty theta list")
-    return thetas
 
 
 def _load_template_opt(path: Optional[str]):
@@ -256,18 +248,20 @@ def cmd_stratify(args: argparse.Namespace) -> int:
     mode = opts.get("mode", "title")
     cfg = MatchConfig(mode=mode, nil_policy=opts.get("nil-policy", NIL_EXCLUDE_AND_IGNORE))
     raw_thetas = opts.get("thetas")
-    thetas = parse_thetas(raw_thetas) if raw_thetas else list(DEFAULT_THETAS)
+    thetas = ([token for token in raw_thetas.split(",") if token.strip()]
+              if raw_thetas else DEFAULT_THETAS)
     strict = not bool(opts.get("lenient", False, _parse_bool))
     system_id = opts.get("system", "system")
     slices = stratify(benchmark, preds, cfg, kb, pop, thetas, strict=strict, system_id=system_id)
+    rows = stratify_csv_rows(slices)
     with open(out, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(STRATIFY_CSV_FIELDS)
-        writer.writerows(stratify_csv_rows(slices))
+        writer.writerows(rows)
     inputs = {"benchmark": benchmark_path, "predictions": predictions_path, "counts": counts_path}
     if kb_path:
         inputs["kb"] = kb_path
-    theta_param = ",".join("inf" if math.isinf(t) else str(int(t)) for t in sorted(set(thetas)))
+    theta_param = ",".join(row[1] for row in rows)
     manifest = build_run_manifest(inputs, params={"mode": mode, "nil_policy": cfg.nil_policy,
                                                   "thetas": theta_param, "strict": strict})
     write_manifest(manifest, out + ".manifest.json")
@@ -286,9 +280,7 @@ def cmd_stratify(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     opts = _Options(args)
-    input_paths = args.inputs
-    if not input_paths:
-        raise ValueError("missing required option --inputs")
+    input_paths = opts.require("inputs", cast=str.split)
     out = opts.require("out")
     rows = []
     modes = set()
@@ -443,7 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     stratify_p.add_argument("--kb")
     stratify_p.add_argument("--nil-policy")
     stratify_p.add_argument("--counts")
-    stratify_p.add_argument("--thetas", help="comma-separated, e.g. 20,40,60,80,100,inf")
+    stratify_p.add_argument("--thetas", help="comma-separated, e.g. 20,40,60,80,100,inf; "
+                            "'all' for every distinct count of the run plus inf")
     stratify_p.add_argument("--lenient", action="store_true", default=None,
                             help="treat missing popularity counts as infinite instead of failing")
     stratify_p.add_argument("--system")
@@ -470,6 +463,11 @@ def build_parser() -> argparse.ArgumentParser:
     record_p.add_argument("--config")
     record_p.set_defaults(func=cmd_record)
 
+    # A config file may set any long flag of its subcommand but --config and --help.
+    for subparser in sub.choices.values():
+        subparser.set_defaults(config_keys=frozenset(
+            flag[2:] for action in subparser._actions for flag in action.option_strings
+            if flag.startswith("--") and flag not in ("--config", "--help")))
     return parser
 
 

@@ -9,14 +9,13 @@ diagnostics only, except for the NIL policy below.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .benchmark import Benchmark
+from .benchmark import Benchmark, BenchmarkSentence, GoldMention
 from .kb import MappingIndex, normalize_title, qid_to_title
-from .parsing import PredictionRecord
+from .parsing import PredictedLink, PredictionRecord
 
 MODE_TITLE = "title"
 MODE_QID = "qid"
@@ -97,21 +96,37 @@ def f1_from_counts(tp: int, fp: int, fn: int) -> Tuple[float, float, float]:
     return precision, recall, f1
 
 
-def score(gold: Benchmark,
-          preds: Sequence[PredictionRecord],
-          cfg: MatchConfig,
-          kb: Optional[MappingIndex] = None,
-          system_id: str = "system",
-          slice_id: str = "all",
-          keep_per_sentence: bool = False) -> ScoreReport:
-    """Score predictions against a gold benchmark.
+class SentenceItems(NamedTuple):
+    """One gold sentence after the matching rules, before any counting.
+
+    gold holds the non-NIL mentions and preds the predictions the NIL policy
+    keeps; gold_ids and pred_ids give their identifiers, position for
+    position.  A gold identifier is None when title mode finds no title for
+    the QID; a prediction's is None when it carries none, so it can only be a
+    false positive.  discarded holds the predictions the NIL policy drops.
+    """
+
+    sentence_id: str
+    nil_gold: int
+    gold: List[GoldMention]
+    gold_ids: List[Optional[str]]
+    preds: List[PredictedLink]
+    pred_ids: List[Optional[str]]
+    discarded: List[PredictedLink]
+
+
+def match_items(gold: Benchmark,
+                preds: Sequence[PredictionRecord],
+                cfg: MatchConfig,
+                kb: Optional[MappingIndex] = None) -> Iterator[SentenceItems]:
+    """The matching rules of `score`, one SentenceItems per gold sentence.
 
     Title mode materializes each gold QID to its canonical title through the
-    mapping; gold mentions whose QID has no title there are dropped from the
-    denominator and tallied (KB-snapshot drift, not model error).  Predicted
-    titles are compared after normalization, with no redirect following:
-    the match is exact.  Predictions lacking an identifier (no title in
-    title mode, no qid in qid mode) count as false positives.
+    mapping and compares predicted titles after normalization, with no
+    redirect following: the match is exact.  Qid mode compares QIDs.  The
+    configuration and the prediction records are checked before this returns:
+    a record for an unknown sentence or a second record for one sentence is a
+    ValueError.
     """
     cfg.validate()
     if cfg.mode == MODE_TITLE and kb is None:
@@ -124,68 +139,102 @@ def score(gold: Benchmark,
         if record.sentence_id in by_id:
             raise ValueError(f"duplicate prediction record for sentence_id {record.sentence_id!r}")
         by_id[record.sentence_id] = record
+    return (_sentence_items(sentence, by_id.get(sentence.sentence_id), cfg, kb)
+            for sentence in gold.sentences)
 
-    tp = fp = fn = 0
-    nil_gold_excluded = 0
-    gold_title_unresolved = 0
-    predictions_discarded_nil = 0
-    rows: List[SentenceScore] = []
 
-    for sentence in gold.sentences:
-        gold_ids: List[str] = []
-        nil_surfaces = set()
-        for mention in sentence.mentions:
-            if mention.is_nil:
-                nil_surfaces.add(mention.surface)
-                nil_gold_excluded += 1
-                continue
-            if cfg.mode == MODE_QID:
-                gold_ids.append(mention.qid)
-                continue
-            title = qid_to_title(kb, mention.qid)
-            if title is None:
-                gold_title_unresolved += 1
-            else:
-                gold_ids.append(title)
+def _sentence_items(sentence: BenchmarkSentence, record: Optional[PredictionRecord],
+                    cfg: MatchConfig, kb: Optional[MappingIndex]) -> SentenceItems:
+    gold: List[GoldMention] = []
+    nil_surfaces = set()
+    for mention in sentence.mentions:
+        if mention.is_nil:
+            nil_surfaces.add(mention.surface)
+        else:
+            gold.append(mention)
+    if cfg.mode == MODE_QID:
+        gold_ids = [mention.qid for mention in gold]
+    else:
+        gold_ids = [qid_to_title(kb, mention.qid) for mention in gold]
 
-        pred_ids: List[Optional[str]] = []
-        record = by_id.get(sentence.sentence_id)
-        if record is not None:
-            for link in record.links:
-                if cfg.nil_policy == NIL_EXCLUDE_AND_IGNORE and link.surface in nil_surfaces:
-                    predictions_discarded_nil += 1
-                    continue
-                if cfg.mode == MODE_QID:
-                    pred_ids.append(link.qid)
-                elif link.title is not None and link.title.strip():
-                    pred_ids.append(normalize_title(link.title))
-                else:
-                    pred_ids.append(None)
+    preds = list(record.links) if record is not None else []
+    discarded: List[PredictedLink] = []
+    if nil_surfaces and cfg.nil_policy == NIL_EXCLUDE_AND_IGNORE:
+        discarded = [link for link in preds if link.surface in nil_surfaces]
+        preds = [link for link in preds if link.surface not in nil_surfaces]
+    if cfg.mode == MODE_QID:
+        pred_ids = [link.qid for link in preds]
+    else:
+        pred_ids = [normalize_title(link.title) if link.title is not None and link.title.strip()
+                    else None for link in preds]
+    return SentenceItems(sentence.sentence_id, len(sentence.mentions) - len(gold), gold,
+                         gold_ids, preds, pred_ids, discarded)
 
-        gold_counter = Counter(gold_ids)
-        pred_counter = Counter(i for i in pred_ids if i is not None)
-        sent_tp = sum(min(count, pred_counter[ident]) for ident, count in gold_counter.items())
-        sent_fp = len(pred_ids) - sent_tp
-        sent_fn = len(gold_ids) - sent_tp
-        tp += sent_tp
-        fp += sent_fp
-        fn += sent_fn
-        if keep_per_sentence:
-            rows.append(SentenceScore(sentence.sentence_id, sent_tp, sent_fp, sent_fn))
 
+def build_report(system_id: str, slice_id: str, tp: int, fp: int, fn: int,
+                 tallies: Dict[str, int],
+                 per_sentence: Optional[Sequence[SentenceScore]] = None) -> ScoreReport:
+    """A ScoreReport from integer counts: metrics and undefined-metric flags."""
     precision, recall, f1 = f1_from_counts(tp, fp, fn)
     flags: List[str] = []
     if tp + fp == 0:
         flags.append(FLAG_PRECISION_UNDEFINED)
     if tp + fn == 0:
         flags.append(FLAG_RECALL_UNDEFINED)
-    tallies = {"nil_gold_excluded": nil_gold_excluded,
-               "gold_title_unresolved": gold_title_unresolved,
-               "predictions_discarded_nil": predictions_discarded_nil}
     return ScoreReport(system_id=system_id, slice_id=slice_id, tp=tp, fp=fp, fn=fn,
                        precision=precision, recall=recall, f1=f1, flags=tuple(flags),
                        tallies=tallies,
-                       per_sentence=tuple(rows) if keep_per_sentence else None)
+                       per_sentence=None if per_sentence is None else tuple(per_sentence))
+
+
+def score(gold: Benchmark,
+          preds: Sequence[PredictionRecord],
+          cfg: MatchConfig,
+          kb: Optional[MappingIndex] = None,
+          system_id: str = "system",
+          slice_id: str = "all",
+          keep_per_sentence: bool = False) -> ScoreReport:
+    """Score predictions against a gold benchmark under `match_items`' rules.
+
+    Gold mentions whose QID has no title in the mapping (title mode) are
+    dropped from the denominator and tallied (KB-snapshot drift, not model
+    error).  Predictions lacking an identifier (no title in title mode, no
+    qid in qid mode) count as false positives.
+    """
+    tp = fp = fn = 0
+    nil_gold_excluded = 0
+    gold_title_unresolved = 0
+    predictions_discarded_nil = 0
+    rows: List[SentenceScore] = []
+
+    for items in match_items(gold, preds, cfg, kb):
+        # each gold identifier takes one unmatched prediction of it, if any
+        unmatched: Dict[Optional[str], int] = {}
+        for ident in items.pred_ids:
+            unmatched[ident] = unmatched.get(ident, 0) + 1
+        unmatched.pop(None, None)
+        sent_tp = 0
+        for ident in items.gold_ids:
+            if unmatched.get(ident):
+                unmatched[ident] -= 1
+                sent_tp += 1
+        unresolved = items.gold_ids.count(None)
+        sent_fp = len(items.pred_ids) - sent_tp
+        sent_fn = len(items.gold_ids) - unresolved - sent_tp
+        tp += sent_tp
+        fp += sent_fp
+        fn += sent_fn
+        nil_gold_excluded += items.nil_gold
+        gold_title_unresolved += unresolved
+        predictions_discarded_nil += len(items.discarded)
+        if keep_per_sentence:
+            rows.append(SentenceScore(items.sentence_id, sent_tp, sent_fp, sent_fn))
+
+    tallies = {"nil_gold_excluded": nil_gold_excluded,
+               "gold_title_unresolved": gold_title_unresolved,
+               "predictions_discarded_nil": predictions_discarded_nil}
+    return build_report(system_id, slice_id, tp, fp, fn, tallies,
+                        rows if keep_per_sentence else None)
 
 
 CSV_FIELDS = ("system", "slice", "tp", "fp", "fn", "precision", "recall", "f1")

@@ -277,6 +277,46 @@ class TestStratify:
         assert "invalid theta '0'" in err
 
 
+    def test_thetas_all(self, capsys, tmp_path, e2e_paths, linked):
+        from elbench.benchmark import load_benchmark
+        from elbench.kb import load_mapping, title_to_qid
+        from elbench.popularity import load_counts
+
+        counts = load_counts(e2e_paths["counts"]).counts
+        kb = load_mapping(e2e_paths["mapping"])
+        qids = {m.qid for s in load_benchmark(e2e_paths["benchmark"]).sentences
+                for m in s.mentions if not m.is_nil}
+        qids |= {title_to_qid(kb, link.title) for record in load_predictions(str(linked))
+                 for link in record.links if link.title}
+        distinct = sorted({counts[q] for q in qids if q in counts and counts[q] >= 1})
+        assert len(distinct) > 6
+
+        common = ["--benchmark", e2e_paths["benchmark"], "--predictions", str(linked),
+                  "--mode", "title", "--kb", e2e_paths["mapping"], "--system", "llm"]
+        out = tmp_path / "strata.csv"
+        json_out = tmp_path / "strata.json"
+        code, stdout, _ = run(capsys, ["stratify", *common, "--counts", e2e_paths["counts"],
+                                       "--thetas", "all", "--out", str(out),
+                                       "--json", str(json_out)])
+        assert code == 0
+        assert f"({len(distinct) + 1} slice(s))" in stdout
+        with open(out, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        assert [row[1] for row in rows[1:]] == [str(c) for c in distinct] + ["inf"]
+
+        score_out = tmp_path / "score.json"
+        assert cli.main(["score", *common, "--out", str(score_out)]) == 0
+        capsys.readouterr()
+        full = json.loads(score_out.read_text(encoding="utf-8"))
+        infinite = json.loads(json_out.read_text(encoding="utf-8"))["slices"][-1]
+        assert infinite["theta"] == "inf"
+        for key in ("system", "tp", "fp", "fn", "precision", "recall", "f1", "precision_pct",
+                    "recall_pct", "f1_pct", "flags", "tallies"):
+            assert infinite[key] == full[key], key
+        assert rows[-1] == ["llm", "inf", str(full["precision_pct"]), str(full["recall_pct"]),
+                            str(full["f1_pct"])]
+
+
 class TestReport:
     def write_score(self, path, system, tp, fp, fn, mode="title"):
         path.write_text(json.dumps({"system": system, "mode": mode,
@@ -407,6 +447,41 @@ class TestConfigFile:
         code, _, err = run(capsys, ["score", "--config", str(cfg)])
         assert code == 2
         assert "run.cfg:1: expected key=value" in err
+
+
+    @pytest.mark.parametrize("typo", ["nil_policy = exclude-gold-only", "mdoe = qid"])
+    def test_unknown_key_rejected(self, capsys, tmp_path, e2e_paths, linked, typo):
+        out = tmp_path / "score.json"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"benchmark = {e2e_paths['benchmark']}\n"
+                       f"predictions = {linked}\n"
+                       f"kb = {e2e_paths['mapping']}\n"
+                       f"{typo}\n"
+                       f"out = {out}\n", encoding="utf-8")
+        code, stdout, err = run(capsys, ["score", "--config", str(cfg)])
+        assert code == 2
+        key = typo.split(" = ")[0]
+        assert f"{cfg}:4: unknown key {key!r}" in err
+        assert "nil-policy" in err and "mode" in err
+        assert not out.exists()
+
+    def test_key_of_another_command_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# ingest takes no thetas\nthetas = 20\n", encoding="utf-8")
+        code, _, err = run(capsys, ["ingest", "--config", str(cfg)])
+        assert code == 2
+        assert f"{cfg}:2: unknown key 'thetas'" in err
+
+    def test_report_inputs_from_config(self, capsys, tmp_path):
+        score_path = tmp_path / "a.json"
+        score_path.write_text(json.dumps({"system": "sys", "mode": "title",
+                                          "tp": 1, "fp": 1, "fn": 0}), encoding="utf-8")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"inputs = {score_path}\nout = {tmp_path / 'table.csv'}\n",
+                       encoding="utf-8")
+        code, stdout, _ = run(capsys, ["report", "--config", str(cfg)])
+        assert code == 0
+        assert "sys  P=50.0 R=100.0 F1=66.7" in stdout
 
 
 class TestReproducibility:

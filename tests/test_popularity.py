@@ -3,6 +3,9 @@ import math
 
 import pytest
 from conftest import make_benchmark, sent
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_stratify import _link_qid, reference_stratify
 
 from elbench.kb import KbRecord, LiveLookupError, MappingIndex
 from elbench.parsing import STATUS_CLEAN, PredictedLink, PredictionRecord
@@ -10,7 +13,7 @@ from elbench.popularity import (DEFAULT_THETAS, INF, STRATIFY_CSV_FIELDS, Counts
                                 PopularityIndex, fetch_counts, format_theta, load_counts,
                                 save_counts, slice_label, stratify, stratify_csv_rows,
                                 triple_count)
-from elbench.scoring import MODE_QID, MatchConfig, score
+from elbench.scoring import MODE_QID, MODE_TITLE, MODES, NIL_POLICIES, MatchConfig, score
 
 QID_CFG = MatchConfig(mode=MODE_QID)
 
@@ -205,6 +208,126 @@ class TestStratifyAgainstFullScore:
         full = score(bench, preds, QID_CFG, kb, system_id="x",
                      slice_id="θ≤∞", keep_per_sentence=True)
         assert dataclasses.asdict(item.report) == dataclasses.asdict(full)
+
+
+ORACLE_QIDS = ["Q1", "Q2", "Q3", "Q4", "Q5", "Q6"]
+# Q5 and Q6 have no title (title mode drops them as unresolved gold); R1 and
+# R3 redirect, so they resolve to an entity but never match a title exactly.
+ORACLE_KB = MappingIndex([
+    KbRecord(1, "T1", "Q1"), KbRecord(2, "T2", "Q2"), KbRecord(3, "T3", "Q3"),
+    KbRecord(4, "T4", "Q4"), KbRecord(5, "R1", None, redirect_to="T1"),
+    KbRecord(6, "R3", None, redirect_to="T3"),
+])
+ORACLE_TITLES = [None, "", " ", "T1", "t2", "T3", "T4", "R1", "R3", "Nope"]
+ORACLE_SURFACES = ["a", "b", "c"]
+ORACLE_THETAS = [1, 2, 3, 5, 10, 20, 40, INF]
+
+
+def outcome(fn, *args, **kwargs):
+    """Every slice as plain data, or the ValueError message."""
+    try:
+        return [(item.theta, dataclasses.asdict(item.report)) for item in fn(*args, **kwargs)]
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def every_count(bench, preds, kb, pop):
+    """The thetas "all" stands for, computed from the filter-and-rescore side."""
+    qids = {m.qid for s in bench.sentences for m in s.mentions if not m.is_nil}
+    qids |= {_link_qid(link, kb) for record in preds for link in record.links}
+    return sorted({pop.counts[q] for q in qids if q in pop.counts and pop.counts[q] >= 1}) + [INF]
+
+
+@st.composite
+def oracle_link(draw, mentions):
+    """A random link, or one echoing a gold mention of its sentence."""
+    if mentions and draw(st.sampled_from([True, True, False])):
+        surface, qid = draw(st.sampled_from(mentions))
+        if qid == "NIL":
+            return (surface, draw(st.sampled_from(ORACLE_TITLES)), None)
+        return (surface, draw(st.sampled_from([f"T{qid[1:]}", f"t{qid[1:]}", "Nope", None])),
+                draw(st.sampled_from([qid, qid, None] + ORACLE_QIDS)))
+    return draw(st.tuples(st.sampled_from(ORACLE_SURFACES), st.sampled_from(ORACLE_TITLES),
+                          st.sampled_from([None] + ORACLE_QIDS)))
+
+
+@st.composite
+def stratify_instances(draw):
+    mention = st.tuples(st.sampled_from(ORACLE_SURFACES), st.sampled_from(ORACLE_QIDS + ["NIL"]))
+    golds = draw(st.lists(st.lists(mention, max_size=4), min_size=1, max_size=3))
+    records = [pred(f"s{i}", *draw(st.lists(oracle_link(mentions), max_size=4)))
+               for i, mentions in enumerate(golds) if draw(st.sampled_from([True] * 4 + [False]))]
+    extra = draw(st.sampled_from([None] * 8 + ["ghost", "s0"]))
+    if extra is not None:
+        records.insert(draw(st.integers(0, len(records))), pred(extra, ("a", "T1", None)))
+    counts = {qid: draw(st.sampled_from([0, 1, 2, 3, 5, 10, 20, 40]))
+              for qid in ORACLE_QIDS if draw(st.integers(0, 9))}
+    cfg = MatchConfig(mode=draw(st.sampled_from(MODES)),
+                      nil_policy=draw(st.sampled_from(NIL_POLICIES)))
+    return {"gold": make_benchmark(*(sent(f"s{i}", "t", *((s, q, "") for s, q in mentions))
+                                     for i, mentions in enumerate(golds))),
+            "preds": records, "cfg": cfg,
+            "kb": draw(st.sampled_from([ORACLE_KB, ORACLE_KB, ORACLE_KB, None])),
+            "pop": PopularityIndex(counts=counts),
+            "thetas": draw(st.lists(st.sampled_from(ORACLE_THETAS), min_size=1, max_size=5)),
+            "strict": draw(st.booleans()), "system_id": "sys",
+            "keep_per_sentence": draw(st.booleans())}
+
+
+class TestStratifyOracle:
+    """The single pass agrees with filter-and-rescore on every slice and error."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(stratify_instances(), st.booleans())
+    def test_matches_filter_and_rescore(self, case, as_tokens):
+        expected = outcome(reference_stratify, **case)
+        if as_tokens:
+            # the CLI hands over its comma-separated tokens unparsed
+            case = {**case, "thetas": [format_theta(t).replace("∞", "inf") for t in case["thetas"]]}
+        assert outcome(stratify, **case) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(stratify_instances())
+    def test_all_is_every_distinct_count(self, case):
+        expected = outcome(reference_stratify, **{**case, "thetas": every_count(
+            case["gold"], case["preds"], case["kb"], case["pop"])})
+        assert outcome(stratify, **{**case, "thetas": ["all"]}) == expected
+
+    @pytest.mark.parametrize("links, expected", [
+        ([("a", "T1", "Q4")], [(0, 0, 1), (0, 0, 1), (1, 0, 0)]),
+        # two predictions of one title: the less popular one is matched first
+        ([("a", "T1", "Q4"), ("b", "T1", None)], [(1, 0, 0), (1, 0, 0), (1, 1, 0)]),
+    ])
+    def test_attached_qid_and_title_in_different_slices(self, links, expected):
+        # page-ID path: a link's title matches gold T1 (Q1, count 1) in title
+        # mode, but its attached QID Q4 (count 40) sets its popularity
+        case = dict(gold=make_benchmark(sent("s1", "t", ("a", "Q1", ""))),
+                    preds=[pred("s1", *links)], cfg=MatchConfig(mode=MODE_TITLE),
+                    kb=ORACLE_KB, pop=PopularityIndex(counts={"Q1": 1, "Q4": 40}),
+                    thetas=[1, 20, 40])
+        assert [(s.report.tp, s.report.fp, s.report.fn) for s in stratify(**case)] == expected
+        assert outcome(stratify, **case) == outcome(reference_stratify, **case)
+
+    @pytest.mark.parametrize("records, counts, message", [
+        ([pred("ghost", ("a", None, "Q1"))], {"Q1": 1, "Q2": 2},
+         "prediction for unknown sentence_id 'ghost'"),
+        ([pred("s1", ("a", None, "Q1")), pred("s1")], {"Q1": 1, "Q2": 2},
+         "duplicate prediction record for sentence_id 's1'"),
+        ([pred("s1", ("a", None, "Q3"))], {"Q1": 1},
+         r"2 entity\(ies\) lack popularity counts: Q2, Q3"),
+        # missing counts are reported before unknown or duplicate records
+        ([pred("ghost", ("a", None, "Q3")), pred("s1"), pred("s1")], {"Q1": 1, "Q2": 2},
+         r"1 entity\(ies\) lack popularity counts: Q3"),
+        ([pred("s1"), pred("ghost"), pred("s1")], {"Q1": 1, "Q2": 2},
+         "prediction for unknown sentence_id 'ghost'"),
+    ])
+    def test_error_paths(self, records, counts, message):
+        case = dict(gold=make_benchmark(sent("s1", "t", ("a", "Q1", ""), ("b", "Q2", ""))),
+                    preds=records, cfg=QID_CFG, kb=None,
+                    pop=PopularityIndex(counts=counts), thetas=[1, INF])
+        with pytest.raises(ValueError, match=message):
+            stratify(**case)
+        assert outcome(stratify, **case) == outcome(reference_stratify, **case)
 
 
 class TestFetchCounts:

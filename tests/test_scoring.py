@@ -196,6 +196,13 @@ class TestTitleMode:
         assert (report.tp, report.fp, report.fn) == (1, 0, 0)
         assert report.tallies["gold_title_unresolved"] == 1
 
+    def test_unresolved_gold_never_matches_titleless_prediction(self, kb):
+        bench = make_benchmark(sent("s1", "t", ("B", "Q999", "")))
+        report = score(bench, [pred("s1", ("B", None, None))],
+                       MatchConfig(mode=MODE_TITLE), kb=kb)
+        assert (report.tp, report.fp, report.fn) == (0, 1, 0)
+        assert report.tallies["gold_title_unresolved"] == 1
+
     def test_qid_on_prediction_ignored_in_title_mode(self, kb):
         bench = make_benchmark(sent("s1", "t", ("A", "Q1", "")))
         report = score(bench, [pred("s1", ("A", "Wrong Title", "Q1"))],
