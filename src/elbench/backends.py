@@ -17,8 +17,6 @@ from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
-import requests
-
 KINDS = ("http", "replay")
 WIRES = ("completions", "chat")
 DEFAULT_API_KEY_ENV = "EL_API_KEY"
@@ -161,6 +159,11 @@ class _ReplayBackend:
 
 class _HttpBackend:
     def __init__(self, cfg: BackendConfig):
+        # Imported here, on the one path that sends a request: importing
+        # requests costs every other command about 0.1 s of start-up.
+        import requests
+
+        self._requests = requests
         self.cfg = cfg
         key = os.environ.get(cfg.api_key_env, "")
         if not key:
@@ -204,9 +207,9 @@ class _HttpBackend:
                 time.sleep(self.cfg.retry_backoff * (2 ** (attempt - 1)))
             started = time.monotonic()
             try:
-                resp = requests.post(url, json=body, headers=self._headers,
-                                     timeout=self.cfg.request_timeout)
-            except requests.RequestException as exc:
+                resp = self._requests.post(url, json=body, headers=self._headers,
+                                           timeout=self.cfg.request_timeout)
+            except self._requests.RequestException as exc:
                 last_error = EndpointUnreachableError(f"{url}: {exc}")
                 continue
             if resp.status_code == 429 or resp.status_code >= 500:

@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from dataclasses import replace
-from typing import Collection, Dict, List, Optional, Sequence
+from typing import Collection, Dict, List, Optional, Sequence, Union
 
 from .backends import (DEFAULT_API_KEY_ENV, BackendConfig, BackendError,
                        batch_complete, prompt_digest)
@@ -149,10 +149,13 @@ def cmd_link(args: argparse.Namespace) -> int:
         status_counts[outcome.status] = status_counts.get(outcome.status, 0) + 1
     save_predictions(records, out)
     inputs = {"benchmark": benchmark_path}
+    model_id: Union[str, List[str]] = cfg.model_id
     if cfg.kind == "replay":
         inputs["fixture"] = cfg.fixture_path
+        model_id = _replayed_model_ids(results)
     manifest = build_run_manifest(inputs, template_text=template_text,
-                                  template_version=template_version, backend_config=cfg)
+                                  template_version=template_version, backend_config=cfg,
+                                  backend_model=model_id)
     write_manifest(manifest, out + ".manifest.json")
     summary = ", ".join(f"{count} {name}" for name, count in sorted(status_counts.items()))
     print(f"linked {len(records)} sentence(s): {summary or 'nothing to do'}")
@@ -163,6 +166,19 @@ def cmd_link(args: argparse.Namespace) -> int:
             print(f"  {failure}", file=sys.stderr)
         return 1
     return 0
+
+
+def _replayed_model_ids(results: Sequence[object]) -> Union[str, List[str]]:
+    """The model that recorded the replayed answers: its ID, or the sorted
+    distinct IDs when the fixture mixes models ("" when none is recorded)."""
+    ids = set()
+    for result in results:
+        if not isinstance(result, BackendError):
+            model = result.backend_meta.get("model_id")
+            if isinstance(model, str) and model:
+                ids.add(model)
+    ordered = sorted(ids)
+    return ordered[0] if len(ordered) == 1 else ordered or ""
 
 
 def cmd_resolve(args: argparse.Namespace) -> int:
@@ -180,11 +196,14 @@ def cmd_resolve(args: argparse.Namespace) -> int:
     else:
         tally = {RESOLUTION_TITLE: 0, RESOLUTION_NOT_FOUND: 0}
         records = []
+        # Each distinct raw title is resolved, and so normalized, only once.
+        qids: Dict[Optional[str], Optional[str]] = {None: None}
         for record in load_predictions(predictions):
             links = []
             for link in record.links:
-                qid = (title_to_qid(kb, link.title)
-                       if link.title is not None and link.title.strip() else None)
+                if link.title not in qids:
+                    qids[link.title] = title_to_qid(kb, link.title) if link.title.strip() else None
+                qid = qids[link.title]
                 resolution = RESOLUTION_TITLE if qid is not None else RESOLUTION_NOT_FOUND
                 tally[resolution] += 1
                 links.append(replace(link, qid=qid, resolution=resolution))

@@ -1,21 +1,13 @@
 """Wikipedia title / page-ID to Wikidata QID resolution.
 
-Offline resolution reads a KILT-style mapping dump (TSV) into an immutable
-index.  Live resolution queries the public wiki APIs through a persistent
-JSONL cache so long-tail misses are never refetched.
+Resolution reads a KILT-style mapping dump (TSV) into an immutable index.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import re
-import threading
 import unicodedata
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
-
-import requests
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 QID_RE = re.compile(r"^Q[0-9]+$")
 
@@ -35,23 +27,21 @@ def normalize_title(raw: str) -> str:
     first-letter rule).  Uppercasing the first character can itself produce
     a denormalized sequence (e.g. Greek dialytika-tonos capitals have no
     precomposed form), so NFC is applied once more at the end; without that
-    final pass the function would not be idempotent.
+    final pass the function would not be idempotent.  NFC is the identity on
+    ASCII text, so neither pass runs on it.
     """
-    text = unicodedata.normalize("NFC", raw)
-    text = text.replace("_", " ")
-    text = " ".join(text.split())
+    text = raw if raw.isascii() else unicodedata.normalize("NFC", raw)
+    text = " ".join(text.replace("_", " ").split())
     if text:
         text = text[0].upper() + text[1:]
-    return unicodedata.normalize("NFC", text)
+    return text if text.isascii() else unicodedata.normalize("NFC", text)
 
 
-@dataclass(frozen=True)
-class KbRecord:
+class KbRecord(NamedTuple):
     """One Wikipedia page: page ID, canonical title, optional redirect/QID.
 
     A record carries a qid, a redirect_to, or neither (a tombstone, which
-    resolves to not-found).  page_id 0 means unknown (live lookups by QID
-    do not report one).
+    resolves to not-found).
     """
 
     page_id: int
@@ -63,7 +53,7 @@ class KbRecord:
 class MappingIndex:
     """Title/page-ID lookup table; immutable once built."""
 
-    def __init__(self, records: Iterable[KbRecord]):
+    def __init__(self, records: Iterable[KbRecord] = ()):
         self.by_title: Dict[str, KbRecord] = {}
         self.by_page_id: Dict[int, KbRecord] = {}
         self._title_by_qid: Dict[str, Tuple[str, bool]] = {}
@@ -72,14 +62,18 @@ class MappingIndex:
                 raise ValueError(f"duplicate title: {rec.canonical_title!r}")
             if rec.page_id in self.by_page_id:
                 raise ValueError(f"duplicate page_id: {rec.page_id}")
-            self.by_title[rec.canonical_title] = rec
-            self.by_page_id[rec.page_id] = rec
-            if rec.qid:
-                # Prefer the non-redirect record when several share a QID.
-                is_redirect = rec.redirect_to is not None
-                seen = self._title_by_qid.get(rec.qid)
-                if seen is None or (seen[1] and not is_redirect):
-                    self._title_by_qid[rec.qid] = (rec.canonical_title, is_redirect)
+            self._add(rec)
+
+    def _add(self, rec: KbRecord) -> None:
+        """Index a record whose title and page ID the caller has checked are new."""
+        self.by_title[rec.canonical_title] = rec
+        self.by_page_id[rec.page_id] = rec
+        if rec.qid:
+            # Prefer the non-redirect record when several share a QID.
+            is_redirect = rec.redirect_to is not None
+            seen = self._title_by_qid.get(rec.qid)
+            if seen is None or (seen[1] and not is_redirect):
+                self._title_by_qid[rec.qid] = (rec.canonical_title, is_redirect)
 
     def __len__(self) -> int:
         return len(self.by_title)
@@ -93,10 +87,11 @@ def load_mapping(path: str) -> MappingIndex:
     """Load a mapping TSV: page_id <TAB> title <TAB> qid [<TAB> redirect_to].
 
     qid and redirect_to may be empty.  The whole load fails on any malformed
-    or duplicate row, listing every offending line.
+    or duplicate row, listing every offending line.  Rows are checked and
+    indexed in the one pass that reads them.
     """
     errors: List[str] = []
-    records: List[KbRecord] = []
+    idx = MappingIndex()
     title_lines: Dict[str, int] = {}
     pageid_lines: Dict[int, int] = {}
     with open(path, "r", encoding="utf-8") as handle:
@@ -104,17 +99,18 @@ def load_mapping(path: str) -> MappingIndex:
             line = line.rstrip("\n")
             if not line.strip():
                 continue
-            parts = [cell.strip() for cell in line.split("\t")]
+            parts = line.split("\t")
             if len(parts) not in (3, 4):
                 errors.append(f"line {lineno}: expected 3 or 4 tab-separated fields, got {len(parts)}")
                 continue
-            raw_page_id, raw_title, raw_qid = parts[0], parts[1], parts[2]
-            raw_redirect = parts[3] if len(parts) == 4 else ""
-            if not raw_page_id.isdigit() or int(raw_page_id) < 1:
+            raw_page_id = parts[0].strip()
+            raw_qid = parts[2].strip()
+            raw_redirect = parts[3].strip() if len(parts) == 4 else ""
+            page_id = int(raw_page_id) if raw_page_id.isdigit() else 0
+            if page_id < 1:
                 errors.append(f"line {lineno}: page_id must be a positive integer, got {raw_page_id!r}")
                 continue
-            page_id = int(raw_page_id)
-            title = normalize_title(raw_title)
+            title = normalize_title(parts[1])  # which strips the cell as well
             if not title:
                 errors.append(f"line {lineno}: empty title")
                 continue
@@ -122,7 +118,7 @@ def load_mapping(path: str) -> MappingIndex:
             if qid is not None and not is_qid(qid):
                 errors.append(f"line {lineno}: invalid qid {raw_qid!r}")
                 continue
-            redirect_to = normalize_title(raw_redirect) or None
+            redirect_to = (normalize_title(raw_redirect) or None) if raw_redirect else None
             if redirect_to == title:
                 errors.append(f"line {lineno}: redirect_to equals the record's own title")
                 continue
@@ -134,10 +130,10 @@ def load_mapping(path: str) -> MappingIndex:
                 continue
             title_lines[title] = lineno
             pageid_lines[page_id] = lineno
-            records.append(KbRecord(page_id=page_id, canonical_title=title, qid=qid, redirect_to=redirect_to))
+            idx._add(KbRecord(page_id, title, qid, redirect_to))
     if errors:
         raise ValueError(f"{path}: {len(errors)} malformed row(s):\n" + "\n".join(errors))
-    return MappingIndex(records)
+    return idx
 
 
 def _resolve_record(idx: MappingIndex, rec: Optional[KbRecord], follow_redirects: bool) -> Optional[str]:
@@ -170,133 +166,3 @@ def qid_to_title(idx: MappingIndex, qid: str) -> Optional[str]:
 
 def pageid_to_qid(idx: MappingIndex, page_id: int, follow_redirects: bool = True) -> Optional[str]:
     return _resolve_record(idx, idx.by_page_id.get(page_id), follow_redirects)
-
-
-class LiveLookupError(Exception):
-    """Network or protocol failure during a live lookup; distinct from not-found."""
-
-
-@dataclass(frozen=True)
-class LiveKbConfig:
-    wikipedia_api: str = "https://en.wikipedia.org/w/api.php"
-    wikidata_api: str = "https://www.wikidata.org/w/api.php"
-    cache_path: str = "kb_cache.jsonl"
-    timeout: float = 30.0
-
-
-class LiveKbClient:
-    """Title/QID lookups against the wiki query APIs.
-
-    Results (including misses, as negative entries) go into an append-only
-    JSONL journal that is compacted in memory on load, so reruns answer from
-    the cache without network access.  Cache writes are serialized;
-    last-write-wins is fine because entries are deterministic.
-    """
-
-    def __init__(self, cfg: LiveKbConfig):
-        self.cfg = cfg
-        self._lock = threading.Lock()
-        self._cache: Dict[str, Optional[KbRecord]] = {}
-        if os.path.exists(cfg.cache_path):
-            self._load_journal(cfg.cache_path)
-
-    def _load_journal(self, path: str) -> None:
-        with open(path, "r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, 1):
-                if not line.strip():
-                    continue
-                try:
-                    entry = json.loads(line)
-                    key = entry["key"]
-                    found = entry["found"]
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                    raise ValueError(f"{path}:{lineno}: malformed cache entry: {exc}") from exc
-                if found:
-                    rec = entry["record"]
-                    self._cache[key] = KbRecord(
-                        page_id=int(rec["page_id"]),
-                        canonical_title=rec["title"],
-                        qid=rec.get("qid"),
-                    )
-                else:
-                    self._cache[key] = None
-
-    def _store(self, key: str, record: Optional[KbRecord]) -> None:
-        entry: Dict[str, object] = {"key": key, "found": record is not None}
-        if record is not None:
-            entry["record"] = {"page_id": record.page_id, "title": record.canonical_title, "qid": record.qid}
-        with self._lock:
-            self._cache[key] = record
-            with open(self.cfg.cache_path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(entry, ensure_ascii=False) + "\n")
-
-    def _get(self, url: str, params: Dict[str, str]) -> dict:
-        try:
-            resp = requests.get(url, params=params, timeout=self.cfg.timeout,
-                                headers={"User-Agent": "elbench/0.1"})
-        except requests.RequestException as exc:
-            raise LiveLookupError(f"{url}: {exc}") from exc
-        if resp.status_code != 200:
-            raise LiveLookupError(f"{url}: HTTP {resp.status_code}")
-        try:
-            return resp.json()
-        except ValueError as exc:
-            raise LiveLookupError(f"{url}: response is not JSON") from exc
-
-    def lookup_title(self, title: str) -> Optional[KbRecord]:
-        """Title -> KbRecord via the Wikipedia API (redirects followed server-side)."""
-        key = f"title:{normalize_title(title)}"
-        if key in self._cache:
-            return self._cache[key]
-        data = self._get(self.cfg.wikipedia_api, {
-            "action": "query",
-            "format": "json",
-            "prop": "pageprops",
-            "ppprop": "wikibase_item",
-            "redirects": "1",
-            "titles": normalize_title(title),
-        })
-        try:
-            pages = data["query"]["pages"]
-            page = next(iter(pages.values()))
-        except (KeyError, TypeError, StopIteration) as exc:
-            raise LiveLookupError("malformed Wikipedia API response") from exc
-        if "missing" in page or int(page.get("pageid", -1)) < 0:
-            record: Optional[KbRecord] = None
-        else:
-            record = KbRecord(
-                page_id=int(page["pageid"]),
-                canonical_title=normalize_title(page["title"]),
-                qid=page.get("pageprops", {}).get("wikibase_item"),
-            )
-        self._store(key, record)
-        return record
-
-    def lookup_qid(self, qid: str) -> Optional[KbRecord]:
-        """QID -> KbRecord via the Wikidata API (enwiki sitelink; page_id unknown)."""
-        if not is_qid(qid):
-            raise ValueError(f"invalid qid {qid!r}")
-        key = f"qid:{qid}"
-        if key in self._cache:
-            return self._cache[key]
-        data = self._get(self.cfg.wikidata_api, {
-            "action": "wbgetentities",
-            "format": "json",
-            "ids": qid,
-            "props": "sitelinks",
-            "sitefilter": "enwiki",
-        })
-        try:
-            entity = data["entities"][qid]
-        except (KeyError, TypeError) as exc:
-            raise LiveLookupError("malformed Wikidata API response") from exc
-        if "missing" in entity:
-            record: Optional[KbRecord] = None
-        else:
-            sitelink = entity.get("sitelinks", {}).get("enwiki")
-            if sitelink is None:
-                record = None
-            else:
-                record = KbRecord(page_id=0, canonical_title=normalize_title(sitelink["title"]), qid=qid)
-        self._store(key, record)
-        return record

@@ -13,7 +13,7 @@ import json
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from . import __version__
 
@@ -54,7 +54,7 @@ class RunManifest:
     template_sha256: str = ""
     backend_digest: str = ""
     backend_kind: str = ""
-    backend_model: str = ""
+    backend_model: Union[str, Tuple[str, ...]] = ""
     params: Tuple[Tuple[str, str], ...] = ()
 
     def to_dict(self) -> Dict[str, object]:
@@ -66,8 +66,9 @@ class RunManifest:
         if self.template_version or self.template_sha256:
             out["template"] = {"version": self.template_version, "sha256": self.template_sha256}
         if self.backend_digest:
+            model = self.backend_model
             out["backend"] = {"digest": self.backend_digest, "kind": self.backend_kind,
-                              "model_id": self.backend_model}
+                              "model_id": model if isinstance(model, str) else list(model)}
         if self.params:
             out["params"] = dict(self.params)
         return out
@@ -77,14 +78,22 @@ def build_run_manifest(inputs: Mapping[str, str],
                        template_text: Optional[str] = None,
                        template_version: str = "",
                        backend_config: Optional[object] = None,
-                       params: Optional[Mapping[str, object]] = None) -> RunManifest:
-    """Digest every named input file and assemble the manifest."""
+                       params: Optional[Mapping[str, object]] = None,
+                       backend_model: Optional[Union[str, Sequence[str]]] = None) -> RunManifest:
+    """Digest every named input file and assemble the manifest.
+
+    backend_model, when given, is the model that answered (one ID or
+    several) and replaces the backend config's model_id in the manifest.
+    """
     stamped = tuple((name, path, file_sha256(path)) for name, path in inputs.items())
-    backend_digest = backend_kind = backend_model = ""
+    backend_digest = backend_kind = ""
+    model: Union[str, Tuple[str, ...]] = ""
     if backend_config is not None:
         backend_digest = config_digest(backend_config)
         backend_kind = getattr(backend_config, "kind", "")
-        backend_model = getattr(backend_config, "model_id", "")
+        model = getattr(backend_config, "model_id", "")
+    if backend_model is not None:
+        model = backend_model if isinstance(backend_model, str) else tuple(backend_model)
     return RunManifest(
         timestamp=manifest_timestamp(),
         tool_version=__version__,
@@ -93,7 +102,7 @@ def build_run_manifest(inputs: Mapping[str, str],
         template_sha256=text_sha256(template_text) if template_text is not None else "",
         backend_digest=backend_digest,
         backend_kind=backend_kind,
-        backend_model=backend_model,
+        backend_model=model,
         params=tuple((key, str(value)) for key, value in (params or {}).items()),
     )
 

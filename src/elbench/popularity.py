@@ -14,16 +14,13 @@ distinct count costs little more than one `score`.
 from __future__ import annotations
 
 import math
-import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
-
-import requests
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .benchmark import Benchmark
-from .kb import LiveLookupError, MappingIndex, is_qid, title_to_qid
+from .kb import MappingIndex, is_qid, title_to_qid
 from .parsing import PredictedLink, PredictionRecord
 from .scoring import MatchConfig, ScoreReport, SentenceScore, build_report, match_items
 
@@ -39,26 +36,12 @@ ALL_THETAS = "all"
 @dataclass(frozen=True)
 class PopularityIndex:
     counts: Dict[str, int]
-    source: str = "counts-file"
 
 
 @dataclass(frozen=True)
 class ThresholdSlice:
     theta: float
     report: ScoreReport
-
-
-def triple_count(entity_document: Mapping) -> int:
-    """Total main statements across all properties of one entity document."""
-    claims = entity_document.get("claims", {})
-    if not isinstance(claims, dict):
-        raise ValueError("malformed entity document: claims is not a map")
-    total = 0
-    for prop, statements in claims.items():
-        if not isinstance(statements, list):
-            raise ValueError(f"malformed entity document: claims[{prop!r}] is not a list")
-        total += len(statements)
-    return total
 
 
 def load_counts(path: str) -> PopularityIndex:
@@ -89,62 +72,7 @@ def load_counts(path: str) -> PopularityIndex:
             counts[qid] = int(raw_count)
     if errors:
         raise ValueError(f"{path}: {len(errors)} malformed row(s):\n" + "\n".join(errors))
-    return PopularityIndex(counts=counts, source="counts-file")
-
-
-def save_counts(index: PopularityIndex, path: str) -> None:
-    ordered = sorted(index.counts, key=lambda q: int(q[1:]))
-    with open(path, "w", encoding="utf-8") as handle:
-        for qid in ordered:
-            handle.write(f"{qid}\t{index.counts[qid]}\n")
-
-
-@dataclass(frozen=True)
-class CountsFetchConfig:
-    wikidata_api: str = "https://www.wikidata.org/w/api.php"
-    counts_path: str = "counts.tsv"
-    timeout: float = 30.0
-    batch_size: int = 50
-
-
-def fetch_counts(cfg: CountsFetchConfig, qids: Iterable[str]) -> PopularityIndex:
-    """Fetch statement counts for qids, using the counts file as a cache.
-
-    Only QIDs absent from the file are queried; every result is written
-    back, so a rerun over the same QIDs is a pure cache hit.
-    """
-    requested = list(dict.fromkeys(qids))
-    for qid in requested:
-        if not is_qid(qid):
-            raise ValueError(f"invalid qid {qid!r}")
-    counts: Dict[str, int] = {}
-    if os.path.exists(cfg.counts_path):
-        counts.update(load_counts(cfg.counts_path).counts)
-    missing = [q for q in requested if q not in counts]
-    for start in range(0, len(missing), cfg.batch_size):
-        batch = missing[start:start + cfg.batch_size]
-        try:
-            resp = requests.get(cfg.wikidata_api, params={
-                "action": "wbgetentities", "format": "json",
-                "ids": "|".join(batch), "props": "claims",
-            }, timeout=cfg.timeout, headers={"User-Agent": "elbench/0.1"})
-        except requests.RequestException as exc:
-            raise LiveLookupError(f"{cfg.wikidata_api}: {exc}") from exc
-        if resp.status_code != 200:
-            raise LiveLookupError(f"{cfg.wikidata_api}: HTTP {resp.status_code}")
-        try:
-            entities = resp.json()["entities"]
-        except (ValueError, KeyError) as exc:
-            raise LiveLookupError("malformed Wikidata API response") from exc
-        for qid in batch:
-            entity = entities.get(qid)
-            if entity is None or "missing" in entity:
-                raise ValueError(f"entity {qid} not found in Wikidata response")
-            counts[qid] = triple_count(entity)
-    if missing:
-        save_counts(PopularityIndex(counts=counts), cfg.counts_path)
-        return PopularityIndex(counts=counts, source="live")
-    return PopularityIndex(counts=counts, source="counts-file")
+    return PopularityIndex(counts=counts)
 
 
 def format_theta(theta: float) -> str:

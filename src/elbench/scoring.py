@@ -139,12 +139,24 @@ def match_items(gold: Benchmark,
         if record.sentence_id in by_id:
             raise ValueError(f"duplicate prediction record for sentence_id {record.sentence_id!r}")
         by_id[record.sentence_id] = record
-    return (_sentence_items(sentence, by_id.get(sentence.sentence_id), cfg, kb)
+    # Each distinct raw title is normalized once per call, not once per link.
+    title_ids: Dict[str, Optional[str]] = {}
+    return (_sentence_items(sentence, by_id.get(sentence.sentence_id), cfg, kb, title_ids)
             for sentence in gold.sentences)
 
 
+def _title_id(title: Optional[str], title_ids: Dict[str, Optional[str]]) -> Optional[str]:
+    """A predicted title's identifier in title mode: None when it is blank."""
+    if title is None:
+        return None
+    if title not in title_ids:
+        title_ids[title] = normalize_title(title) if title.strip() else None
+    return title_ids[title]
+
+
 def _sentence_items(sentence: BenchmarkSentence, record: Optional[PredictionRecord],
-                    cfg: MatchConfig, kb: Optional[MappingIndex]) -> SentenceItems:
+                    cfg: MatchConfig, kb: Optional[MappingIndex],
+                    title_ids: Dict[str, Optional[str]]) -> SentenceItems:
     gold: List[GoldMention] = []
     nil_surfaces = set()
     for mention in sentence.mentions:
@@ -165,8 +177,7 @@ def _sentence_items(sentence: BenchmarkSentence, record: Optional[PredictionReco
     if cfg.mode == MODE_QID:
         pred_ids = [link.qid for link in preds]
     else:
-        pred_ids = [normalize_title(link.title) if link.title is not None and link.title.strip()
-                    else None for link in preds]
+        pred_ids = [_title_id(link.title, title_ids) for link in preds]
     return SentenceItems(sentence.sentence_id, len(sentence.mentions) - len(gold), gold,
                          gold_ids, preds, pred_ids, discarded)
 

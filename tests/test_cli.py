@@ -3,6 +3,7 @@ import json
 import os
 import shutil
 import subprocess
+import sys
 from importlib.metadata import EntryPoint
 
 import pytest
@@ -80,7 +81,39 @@ class TestLink:
         assert set(manifest["inputs"]) == {"benchmark", "fixture"}
         assert all(len(v["sha256"]) == 64 for v in manifest["inputs"].values())
         assert manifest["backend"]["kind"] == "replay"
+        assert manifest["backend"]["model_id"] == "test-model"
         assert manifest["template"]["version"] == "el_one_shot_v1"
+
+    @pytest.mark.parametrize("other_model,expected", [
+        (None, "m-x"),
+        ("m-a", ["m-a", "m-x"]),
+    ])
+    def test_replay_manifest_records_fixture_model(self, capsys, tmp_path, e2e_paths,
+                                                   other_model, expected):
+        # A completions log without model IDs, recorded under --model m-x; the
+        # second case gives two of its rows another model.
+        rows = []
+        with open(e2e_paths["completions"], encoding="utf-8") as handle:
+            for i, line in enumerate(handle):
+                row = json.loads(line)
+                del row["model_id"]
+                if other_model is not None and i < 2:
+                    row["model_id"] = other_model
+                rows.append(json.dumps(row) + "\n")
+        log = tmp_path / "log.jsonl"
+        log.write_text("".join(rows), encoding="utf-8")
+        fixture = tmp_path / "fixture.jsonl"
+        code, _, _ = run(capsys, ["record", "--benchmark", e2e_paths["benchmark"],
+                                  "--completions", str(log), "--model", "m-x",
+                                  "--out", str(fixture)])
+        assert code == 0
+
+        out = tmp_path / "preds.jsonl"
+        code, _, _ = run(capsys, ["link", "--backend", "replay", "--fixture", str(fixture),
+                                  "--benchmark", e2e_paths["benchmark"], "--out", str(out)])
+        assert code == 0
+        manifest = json.loads((tmp_path / "preds.jsonl.manifest.json").read_text())
+        assert manifest["backend"]["model_id"] == expected
 
     def test_partial_failure_exits_1(self, capsys, tmp_path):
         bench = tmp_path / "bench.jsonl"
@@ -505,6 +538,52 @@ class TestReproducibility:
         assert outputs[0] == outputs[1]
         artifact = json.loads(outputs[0][1])
         assert artifact["manifest"]["timestamp"] == "2023-11-14T22:13:20Z"
+
+
+# Runs the offline pipeline (record, replay link, resolve, score, stratify)
+# through cli.main in a fresh interpreter, then prints whether requests was
+# imported.  argv: data directory, work directory, then "http" to also build
+# an http backend.
+IMPORT_PROBE = """
+import os, sys
+from elbench import cli
+data, work = sys.argv[1], sys.argv[2]
+def path(name):
+    return os.path.join(data, name)
+def out(name):
+    return os.path.join(work, name)
+commands = [
+    ["record", "--benchmark", path("e2e_benchmark.jsonl"),
+     "--completions", path("e2e_completions.jsonl"), "--out", out("fixture.jsonl")],
+    ["link", "--backend", "replay", "--fixture", out("fixture.jsonl"),
+     "--benchmark", path("e2e_benchmark.jsonl"), "--out", out("preds.jsonl")],
+    ["resolve", "--predictions", out("preds.jsonl"), "--kb", path("e2e_mapping.tsv"),
+     "--out", out("resolved.jsonl")],
+    ["score", "--benchmark", path("e2e_benchmark.jsonl"), "--predictions", out("preds.jsonl"),
+     "--kb", path("e2e_mapping.tsv"), "--out", out("score.json")],
+    ["stratify", "--benchmark", path("e2e_benchmark.jsonl"),
+     "--predictions", out("preds.jsonl"), "--kb", path("e2e_mapping.tsv"),
+     "--counts", path("e2e_counts.tsv"), "--out", out("strata.csv")],
+]
+for argv in commands:
+    assert cli.main(argv) == 0, argv
+if sys.argv[3:] == ["http"]:
+    from elbench.backends import BackendConfig, make_backend
+    os.environ["EL_API_KEY"] = "probe"
+    make_backend(BackendConfig(kind="http", endpoint="http://127.0.0.1:9"))
+print("requests" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("extra,imported", [([], "False"), (["http"], "True")])
+def test_requests_imported_only_for_http(tmp_path, data_dir, extra, imported):
+    """Only the http backend imports requests; every other command starts without it."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, data_dir, str(tmp_path), *extra],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == imported
 
 
 @pytest.mark.skipif(shutil.which("elbench") is None,

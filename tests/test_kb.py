@@ -3,10 +3,10 @@ import unicodedata
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_kb import reference_load_mapping, reference_normalize_title
 
-from elbench.kb import (REDIRECT_DEPTH, KbRecord, LiveKbClient, LiveKbConfig, LiveLookupError,
-                        MappingIndex, is_qid, load_mapping, normalize_title, pageid_to_qid,
-                        qid_to_title, title_to_qid)
+from elbench.kb import (REDIRECT_DEPTH, KbRecord, MappingIndex, is_qid, load_mapping,
+                        normalize_title, pageid_to_qid, qid_to_title, title_to_qid)
 
 
 class TestNormalizeTitle:
@@ -163,90 +163,88 @@ class TestResolution:
             MappingIndex([KbRecord(1, "A", "Q1"), KbRecord(1, "B", "Q2")])
 
 
-def wikipedia_payload(pageid, title, qid):
-    page = {"pageid": pageid, "title": title}
-    if qid:
-        page["pageprops"] = {"wikibase_item": qid}
-    return {"query": {"pages": {str(pageid): page}}}
+# Every character str.split() treats as whitespace, and characters whose
+# normalization or uppercasing is not the identity.
+SPLIT_WHITESPACE = "".join(c for c in map(chr, range(0x110000)) if c.isspace())
+TRICKY_CHARS = SPLIT_WHITESPACE + (
+    "_aA\u00e9\u00c9"
+    "\u0390\u03b0"                # Greek dialytika-tonos vowels: no precomposed capital
+    "\u00df\u017f\u0131\u0149\u01f0"  # capitals of another length or letter
+    "\u0301\u0308\u0342\u0345"     # combining marks, ypogegrammeni last
+    "\u03b1\u1fb3")               # alpha, alpha with ypogegrammeni
+raw_titles = st.one_of(
+    st.text(alphabet=st.one_of(st.sampled_from(TRICKY_CHARS), st.characters()), max_size=30),
+    st.text(max_size=30).map(lambda text: unicodedata.normalize("NFD", text)),
+)
 
 
-WIKI_MISSING = {"query": {"pages": {"-1": {"ns": 0, "title": "Nope", "missing": ""}}}}
+class TestNormalizeTitleOracle:
+    @settings(max_examples=1000, deadline=None)
+    @given(raw=raw_titles)
+    def test_equals_reference(self, raw):
+        assert normalize_title(raw) == reference_normalize_title(raw)
+
+    # "\u1fb3" (alpha with ypogegrammeni) decomposed: its capital is "\u0391\u0399",
+    # but the capital of its first code point, recomposed, is "\u1fbc"; only the
+    # NFC pass before uppercasing tells them apart.
+    @pytest.mark.parametrize("raw", ["\u0390 tonos", "\u03b0", "\u00df", "e\u0301tude",
+                                     "_a\u3000b\x1c", "\u017f", "\u0131", "\u0149 x",
+                                     "\u03b1\u0345 x"])
+    def test_known_cases(self, raw):
+        assert normalize_title(raw) == reference_normalize_title(raw)
 
 
-class TestLiveKbClient:
-    def test_title_lookup_and_cache(self, tmp_path, stub_server):
-        def respond(request):
-            assert request["query"]["action"] == "query"
-            assert request["query"]["redirects"] == "1"
-            # the client sends the normalized form (first letter uppercased)
-            if request["query"]["titles"] == "Felix mendelssohn":
-                return 200, wikipedia_payload(4, "Felix Mendelssohn", "Q4")
-            return 200, WIKI_MISSING
+# Cells drawn from small pools, so titles and page IDs collide often.
+PAGE_IDS = ["1", "2", "3", "12", "007", " 2 ", "0", "-1", "x", "", "1.5",
+            "\u00b2", "\u0663"]  # superscript two, Arabic-Indic three: isdigit() holds
+TITLES = ["A", "a", "A_", " a ", "_", "", "  ", "B b", "b_b", "\u00c4", "A\u0308",
+          "\u00df", "SS", "\u0390", "\u03b9\u0308\u0301", "\u03a9", "x\u3000y"]
+QIDS = ["", "Q1", "Q2", "Q10", "q1", "Q", "X9", " Q2 ", "Q1x"]
+REDIRECTS = TITLES + ["Z", "C"]
 
-        server = stub_server(respond)
-        cache = tmp_path / "cache.jsonl"
-        cfg = LiveKbConfig(wikipedia_api=server.url, wikidata_api=server.url,
-                           cache_path=str(cache))
-        client = LiveKbClient(cfg)
-        record = client.lookup_title("felix_mendelssohn")
-        assert record == KbRecord(4, "Felix Mendelssohn", "Q4")
-        assert client.lookup_title("No Such Page") is None
-        assert len(server.requests) == 2
+mapping_rows = st.one_of(
+    st.tuples(st.sampled_from(PAGE_IDS), st.sampled_from(TITLES),
+              st.sampled_from(QIDS)).map("\t".join),
+    st.tuples(st.sampled_from(PAGE_IDS), st.sampled_from(TITLES), st.sampled_from(QIDS),
+              st.sampled_from(REDIRECTS)).map("\t".join),
+    st.lists(st.sampled_from(TITLES + PAGE_IDS), min_size=1, max_size=5).map("\t".join),
+    st.sampled_from(["", "   ", "\t", "\t\t"]),
+)
 
-        # same normalized title answers from memory, no new request
-        assert client.lookup_title(" felix  mendelssohn ") == record
-        assert len(server.requests) == 2
 
-        # a fresh client replays the journal: hits and negative entries alike
-        client2 = LiveKbClient(cfg)
-        assert client2.lookup_title("felix mendelssohn") == record
-        assert client2.lookup_title("no Such Page") is None
-        assert len(server.requests) == 2
+def mapping_outcome(load, path):
+    """An index's contents, or the text of the ValueError the load raised."""
+    try:
+        idx = load(path)
+    except ValueError as exc:
+        return ("error", str(exc))
+    qids = {rec.qid for rec in idx.by_title.values() if rec.qid}
+    return (dict(idx.by_title), dict(idx.by_page_id),
+            {qid: idx.title_for_qid(qid) for qid in qids}, len(idx))
 
-    def test_qid_lookup(self, tmp_path, stub_server):
-        def respond(request):
-            qid = request["query"]["ids"]
-            assert request["query"]["action"] == "wbgetentities"
-            if qid == "Q4":
-                return 200, {"entities": {"Q4": {"sitelinks": {
-                    "enwiki": {"site": "enwiki", "title": "Felix Mendelssohn"}}}}}
-            if qid == "Q5":
-                return 200, {"entities": {"Q5": {"sitelinks": {}}}}
-            return 200, {"entities": {qid: {"id": qid, "missing": ""}}}
 
-        server = stub_server(respond)
-        client = LiveKbClient(LiveKbConfig(wikipedia_api=server.url, wikidata_api=server.url,
-                                           cache_path=str(tmp_path / "cache.jsonl")))
-        assert client.lookup_qid("Q4") == KbRecord(0, "Felix Mendelssohn", "Q4")
-        assert client.lookup_qid("Q5") is None      # no enwiki sitelink
-        assert client.lookup_qid("Q404") is None    # entity missing
-        with pytest.raises(ValueError, match="invalid qid"):
-            client.lookup_qid("banana")
+class TestLoadMappingOracle:
+    @settings(max_examples=800, deadline=None)
+    @given(rows=st.lists(mapping_rows, max_size=12))
+    def test_equals_reference(self, tmp_path_factory, rows):
+        path = tmp_path_factory.getbasetemp() / "oracle_mapping.tsv"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        assert mapping_outcome(load_mapping, str(path)) == \
+            mapping_outcome(reference_load_mapping, str(path))
 
-    def test_http_error_raises_lookup_error(self, tmp_path, stub_server):
-        server = stub_server(lambda request: (503, {"error": "down"}))
-        client = LiveKbClient(LiveKbConfig(wikipedia_api=server.url, wikidata_api=server.url,
-                                           cache_path=str(tmp_path / "cache.jsonl")))
-        with pytest.raises(LiveLookupError, match="HTTP 503"):
-            client.lookup_title("Anything")
-
-    def test_unreachable_endpoint_raises_lookup_error(self, tmp_path):
-        client = LiveKbClient(LiveKbConfig(wikipedia_api="http://127.0.0.1:9",
-                                           wikidata_api="http://127.0.0.1:9",
-                                           cache_path=str(tmp_path / "cache.jsonl"),
-                                           timeout=0.2))
-        with pytest.raises(LiveLookupError):
-            client.lookup_title("Anything")
-
-    def test_malformed_response_raises_lookup_error(self, tmp_path, stub_server):
-        server = stub_server(lambda request: (200, {"unexpected": True}))
-        client = LiveKbClient(LiveKbConfig(wikipedia_api=server.url, wikidata_api=server.url,
-                                           cache_path=str(tmp_path / "cache.jsonl")))
-        with pytest.raises(LiveLookupError, match="malformed"):
-            client.lookup_title("Anything")
-
-    def test_corrupt_cache_rejected(self, tmp_path):
-        cache = tmp_path / "cache.jsonl"
-        cache.write_text('{"found": true}\n', encoding="utf-8")
-        with pytest.raises(ValueError, match="malformed cache entry"):
-            LiveKbClient(LiveKbConfig(cache_path=str(cache)))
+    def test_every_error_kind_covered(self, tmp_path):
+        # One row of each malformed kind, so the oracle sees them all at once.
+        path = tmp_path / "map.tsv"
+        path.write_text("1\tA\tQ1\n"
+                        "2\tB\n"
+                        "x\tC\tQ3\n"
+                        "3\t_\tQ3\n"
+                        "4\tD\tq4\n"
+                        "5\tLoop\t\tloop\n"
+                        "6\ta\tQ6\n"
+                        "1\tE\tQ7\n"
+                        "\n"
+                        "7\tF\tQ8\t\n", encoding="utf-8")
+        outcome = mapping_outcome(load_mapping, str(path))
+        assert outcome == mapping_outcome(reference_load_mapping, str(path))
+        assert outcome[0] == "error" and "7 malformed row(s)" in outcome[1]

@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_stratify import _link_qid, reference_stratify
 
-from elbench.kb import KbRecord, LiveLookupError, MappingIndex
+from elbench.kb import KbRecord, MappingIndex
 from elbench.parsing import STATUS_CLEAN, PredictedLink, PredictionRecord
-from elbench.popularity import (DEFAULT_THETAS, INF, STRATIFY_CSV_FIELDS, CountsFetchConfig,
-                                PopularityIndex, fetch_counts, format_theta, load_counts,
-                                save_counts, slice_label, stratify, stratify_csv_rows,
-                                triple_count)
+from elbench.popularity import (DEFAULT_THETAS, INF, STRATIFY_CSV_FIELDS, PopularityIndex,
+                                format_theta, load_counts, slice_label, stratify,
+                                stratify_csv_rows)
 from elbench.scoring import MODE_QID, MODE_TITLE, MODES, NIL_POLICIES, MatchConfig, score
 
 QID_CFG = MatchConfig(mode=MODE_QID)
@@ -23,36 +22,11 @@ def pred(sentence_id, *links):
     return PredictionRecord(sentence_id=sentence_id, links=built, status=STATUS_CLEAN)
 
 
-class TestTripleCount:
-    def test_counts_statements_across_properties(self):
-        doc = {"id": "Q1", "claims": {
-            "P31": [{"mainsnak": {}}, {"mainsnak": {}}],
-            "P106": [{"mainsnak": {}}],
-            "P569": [{}, {}, {}, {}],
-        }}
-        assert triple_count(doc) == 7
-
-    def test_empty_claims(self):
-        assert triple_count({"claims": {}}) == 0
-        assert triple_count({}) == 0
-
-    def test_malformed_documents(self):
-        with pytest.raises(ValueError, match="claims is not a map"):
-            triple_count({"claims": [1, 2]})
-        with pytest.raises(ValueError, match=r"claims\['P31'\] is not a list"):
-            triple_count({"claims": {"P31": {"a": 1}}})
-
-
 class TestCountsFile:
-    def test_round_trip(self, tmp_path):
-        index = PopularityIndex(counts={"Q10": 5, "Q2": 100, "Q1": 0})
+    def test_rows_loaded(self, tmp_path):
         path = tmp_path / "counts.tsv"
-        save_counts(index, str(path))
-        # rows come out in numeric qid order
-        assert path.read_text(encoding="utf-8") == "Q1\t0\nQ2\t100\nQ10\t5\n"
-        loaded = load_counts(str(path))
-        assert loaded.counts == index.counts
-        assert loaded.source == "counts-file"
+        path.write_text("Q1\t0\nQ2\t100\nQ10\t5\n", encoding="utf-8")
+        assert load_counts(str(path)).counts == {"Q10": 5, "Q2": 100, "Q1": 0}
 
     def test_errors_collected(self, tmp_path):
         path = tmp_path / "counts.tsv"
@@ -328,68 +302,6 @@ class TestStratifyOracle:
         with pytest.raises(ValueError, match=message):
             stratify(**case)
         assert outcome(stratify, **case) == outcome(reference_stratify, **case)
-
-
-class TestFetchCounts:
-    def entity(self, qid, n):
-        return {"id": qid, "claims": {"P1": [{} for _ in range(n)]}}
-
-    def test_fetch_and_cache(self, tmp_path, stub_server):
-        table = {"Q1": 5, "Q2": 40}
-
-        def respond(request):
-            ids = request["query"]["ids"].split("|")
-            assert request["query"]["action"] == "wbgetentities"
-            assert request["query"]["props"] == "claims"
-            return 200, {"entities": {q: self.entity(q, table[q]) for q in ids}}
-
-        server = stub_server(respond)
-        counts_path = tmp_path / "counts.tsv"
-        cfg = CountsFetchConfig(wikidata_api=server.url, counts_path=str(counts_path))
-
-        index = fetch_counts(cfg, ["Q1", "Q2", "Q1"])
-        assert index.counts == {"Q1": 5, "Q2": 40}
-        assert index.source == "live"
-        assert len(server.requests) == 1
-        assert counts_path.read_text(encoding="utf-8") == "Q1\t5\nQ2\t40\n"
-
-        # second run answers from the file without any request
-        again = fetch_counts(cfg, ["Q1", "Q2"])
-        assert again.counts == {"Q1": 5, "Q2": 40}
-        assert again.source == "counts-file"
-        assert len(server.requests) == 1
-
-    def test_batching(self, tmp_path, stub_server):
-        def respond(request):
-            ids = request["query"]["ids"].split("|")
-            assert len(ids) <= 2
-            return 200, {"entities": {q: self.entity(q, 1) for q in ids}}
-
-        server = stub_server(respond)
-        cfg = CountsFetchConfig(wikidata_api=server.url,
-                                counts_path=str(tmp_path / "c.tsv"), batch_size=2)
-        index = fetch_counts(cfg, [f"Q{i}" for i in range(1, 6)])
-        assert len(index.counts) == 5
-        assert len(server.requests) == 3
-
-    def test_missing_entity_rejected(self, tmp_path, stub_server):
-        server = stub_server(lambda request: (
-            200, {"entities": {"Q404": {"id": "Q404", "missing": ""}}}))
-        cfg = CountsFetchConfig(wikidata_api=server.url, counts_path=str(tmp_path / "c.tsv"))
-        with pytest.raises(ValueError, match="entity Q404 not found"):
-            fetch_counts(cfg, ["Q404"])
-
-    def test_http_error(self, tmp_path, stub_server):
-        server = stub_server(lambda request: (500, {"error": "boom"}))
-        cfg = CountsFetchConfig(wikidata_api=server.url, counts_path=str(tmp_path / "c.tsv"))
-        with pytest.raises(LiveLookupError, match="HTTP 500"):
-            fetch_counts(cfg, ["Q1"])
-
-    def test_invalid_qid_rejected_before_any_request(self, tmp_path):
-        cfg = CountsFetchConfig(wikidata_api="http://127.0.0.1:9",
-                                counts_path=str(tmp_path / "c.tsv"))
-        with pytest.raises(ValueError, match="invalid qid"):
-            fetch_counts(cfg, ["notaqid"])
 
 
 class TestCsvRows:
