@@ -17,7 +17,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .benchmark import Benchmark
 from .kb import MappingIndex, is_qid, title_to_qid
@@ -42,6 +42,39 @@ class PopularityIndex:
 class ThresholdSlice:
     theta: float
     report: ScoreReport
+
+
+def triple_count(entity_document: Mapping) -> int:
+    """Total main statements across all properties of one entity document."""
+    claims = entity_document.get("claims", {})
+    if not isinstance(claims, dict):
+        raise ValueError("malformed entity document: claims is not a map")
+    total = 0
+    for prop, statements in claims.items():
+        if not isinstance(statements, list):
+            raise ValueError(f"malformed entity document: claims[{prop!r}] is not a list")
+        total += len(statements)
+    return total
+
+
+def counts_from_entities(entities: Mapping[str, Mapping], qids: Iterable[str]) -> PopularityIndex:
+    """Statement counts for qids from Wikidata entity documents already on disk.
+
+    `entities` is the `entities` map of a saved `wbgetentities` response or
+    of `Special:EntityData/<qid>.json`; every qid is checked before any
+    document is read, and a qid without a document is an error.
+    """
+    requested = list(qids)
+    for qid in requested:
+        if not is_qid(qid):
+            raise ValueError(f"invalid qid {qid!r}")
+    counts: Dict[str, int] = {}
+    for qid in requested:
+        entity = entities.get(qid)
+        if entity is None or "missing" in entity:
+            raise ValueError(f"entity {qid} not found in the entity documents")
+        counts[qid] = triple_count(entity)
+    return PopularityIndex(counts=counts)
 
 
 def load_counts(path: str) -> PopularityIndex:
@@ -73,6 +106,14 @@ def load_counts(path: str) -> PopularityIndex:
     if errors:
         raise ValueError(f"{path}: {len(errors)} malformed row(s):\n" + "\n".join(errors))
     return PopularityIndex(counts=counts)
+
+
+def save_counts(index: PopularityIndex, path: str) -> None:
+    """Write a counts TSV that `load_counts` reads back, in numeric qid order."""
+    ordered = sorted(index.counts, key=lambda q: int(q[1:]))
+    with open(path, "w", encoding="utf-8") as handle:
+        for qid in ordered:
+            handle.write(f"{qid}\t{index.counts[qid]}\n")
 
 
 def format_theta(theta: float) -> str:

@@ -10,8 +10,8 @@ from reference_stratify import _link_qid, reference_stratify
 from elbench.kb import KbRecord, MappingIndex
 from elbench.parsing import STATUS_CLEAN, PredictedLink, PredictionRecord
 from elbench.popularity import (DEFAULT_THETAS, INF, STRATIFY_CSV_FIELDS, PopularityIndex,
-                                format_theta, load_counts, slice_label, stratify,
-                                stratify_csv_rows)
+                                counts_from_entities, format_theta, load_counts, save_counts,
+                                slice_label, stratify, stratify_csv_rows, triple_count)
 from elbench.scoring import MODE_QID, MODE_TITLE, MODES, NIL_POLICIES, MatchConfig, score
 
 QID_CFG = MatchConfig(mode=MODE_QID)
@@ -22,11 +22,71 @@ def pred(sentence_id, *links):
     return PredictionRecord(sentence_id=sentence_id, links=built, status=STATUS_CLEAN)
 
 
-class TestCountsFile:
-    def test_rows_loaded(self, tmp_path):
+class TestTripleCount:
+    def test_counts_statements_across_properties(self):
+        doc = {"id": "Q1", "claims": {
+            "P31": [{"mainsnak": {}}, {"mainsnak": {}}],
+            "P106": [{"mainsnak": {}}],
+            "P569": [{}, {}, {}, {}],
+        }}
+        assert triple_count(doc) == 7
+
+    def test_empty_claims(self):
+        assert triple_count({"claims": {}}) == 0
+        assert triple_count({}) == 0
+
+    def test_malformed_documents(self):
+        with pytest.raises(ValueError, match="claims is not a map"):
+            triple_count({"claims": [1, 2]})
+        with pytest.raises(ValueError, match=r"claims\['P31'\] is not a list"):
+            triple_count({"claims": {"P31": {"a": 1}}})
+
+
+class TestFetchCounts:
+    """Counts from Wikidata entity documents already on disk (no network)."""
+
+    def entity(self, qid, n):
+        return {"id": qid, "claims": {"P1": [{} for _ in range(n)]}}
+
+    def test_counts_from_documents(self, tmp_path):
+        entities = {"Q1": self.entity("Q1", 5), "Q2": self.entity("Q2", 40),
+                    "Q3": self.entity("Q3", 7)}
+        index = counts_from_entities(entities, ["Q2", "Q1", "Q2"])
+        assert index.counts == {"Q2": 40, "Q1": 5}
         path = tmp_path / "counts.tsv"
-        path.write_text("Q1\t0\nQ2\t100\nQ10\t5\n", encoding="utf-8")
-        assert load_counts(str(path)).counts == {"Q10": 5, "Q2": 100, "Q1": 0}
+        save_counts(index, str(path))
+        assert path.read_text(encoding="utf-8") == "Q1\t5\nQ2\t40\n"
+
+    def test_missing_entity_rejected(self):
+        entities = {"Q1": self.entity("Q1", 1), "Q404": {"id": "Q404", "missing": ""}}
+        with pytest.raises(ValueError, match="entity Q404 not found"):
+            counts_from_entities(entities, ["Q1", "Q404"])
+        with pytest.raises(ValueError, match="entity Q5 not found"):
+            counts_from_entities(entities, ["Q5"])
+
+    def test_invalid_qid_rejected_before_any_request(self):
+        looked_up = []
+
+        class Recording(dict):
+            def get(self, key, default=None):
+                looked_up.append(key)
+                return super().get(key, default)
+
+        entities = Recording({"Q1": self.entity("Q1", 1)})
+        with pytest.raises(ValueError, match="invalid qid 'notaqid'"):
+            counts_from_entities(entities, ["Q1", "notaqid"])
+        assert looked_up == []
+
+
+class TestCountsFile:
+    def test_round_trip(self, tmp_path):
+        index = PopularityIndex(counts={"Q10": 5, "Q2": 100, "Q1": 0})
+        path = tmp_path / "counts.tsv"
+        save_counts(index, str(path))
+        # rows come out in numeric qid order
+        assert path.read_text(encoding="utf-8") == "Q1\t0\nQ2\t100\nQ10\t5\n"
+        loaded = load_counts(str(path))
+        assert loaded.counts == index.counts
 
     def test_errors_collected(self, tmp_path):
         path = tmp_path / "counts.tsv"
