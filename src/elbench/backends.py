@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
+import random
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
@@ -20,6 +22,8 @@ from typing import Dict, List, Optional, Sequence, Union
 KINDS = ("http", "replay")
 WIRES = ("completions", "chat")
 DEFAULT_API_KEY_ENV = "EL_API_KEY"
+# The longest wait a server's Retry-After can impose before one retry.
+MAX_RETRY_AFTER_S = 60.0
 
 
 class BackendError(Exception):
@@ -67,8 +71,12 @@ class BackendConfig:
     def validate(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"backend kind must be one of {KINDS}, got {self.kind!r}")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError(f"temperature must be a finite number >= 0, got {self.temperature!r}")
+        if not (math.isfinite(self.request_timeout) and self.request_timeout > 0):
+            raise ValueError(f"request_timeout must be a finite number > 0, got {self.request_timeout!r}")
+        if not (math.isfinite(self.retry_backoff) and self.retry_backoff >= 0):
+            raise ValueError(f"retry_backoff must be a finite number >= 0, got {self.retry_backoff!r}")
         if self.max_output_tokens < 1:
             raise ValueError("max_output_tokens must be >= 1")
         if self.parallelism < 1:
@@ -79,6 +87,8 @@ class BackendConfig:
             raise ValueError(f"wire must be one of {WIRES}, got {self.wire!r}")
         if self.kind == "http" and not self.endpoint:
             raise ValueError("http backend requires an endpoint")
+        if self.kind == "http" and not self.endpoint.lower().startswith(("http://", "https://")):
+            raise ValueError(f"http backend endpoint must be an http:// or https:// URL, got {self.endpoint!r}")
         if self.kind == "replay" and not self.fixture_path:
             raise ValueError("replay backend requires a fixture path")
 
@@ -159,21 +169,34 @@ class _ReplayBackend:
 
 class _HttpBackend:
     def __init__(self, cfg: BackendConfig):
-        # Imported here, on the one path that sends a request: importing
-        # requests costs every other command about 0.1 s of start-up.
-        import requests
+        # Imported here, on the one path that sends a request, so that no
+        # other command pays for loading the HTTP client at start-up.
+        import http.client
+        import urllib.error
+        import urllib.request
 
-        self._requests = requests
         self.cfg = cfg
         key = os.environ.get(cfg.api_key_env, "")
         if not key:
             raise CredentialMissingError(f"environment variable {cfg.api_key_env} is not set")
         self._headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
         self._recorder = _Recorder(cfg.record_path) if cfg.record_path else None
+        self._url = cfg.endpoint.rstrip("/") + ("/chat/completions" if cfg.wire == "chat"
+                                                 else "/completions")
+        self._request = urllib.request.Request
+        self._http_error = urllib.error.HTTPError
+        # Timeouts, resets and refused connections are OSErrors;
+        # IncompleteRead and BadStatusLine are HTTPExceptions.
+        self._transport_errors = (OSError, http.client.HTTPException)
+        handlers = []
+        if self._url.lower().startswith("https:"):
+            # One SSL context for every request: left to itself, urllib loads
+            # the CA store again for each connection (about 30 ms of CPU).
+            import ssl
 
-    def _url(self) -> str:
-        base = self.cfg.endpoint.rstrip("/")
-        return base + ("/chat/completions" if self.cfg.wire == "chat" else "/completions")
+            handlers.append(urllib.request.HTTPSHandler(context=ssl.create_default_context()))
+        # The default opener also reads proxies from the environment.
+        self._open = urllib.request.build_opener(*handlers).open
 
     def _body(self, prompt: str) -> Dict[str, object]:
         if self.cfg.wire == "chat":
@@ -198,28 +221,38 @@ class _HttpBackend:
         return text
 
     def complete(self, prompt: str) -> Completion:
-        url = self._url()
-        body = self._body(prompt)
+        url = self._url
+        payload = json.dumps(self._body(prompt), allow_nan=False).encode("utf-8")
         digest = prompt_digest(prompt)
         last_error: Optional[BackendError] = None
+        retry_after = 0.0
         for attempt in range(self.cfg.max_retries + 1):
             if attempt:
-                time.sleep(self.cfg.retry_backoff * (2 ** (attempt - 1)))
+                backoff = self.cfg.retry_backoff * 2 ** (attempt - 1) * random.uniform(0.5, 1.0)
+                time.sleep(max(backoff, retry_after))
+            retry_after = 0.0
             started = time.monotonic()
+            request = self._request(url, data=payload, headers=self._headers, method="POST")
             try:
-                resp = self._requests.post(url, json=body, headers=self._headers,
-                                           timeout=self.cfg.request_timeout)
-            except self._requests.RequestException as exc:
+                try:
+                    resp = self._open(request, timeout=self.cfg.request_timeout)
+                except self._http_error as exc:
+                    resp = exc  # a 4xx/5xx answer: its status, headers and body as for any other
+                with resp:
+                    status, headers, raw = resp.status, resp.headers, resp.read()
+            except self._transport_errors as exc:
                 last_error = EndpointUnreachableError(f"{url}: {exc}")
                 continue
-            if resp.status_code == 429 or resp.status_code >= 500:
-                last_error = HttpStatusError(f"{url}: HTTP {resp.status_code}", status=resp.status_code)
+            if status == 429 or status >= 500:
+                if status in (429, 503):
+                    retry_after = _retry_after_seconds(headers.get("Retry-After"))
+                last_error = HttpStatusError(f"{url}: HTTP {status}", status=status)
                 continue
-            if resp.status_code != 200:
-                raise HttpStatusError(f"{url}: HTTP {resp.status_code}: {resp.text[:200]}",
-                                      status=resp.status_code)
+            if status != 200:
+                text = raw.decode("utf-8", errors="replace")
+                raise HttpStatusError(f"{url}: HTTP {status}: {text[:200]}", status=status)
             try:
-                data = resp.json()
+                data = json.loads(raw)
             except ValueError:
                 raise HttpStatusError("completion response is not JSON", status=200)
             raw_text = self._extract_text(data)
@@ -232,6 +265,15 @@ class _HttpBackend:
             return Completion(prompt_digest=digest, raw_text=raw_text, backend_meta=meta)
         assert last_error is not None
         raise last_error
+
+
+def _retry_after_seconds(value: Optional[str]) -> float:
+    """A Retry-After header given in seconds, at most MAX_RETRY_AFTER_S;
+    0 when absent or an HTTP date."""
+    value = (value or "").strip()
+    if value.isascii() and value.replace(".", "", 1).isdigit():
+        return min(float(value), MAX_RETRY_AFTER_S)
+    return 0.0
 
 
 def make_backend(cfg: BackendConfig):

@@ -9,14 +9,14 @@ import re
 import unicodedata
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-QID_RE = re.compile(r"^Q[0-9]+$")
+QID_RE = re.compile(r"Q[0-9]+")
 
 # Longest redirect chain the resolver will walk before giving up.
 REDIRECT_DEPTH = 4
 
 
 def is_qid(value: str) -> bool:
-    return bool(QID_RE.match(value))
+    return QID_RE.fullmatch(value) is not None
 
 
 def normalize_title(raw: str) -> str:
@@ -106,7 +106,7 @@ def load_mapping(path: str) -> MappingIndex:
             raw_page_id = parts[0].strip()
             raw_qid = parts[2].strip()
             raw_redirect = parts[3].strip() if len(parts) == 4 else ""
-            page_id = int(raw_page_id) if raw_page_id.isdigit() else 0
+            page_id = int(raw_page_id) if raw_page_id.isascii() and raw_page_id.isdigit() else 0
             if page_id < 1:
                 errors.append(f"line {lineno}: page_id must be a positive integer, got {raw_page_id!r}")
                 continue

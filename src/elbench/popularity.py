@@ -95,7 +95,7 @@ def load_counts(path: str) -> PopularityIndex:
             if not is_qid(qid):
                 errors.append(f"line {lineno}: invalid qid {qid!r}")
                 continue
-            if not raw_count.isdigit():
+            if not (raw_count.isascii() and raw_count.isdigit()):
                 errors.append(f"line {lineno}: count must be a nonnegative integer, got {raw_count!r}")
                 continue
             if qid in lines_seen:
@@ -139,7 +139,7 @@ def _thresholds(thetas: Sequence[Union[float, str]]) -> Tuple[List[float], bool]
             if token in ("inf", "∞"):
                 values.append(INF)
                 continue
-            if token.isdigit() and int(token) >= 1:
+            if token.isascii() and token.isdigit() and int(token) >= 1:
                 values.append(float(int(token)))
                 continue
         elif math.isinf(theta) and theta > 0:

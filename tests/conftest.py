@@ -61,8 +61,8 @@ def stub_server():
 
     servers = []
 
-    def make(respond):
-        server = StubServer(respond)
+    def make(respond, ssl_context=None):
+        server = StubServer(respond, ssl_context)
         servers.append(server)
         return server
 

@@ -41,7 +41,7 @@ def reference_load_mapping(path: str) -> MappingIndex:
                 continue
             raw_page_id, raw_title, raw_qid = parts[0], parts[1], parts[2]
             raw_redirect = parts[3] if len(parts) == 4 else ""
-            if not raw_page_id.isdigit() or int(raw_page_id) < 1:
+            if not (raw_page_id.isascii() and raw_page_id.isdigit()) or int(raw_page_id) < 1:
                 errors.append(f"line {lineno}: page_id must be a positive integer, got {raw_page_id!r}")
                 continue
             page_id = int(raw_page_id)

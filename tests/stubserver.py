@@ -9,11 +9,13 @@ from urllib.parse import parse_qs, urlparse
 class StubServer:
     """Serves whatever the respond callback returns; records every request.
 
-    respond(request) -> (status, body); body may be a dict (sent as JSON),
-    str, or bytes.  request is a dict with method/path/query/headers/body.
+    respond(request) -> (status, body) or (status, body, headers); body may be
+    a dict (sent as JSON), str, or bytes, and headers a dict of extra response
+    headers.  request is a dict with method/path/query/headers/body.  With an
+    ssl_context the server speaks HTTPS.
     """
 
-    def __init__(self, respond):
+    def __init__(self, respond, ssl_context=None):
         self.respond = respond
         self.requests = []
         outer = self
@@ -38,7 +40,8 @@ class StubServer:
                     "body": body,
                 }
                 outer.requests.append(request)
-                status, payload = outer.respond(request)
+                status, payload, *extra = outer.respond(request)
+                headers = extra[0] if extra else {}
                 if isinstance(payload, dict):
                     payload = json.dumps(payload).encode("utf-8")
                 elif isinstance(payload, str):
@@ -46,6 +49,8 @@ class StubServer:
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(payload)))
+                for name, value in headers.items():
+                    self.send_header(name, value)
                 self.end_headers()
                 self.wfile.write(payload)
 
@@ -53,13 +58,17 @@ class StubServer:
             do_POST = _handle
 
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.scheme = "http"
+        if ssl_context is not None:
+            self.server.socket = ssl_context.wrap_socket(self.server.socket, server_side=True)
+            self.scheme = "https"
         self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
         self.thread.start()
 
     @property
     def url(self):
         host, port = self.server.server_address
-        return f"http://{host}:{port}"
+        return f"{self.scheme}://{host}:{port}"
 
     def close(self):
         self.server.shutdown()

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import shutil
+import socket
+import ssl
+import subprocess
 import threading
 
 import pytest
 
+from elbench import backends
 from elbench.backends import (BackendConfig, BackendError, Completion, CredentialMissingError,
                               EndpointUnreachableError, HttpStatusError, ReplayMissError,
                               ReplayStore, batch_complete, complete, make_backend, prompt_digest,
@@ -20,6 +25,22 @@ def http_config(url, **overrides):
                     request_timeout=5.0, max_retries=0, retry_backoff=0.01)
     defaults.update(overrides)
     return BackendConfig(**defaults)
+
+
+@pytest.fixture
+def tls_certificate(tmp_path):
+    """A self-signed certificate for 127.0.0.1, and a server context presenting it."""
+    if shutil.which("openssl") is None:
+        pytest.skip("openssl is not on PATH")
+    cert, key = tmp_path / "cert.pem", tmp_path / "key.pem"
+    subprocess.run(["openssl", "req", "-x509", "-newkey", "ec", "-pkeyopt",
+                    "ec_paramgen_curve:prime256v1", "-nodes", "-days", "1",
+                    "-subj", "/CN=127.0.0.1", "-addext", "subjectAltName=IP:127.0.0.1",
+                    "-keyout", str(key), "-out", str(cert)],
+                   check=True, capture_output=True, timeout=60)
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(str(cert), str(key))
+    return str(cert), context
 
 
 def write_fixture(path, entries):
@@ -44,6 +65,17 @@ class TestConfigValidation:
         (dict(kind="http", endpoint="http://x", parallelism=0), "parallelism"),
         (dict(kind="http", endpoint="http://x", max_retries=-1), "max_retries"),
         (dict(kind="http", endpoint="http://x", wire="telnet"), "wire"),
+        (dict(kind="http", endpoint="http://x", temperature=float("nan")), "temperature"),
+        (dict(kind="http", endpoint="http://x", temperature=float("inf")), "temperature"),
+        (dict(kind="http", endpoint="http://x", request_timeout=0), "request_timeout"),
+        (dict(kind="http", endpoint="http://x", request_timeout=-1), "request_timeout"),
+        (dict(kind="http", endpoint="http://x", request_timeout=float("inf")), "request_timeout"),
+        (dict(kind="http", endpoint="http://x", request_timeout=float("nan")), "request_timeout"),
+        (dict(kind="http", endpoint="http://x", retry_backoff=-0.5), "retry_backoff"),
+        (dict(kind="http", endpoint="http://x", retry_backoff=float("inf")), "retry_backoff"),
+        (dict(kind="http", endpoint="http://x", retry_backoff=float("nan")), "retry_backoff"),
+        (dict(kind="http", endpoint="localhost:8080"), "http:// or https:// URL"),
+        (dict(kind="http", endpoint="file:///etc/passwd"), "http:// or https:// URL"),
     ])
     def test_invalid(self, overrides, fragment):
         with pytest.raises(ValueError, match=fragment):
@@ -52,6 +84,7 @@ class TestConfigValidation:
     def test_valid(self):
         BackendConfig(kind="replay", fixture_path="f.jsonl").validate()
         BackendConfig(kind="http", endpoint="http://x", wire="chat").validate()
+        BackendConfig(kind="http", endpoint="HTTPS://x", retry_backoff=0).validate()
 
 
 class TestReplayStore:
@@ -165,7 +198,41 @@ class TestHttpBackend:
         with pytest.raises(HttpStatusError, match="HTTP 401") as err:
             complete(http_config(server.url, max_retries=5), "p")
         assert err.value.status == 401
+        assert 'HTTP 401: {"error": "bad key"}' in str(err.value)
         assert len(server.requests) == 1
+
+    def test_retry_after_is_the_floor_of_the_next_sleep(self, monkeypatch, stub_server):
+        delays = []
+        monkeypatch.setattr(backends.time, "sleep", delays.append)
+        monkeypatch.setattr(backends.random, "uniform", lambda low, high: high)
+        answers = iter([
+            (429, {"error": "slow down"}, {"Retry-After": "3"}),
+            (503, {"error": "busy"}, {"Retry-After": "0.05"}),  # below the back-off
+            (500, {"error": "broken"}, {"Retry-After": "7"}),  # only 429 and 503 count
+            (429, {"error": "slow down"}, {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
+            (503, {"error": "busy"}, {"Retry-After": "86400"}),  # capped
+        ])
+        server = stub_server(lambda request: next(answers, (200, {"choices": [{"text": "ok"}]})))
+        result = complete(http_config(server.url, max_retries=5, retry_backoff=0.1), "p")
+        assert result.raw_text == "ok"
+        assert delays == pytest.approx([3.0, 0.2, 0.4, 0.8, backends.MAX_RETRY_AFTER_S])
+        assert len(server.requests) == 6
+
+    def test_backoff_is_jittered(self, monkeypatch, stub_server):
+        delays, draws = [], []
+        factors = iter([0.5, 1.0, 0.75])
+
+        def uniform(low, high):
+            draws.append((low, high))
+            return next(factors)
+
+        monkeypatch.setattr(backends.time, "sleep", delays.append)
+        monkeypatch.setattr(backends.random, "uniform", uniform)
+        server = stub_server(lambda request: (503, {"error": "down"}))
+        with pytest.raises(HttpStatusError):
+            complete(http_config(server.url, max_retries=3, retry_backoff=0.1), "p")
+        assert draws == [(0.5, 1.0)] * 3
+        assert delays == pytest.approx([0.05, 0.2, 0.3])
 
     def test_non_json_response(self, stub_server):
         server = stub_server(lambda request: (200, "plain text, not json"))
@@ -195,6 +262,85 @@ class TestHttpBackend:
         cfg = http_config("http://127.0.0.1:9", request_timeout=0.2)
         with pytest.raises(EndpointUnreachableError) as err:
             complete(cfg, "p")
+        assert err.value.code == "endpoint-unreachable"
+
+    def test_https_uses_one_default_context(self, monkeypatch, stub_server, tls_certificate):
+        cert, server_context = tls_certificate
+        server = stub_server(lambda request: (200, {"choices": [{"text": "secure"}]}),
+                             ssl_context=server_context)
+        cfg = http_config(server.url)
+        monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+        monkeypatch.delenv("SSL_CERT_DIR", raising=False)
+        # The default context verifies against the system CA store, which
+        # does not hold the test certificate.
+        with pytest.raises(EndpointUnreachableError, match="CERTIFICATE_VERIFY_FAILED"):
+            complete(cfg, "p")
+
+        contexts = []
+
+        def default_context_trusting_cert():
+            contexts.append(default_context())
+            contexts[-1].load_verify_locations(cert)
+            return contexts[-1]
+
+        default_context = ssl.create_default_context
+        monkeypatch.setattr(ssl, "create_default_context", default_context_trusting_cert)
+        backend = make_backend(cfg)
+        assert [backend.complete(f"p{i}").raw_text for i in range(3)] == ["secure"] * 3
+        assert len(contexts) == 1  # one context, and one CA load, per backend
+        assert len(server.requests) == 3
+
+    def test_proxy_read_from_the_environment(self, monkeypatch, stub_server):
+        proxy = stub_server(lambda request: (200, {"choices": [{"text": "via proxy"}]}))
+        for name in ("no_proxy", "NO_PROXY", "HTTP_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("http_proxy", proxy.url)
+        result = complete(http_config("http://model.invalid/v1"), "p")
+        assert result.raw_text == "via proxy"
+        (request,) = proxy.requests
+        assert request["path"] == "/v1/completions"
+        assert request["headers"]["Host"] == "model.invalid"
+
+    @pytest.mark.parametrize("reply", [
+        b"",  # closed with no reply: BadStatusLine / ConnectionReset
+        b"HTTP/1.0 200 OK\r\nContent-Length: 100\r\n\r\n{\"choices\"",  # IncompleteRead
+    ], ids=["no-reply", "truncated-body"])
+    def test_connection_closed_early_is_retried(self, reply):
+        accepted = []
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.settimeout(5)
+
+            def serve():
+                for _ in range(3):
+                    conn, _ = listener.accept()
+                    with conn:
+                        conn.recv(65536)
+                        conn.sendall(reply)
+                    accepted.append(conn)
+
+            thread = threading.Thread(target=serve, daemon=True)
+            thread.start()
+            url = "http://127.0.0.1:%d" % listener.getsockname()[1]
+            with pytest.raises(EndpointUnreachableError) as err:
+                complete(http_config(url, max_retries=2), "p")
+            thread.join(5)
+        assert not thread.is_alive()
+        assert err.value.code == "endpoint-unreachable"
+        assert len(accepted) == 3
+
+    def test_slow_answer_times_out(self, stub_server):
+        release = threading.Event()
+
+        def respond(request):
+            release.wait(5)
+            return 200, {"choices": [{"text": "too late"}]}
+
+        server = stub_server(respond)
+        try:
+            with pytest.raises(EndpointUnreachableError, match="timed out") as err:
+                complete(http_config(server.url, request_timeout=0.2), "p")
+        finally:
+            release.set()
         assert err.value.code == "endpoint-unreachable"
 
     def test_recording_round_trips_through_replay(self, tmp_path, stub_server):

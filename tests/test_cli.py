@@ -55,6 +55,15 @@ class TestIngest:
         assert code2 == 0
         assert "total_mentions: 35" in stdout2
 
+    def test_qid_with_trailing_newline_rejected(self, capsys, tmp_path):
+        path = tmp_path / "b.jsonl"
+        path.write_text(json.dumps({"id": "s1", "text": "Verdi wrote.",
+                                    "mentions": [{"surface": "Verdi", "qid": "Q1\n"}]}) + "\n",
+                        encoding="utf-8")
+        code, _, err = run(capsys, ["ingest", "--input", str(path)])
+        assert code == 2
+        assert "line 1" in err and "got 'Q1\\n'" in err
+
     def test_missing_input(self, capsys):
         code, _, err = run(capsys, ["ingest"])
         assert code == 2
@@ -541,9 +550,9 @@ class TestReproducibility:
 
 
 # Runs the offline pipeline (record, replay link, resolve, score, stratify)
-# through cli.main in a fresh interpreter, then prints whether requests was
-# imported.  argv: data directory, work directory, then "http" to also build
-# an http backend.
+# through cli.main in a fresh interpreter, then prints which of the HTTP client
+# modules were imported.  argv: data directory, work directory, then "http" to
+# also build an http backend.
 IMPORT_PROBE = """
 import os, sys
 from elbench import cli
@@ -571,13 +580,15 @@ if sys.argv[3:] == ["http"]:
     from elbench.backends import BackendConfig, make_backend
     os.environ["EL_API_KEY"] = "probe"
     make_backend(BackendConfig(kind="http", endpoint="http://127.0.0.1:9"))
-print("requests" in sys.modules)
+print([m for m in ("http.client", "urllib.request", "requests") if m in sys.modules])
 """
 
 
-@pytest.mark.parametrize("extra,imported", [([], "False"), (["http"], "True")])
-def test_requests_imported_only_for_http(tmp_path, data_dir, extra, imported):
-    """Only the http backend imports requests; every other command starts without it."""
+@pytest.mark.parametrize("extra,imported", [
+    ([], "[]"), (["http"], "['http.client', 'urllib.request']")], ids=["offline", "http"])
+def test_http_client_imported_only_for_http(tmp_path, data_dir, extra, imported):
+    """Only the http backend loads the standard library's HTTP client, and
+    nothing loads requests; every other command starts without either."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, data_dir, str(tmp_path), *extra],

@@ -53,6 +53,8 @@ class TestNormalizeTitle:
 def test_is_qid():
     assert is_qid("Q1") and is_qid("Q315346")
     assert not is_qid("q1") and not is_qid("Q") and not is_qid("Q12x") and not is_qid("P31")
+    # `$` alone would also match before a final newline
+    assert not is_qid("Q1\n") and not is_qid("\nQ1") and not is_qid("Q1\n\n")
 
 
 class TestLoadMapping:
@@ -84,6 +86,18 @@ class TestLoadMapping:
         for fragment in ("line 2", "line 3", "line 4", "line 5", "line 6",
                          "duplicate title", "duplicate page_id"):
             assert fragment in message
+
+    def test_non_ascii_digits_rejected(self, tmp_path):
+        # str.isdigit() accepts both; int() rejects "²" and reads "١" as 1.
+        path = tmp_path / "map.tsv"
+        path.write_text("\u00b2\tA\tQ1\n"
+                        "\u0661\tB\tQ2\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_mapping(str(path))
+        message = str(err.value)
+        assert "2 malformed row(s)" in message
+        assert "line 1: page_id must be a positive integer, got '\u00b2'" in message
+        assert "line 2: page_id must be a positive integer, got '\u0661'" in message
 
     def test_self_redirect_rejected(self, tmp_path):
         path = tmp_path / "map.tsv"

@@ -103,6 +103,16 @@ class TestCountsFile:
                          "line 4: expected 2", "line 5: duplicate qid Q1 (first seen on line 1)"):
             assert fragment in message
 
+    def test_non_ascii_digits_rejected(self, tmp_path):
+        path = tmp_path / "counts.tsv"
+        path.write_text("Q1\t\u00b2\nQ2\t\u0661\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_counts(str(path))
+        message = str(err.value)
+        assert "2 malformed row(s)" in message
+        assert "line 1: count must be a nonnegative integer, got '\u00b2'" in message
+        assert "line 2: count must be a nonnegative integer, got '\u0661'" in message
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "counts.tsv"
         path.write_text("\nQ1\t5\n\n", encoding="utf-8")
@@ -169,6 +179,9 @@ class TestStratify:
             stratify(self.BENCH, self.PREDS, QID_CFG, None, self.POP, thetas=[2.5])
         with pytest.raises(ValueError, match="positive integer or inf"):
             stratify(self.BENCH, self.PREDS, QID_CFG, None, self.POP, thetas=[0])
+        for token in ("\u00b2", "\u0661"):
+            with pytest.raises(ValueError, match=f"invalid theta '{token}': expected"):
+                stratify(self.BENCH, self.PREDS, QID_CFG, None, self.POP, thetas=[token])
         with pytest.raises(ValueError, match="empty theta list"):
             stratify(self.BENCH, self.PREDS, QID_CFG, None, self.POP, thetas=[])
 
