@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from .kb import MappingIndex, is_qid, pageid_to_qid, title_to_qid
+from .kb import KbIndex, is_qid, pageid_to_qid, title_to_qid
 from .parsing import ORIGIN_CLEAN, STATUS_CLEAN, PredictedLink, PredictionRecord
 
 RESOLUTION_PAGE_ID = "page-id"
@@ -30,7 +30,7 @@ class ExternalPrediction:
     qid: Optional[str] = None
 
 
-def _resolve(row: ExternalPrediction, idx: MappingIndex) -> Tuple[Optional[str], str]:
+def _resolve(row: ExternalPrediction, idx: KbIndex) -> Tuple[Optional[str], str]:
     if row.page_id is not None:
         qid = pageid_to_qid(idx, row.page_id)
         if qid is not None:
@@ -44,10 +44,13 @@ def _resolve(row: ExternalPrediction, idx: MappingIndex) -> Tuple[Optional[str],
     return None, RESOLUTION_NOT_FOUND
 
 
-def load_external_predictions(path: str, idx: MappingIndex
+def load_external_predictions(path: str, idx: Union[KbIndex, Callable[..., KbIndex]]
                               ) -> Tuple[List[PredictionRecord], Dict[str, int]]:
     """Load external rows and attach QIDs.
 
+    idx is a mapping index, or a loader that `load_mapping`'s keyword
+    arguments `titles` and `page_ids` turn into one: it is called with the
+    titles and the page IDs of the rows once they are checked.
     Returns the grouped prediction records plus a tally keyed by resolution
     path.  Every input row yields exactly one output link (no silent drops);
     the per-link resolution field documents which path resolved it.
@@ -68,6 +71,9 @@ def load_external_predictions(path: str, idx: MappingIndex
                 rows.append(row)
     if errors:
         raise ValueError(f"{path}: {len(errors)} malformed record(s):\n" + "\n".join(errors))
+    if callable(idx):
+        idx = idx(titles={row.title for row in rows if row.title is not None},
+                  page_ids={row.page_id for row in rows if row.page_id is not None})
 
     tally = {RESOLUTION_PAGE_ID: 0, RESOLUTION_TITLE: 0,
              RESOLUTION_GIVEN_QID: 0, RESOLUTION_NOT_FOUND: 0}
@@ -98,7 +104,8 @@ def _check_row(raw: object, lineno: int, errors: List[str]) -> Optional[External
     if not isinstance(surface, str) or not surface.strip():
         errors.append(f"line {lineno}: surface must be a non-empty string")
         return None
-    if page_id is not None and (not isinstance(page_id, int) or page_id < 1):
+    # type(), not isinstance(): JSON true/false are ints to isinstance.
+    if page_id is not None and (type(page_id) is not int or page_id < 1):
         errors.append(f"line {lineno}: page_id must be a positive integer, got {page_id!r}")
         return None
     if title is not None and (not isinstance(title, str) or not title.strip()):

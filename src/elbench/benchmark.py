@@ -80,7 +80,8 @@ def _check_mention(fields: Dict[str, object], text: str, where: str, errors: Lis
         errors.append(f"{where}: start and end must be given together")
         return None
     if start is not None:
-        if not isinstance(start, int) or not isinstance(end, int):
+        # type(), not isinstance(): JSON true/false are ints to isinstance.
+        if type(start) is not int or type(end) is not int:
             errors.append(f"{where}: start/end must be integers")
             return None
         if not (0 <= start < end <= len(text)):

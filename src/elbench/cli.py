@@ -16,12 +16,13 @@ import math
 import os
 import sys
 from dataclasses import replace
-from typing import Collection, Dict, List, Optional, Sequence, Union
+from functools import partial
+from typing import Collection, Dict, List, Optional, Sequence, Set, Union
 
 from .backends import (DEFAULT_API_KEY_ENV, BackendConfig, BackendError,
                        batch_complete, prompt_digest)
 from .baseline import RESOLUTION_NOT_FOUND, RESOLUTION_TITLE, load_external_predictions
-from .benchmark import benchmark_stats, load_benchmark, save_benchmark
+from .benchmark import Benchmark, benchmark_stats, load_benchmark, save_benchmark
 from .kb import load_mapping, title_to_qid
 from .manifest import build_run_manifest, write_manifest
 from .parsing import (STATUS_UNPARSEABLE, PredictionRecord, load_predictions,
@@ -181,29 +182,39 @@ def _replayed_model_ids(results: Sequence[object]) -> Union[str, List[str]]:
     return ordered[0] if len(ordered) == 1 else ordered or ""
 
 
+def _gold_qids(benchmark: Benchmark) -> Set[str]:
+    return {m.qid for sentence in benchmark.sentences for m in sentence.mentions if not m.is_nil}
+
+
+def _titles(records: Sequence[PredictionRecord]) -> Set[str]:
+    """The distinct non-blank raw titles of the records' links."""
+    return {link.title for record in records for link in record.links
+            if link.title is not None and link.title.strip()}
+
+
 def cmd_resolve(args: argparse.Namespace) -> int:
     opts = _Options(args)
     kb_path = opts.require("kb")
-    kb = load_mapping(kb_path)
     out = opts.require("out")
     external = opts.get("external")
     predictions = opts.get("predictions")
     if bool(external) == bool(predictions):
         raise ValueError("exactly one of --external and --predictions is required")
     if external:
-        records, tally = load_external_predictions(external, kb)
+        records, tally = load_external_predictions(external, partial(load_mapping, kb_path))
         source = external
     else:
         tally = {RESOLUTION_TITLE: 0, RESOLUTION_NOT_FOUND: 0}
         records = []
+        loaded = load_predictions(predictions)
         # Each distinct raw title is resolved, and so normalized, only once.
-        qids: Dict[Optional[str], Optional[str]] = {None: None}
-        for record in load_predictions(predictions):
+        titles = _titles(loaded)
+        kb = load_mapping(kb_path, titles=titles)
+        qids = {title: title_to_qid(kb, title) for title in titles}
+        for record in loaded:
             links = []
             for link in record.links:
-                if link.title not in qids:
-                    qids[link.title] = title_to_qid(kb, link.title) if link.title.strip() else None
-                qid = qids[link.title]
+                qid = qids.get(link.title)
                 resolution = RESOLUTION_TITLE if qid is not None else RESOLUTION_NOT_FOUND
                 tally[resolution] += 1
                 links.append(replace(link, qid=qid, resolution=resolution))
@@ -228,7 +239,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     benchmark = load_benchmark(benchmark_path, opts.get("format", "jsonl"))
     preds = load_predictions(predictions_path)
     kb_path = opts.get("kb")
-    kb = load_mapping(kb_path) if kb_path else None
+    kb = load_mapping(kb_path, qids=_gold_qids(benchmark)) if kb_path else None
     cfg = MatchConfig(mode=mode, nil_policy=opts.get("nil-policy", NIL_EXCLUDE_AND_IGNORE))
     report = score(benchmark, preds, cfg, kb, system_id=opts.get("system", "system"),
                    keep_per_sentence=bool(opts.get("per-sentence", False, _parse_bool)))
@@ -263,7 +274,8 @@ def cmd_stratify(args: argparse.Namespace) -> int:
     preds = load_predictions(predictions_path)
     pop = load_counts(counts_path)
     kb_path = opts.get("kb")
-    kb = load_mapping(kb_path) if kb_path else None
+    kb = (load_mapping(kb_path, titles=_titles(preds), qids=_gold_qids(benchmark))
+          if kb_path else None)
     mode = opts.get("mode", "title")
     cfg = MatchConfig(mode=mode, nil_policy=opts.get("nil-policy", NIL_EXCLUDE_AND_IGNORE))
     raw_thetas = opts.get("thetas")

@@ -1,13 +1,18 @@
 """Wikipedia title / page-ID to Wikidata QID resolution.
 
 Resolution reads a KILT-style mapping dump (TSV) into an immutable index.
+A command that knows which keys it will look up asks `load_mapping` for
+just those; their answers come from a SQLite file compiled once per mapping
+in the user cache (see `kbcache`).
 """
 
 from __future__ import annotations
 
+import io
+import os
 import re
 import unicodedata
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Collection, Dict, Iterable, List, NamedTuple, Optional, TextIO, Tuple, Union
 
 QID_RE = re.compile(r"Q[0-9]+")
 
@@ -82,19 +87,107 @@ class MappingIndex:
         entry = self._title_by_qid.get(qid)
         return entry[0] if entry else None
 
+    def qid_for_title(self, title: str) -> Optional[str]:
+        """The QID of a raw title, redirects followed."""
+        return _resolve_record(self, self.by_title.get(normalize_title(title)), True)
 
-def load_mapping(path: str) -> MappingIndex:
+    def qid_for_page(self, page_id: int) -> Optional[str]:
+        return _resolve_record(self, self.by_page_id.get(page_id), True)
+
+    def keyed(self, titles: Collection[str], page_ids: Collection[int],
+              qids: Collection[str]) -> "KeyedIndex":
+        """This index's answers for the given keys only."""
+        return KeyedIndex(len(self), {title: self.qid_for_title(title) for title in titles},
+                          {page_id: self.qid_for_page(page_id) for page_id in page_ids},
+                          {qid: self.title_for_qid(qid) for qid in qids})
+
+    def answers(self) -> Tuple[Dict[str, str], Dict[int, str], Dict[str, str]]:
+        """Every answer that is not a miss: each canonical title's and each page
+        ID's QID, redirects followed, and each QID's preferred title."""
+        by_title: Dict[str, str] = {}
+        by_page: Dict[int, str] = {}
+        for rec in self.by_title.values():
+            qid = _resolve_record(self, rec, True)
+            if qid is not None:
+                by_title[rec.canonical_title] = qid
+                by_page[rec.page_id] = qid
+        return by_title, by_page, {qid: entry[0] for qid, entry in self._title_by_qid.items()}
+
+
+class KeyedIndex:
+    """A full index's answers for the keys a command declared, and no others.
+
+    Titles are the raw titles declared, each resolved after normalization
+    with redirects followed, as `title_to_qid` does by default.  Looking up a
+    key that was not declared raises KeyError rather than passing for a miss.
+    """
+
+    def __init__(self, rows: int, qid_by_title: Dict[str, Optional[str]],
+                 qid_by_page: Dict[int, Optional[str]], title_by_qid: Dict[str, Optional[str]]):
+        self.rows = rows
+        self._qid_by_title = qid_by_title
+        self._qid_by_page = qid_by_page
+        self._title_by_qid = title_by_qid
+
+    def __len__(self) -> int:
+        """Rows of the whole mapping, not keys held."""
+        return self.rows
+
+    def qid_for_title(self, title: str) -> Optional[str]:
+        return self._qid_by_title[title]
+
+    def qid_for_page(self, page_id: int) -> Optional[str]:
+        return self._qid_by_page[page_id]
+
+    def title_for_qid(self, qid: str) -> Optional[str]:
+        return self._title_by_qid[qid]
+
+
+KbIndex = Union[MappingIndex, KeyedIndex]
+
+
+def load_mapping(path: str, titles: Optional[Collection[str]] = None,
+                 page_ids: Optional[Collection[int]] = None,
+                 qids: Optional[Collection[str]] = None) -> KbIndex:
     """Load a mapping TSV: page_id <TAB> title <TAB> qid [<TAB> redirect_to].
 
     qid and redirect_to may be empty.  The whole load fails on any malformed
-    or duplicate row, listing every offending line.  Rows are checked and
-    indexed in the one pass that reads them.
+    or duplicate row, listing every offending line.
+
+    With no keys this returns the full index.  Given keys (raw titles as
+    they will be passed to `title_to_qid`, page IDs, QIDs; a kind left out
+    counts as none), it returns a KeyedIndex that answers exactly those, read
+    from the mapping's compiled cache entry when there is one.  Otherwise the
+    file is parsed as above and its answers for every key are written as a
+    new entry, best-effort.
     """
+    if titles is None and page_ids is None and qids is None:
+        return _parse_mapping(path, open(path, "r", encoding="utf-8"))
+    keys = (frozenset(titles or ()), frozenset(page_ids or ()), frozenset(qids or ()))
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        from . import kbcache
+    except ImportError:  # a Python built without sqlite3
+        kbcache = None
+    entry = kbcache.entry_path(data) if kbcache else None
+    found = kbcache.read(entry, *keys) if entry else None
+    if found is not None:
+        return found
+    # Parse the very bytes the entry's name was hashed from.
+    idx = _parse_mapping(path, io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    if entry:
+        kbcache.write(entry, os.path.abspath(path), idx)
+    return idx.keyed(*keys)
+
+
+def _parse_mapping(path: str, handle: TextIO) -> MappingIndex:
+    """Check and index every row in the one pass that reads it; closes handle."""
     errors: List[str] = []
     idx = MappingIndex()
     title_lines: Dict[str, int] = {}
     pageid_lines: Dict[int, int] = {}
-    with open(path, "r", encoding="utf-8") as handle:
+    with handle:
         for lineno, line in enumerate(handle, 1):
             line = line.rstrip("\n")
             if not line.strip():
@@ -152,17 +245,22 @@ def _resolve_record(idx: MappingIndex, rec: Optional[KbRecord], follow_redirects
     return None
 
 
-def title_to_qid(idx: MappingIndex, title: str, follow_redirects: bool = True) -> Optional[str]:
+def title_to_qid(idx: KbIndex, title: str, follow_redirects: bool = True) -> Optional[str]:
     """Resolve a raw title to a QID, walking redirects up to REDIRECT_DEPTH.
 
     Returns None for unknown titles, tombstones, over-long chains and cycles.
+    Only the full index can answer with follow_redirects off.
     """
-    return _resolve_record(idx, idx.by_title.get(normalize_title(title)), follow_redirects)
+    if follow_redirects:
+        return idx.qid_for_title(title)
+    return _resolve_record(idx, idx.by_title.get(normalize_title(title)), False)
 
 
-def qid_to_title(idx: MappingIndex, qid: str) -> Optional[str]:
+def qid_to_title(idx: KbIndex, qid: str) -> Optional[str]:
     return idx.title_for_qid(qid)
 
 
-def pageid_to_qid(idx: MappingIndex, page_id: int, follow_redirects: bool = True) -> Optional[str]:
-    return _resolve_record(idx, idx.by_page_id.get(page_id), follow_redirects)
+def pageid_to_qid(idx: KbIndex, page_id: int, follow_redirects: bool = True) -> Optional[str]:
+    if follow_redirects:
+        return idx.qid_for_page(page_id)
+    return _resolve_record(idx, idx.by_page_id.get(page_id), False)

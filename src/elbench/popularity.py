@@ -20,7 +20,7 @@ from itertools import accumulate
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .benchmark import Benchmark
-from .kb import MappingIndex, is_qid, title_to_qid
+from .kb import KbIndex, is_qid, title_to_qid
 from .parsing import PredictedLink, PredictionRecord
 from .scoring import MatchConfig, ScoreReport, SentenceScore, build_report, match_items
 
@@ -155,7 +155,7 @@ def _thresholds(thetas: Sequence[Union[float, str]]) -> Tuple[List[float], bool]
 def stratify(gold: Benchmark,
              preds: Sequence[PredictionRecord],
              cfg: MatchConfig,
-             kb: Optional[MappingIndex],
+             kb: Optional[KbIndex],
              pop: PopularityIndex,
              thetas: Sequence[Union[float, str]] = DEFAULT_THETAS,
              strict: bool = True,

@@ -14,7 +14,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .benchmark import Benchmark, BenchmarkSentence, GoldMention
-from .kb import MappingIndex, normalize_title, qid_to_title
+from .kb import KbIndex, normalize_title, qid_to_title
 from .parsing import PredictedLink, PredictionRecord
 
 MODE_TITLE = "title"
@@ -118,7 +118,7 @@ class SentenceItems(NamedTuple):
 def match_items(gold: Benchmark,
                 preds: Sequence[PredictionRecord],
                 cfg: MatchConfig,
-                kb: Optional[MappingIndex] = None) -> Iterator[SentenceItems]:
+                kb: Optional[KbIndex] = None) -> Iterator[SentenceItems]:
     """The matching rules of `score`, one SentenceItems per gold sentence.
 
     Title mode materializes each gold QID to its canonical title through the
@@ -155,7 +155,7 @@ def _title_id(title: Optional[str], title_ids: Dict[str, Optional[str]]) -> Opti
 
 
 def _sentence_items(sentence: BenchmarkSentence, record: Optional[PredictionRecord],
-                    cfg: MatchConfig, kb: Optional[MappingIndex],
+                    cfg: MatchConfig, kb: Optional[KbIndex],
                     title_ids: Dict[str, Optional[str]]) -> SentenceItems:
     gold: List[GoldMention] = []
     nil_surfaces = set()
@@ -201,7 +201,7 @@ def build_report(system_id: str, slice_id: str, tp: int, fp: int, fn: int,
 def score(gold: Benchmark,
           preds: Sequence[PredictionRecord],
           cfg: MatchConfig,
-          kb: Optional[MappingIndex] = None,
+          kb: Optional[KbIndex] = None,
           system_id: str = "system",
           slice_id: str = "all",
           keep_per_sentence: bool = False) -> ScoreReport:

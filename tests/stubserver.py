@@ -5,6 +5,8 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
+POLL_INTERVAL_S = 0.02
+
 
 class StubServer:
     """Serves whatever the respond callback returns; records every request.
@@ -62,7 +64,11 @@ class StubServer:
         if ssl_context is not None:
             self.server.socket = ssl_context.wrap_socket(self.server.socket, server_side=True)
             self.scheme = "https"
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        # close() waits for serve_forever to see the shutdown request, which it
+        # checks once per poll; the default poll of 0.5 s made every close
+        # take that long.  The poll does not delay requests, which wake it.
+        self.thread = threading.Thread(target=self.server.serve_forever,
+                                       kwargs={"poll_interval": POLL_INTERVAL_S}, daemon=True)
         self.thread.start()
 
     @property

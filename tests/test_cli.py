@@ -7,6 +7,7 @@ import sys
 from importlib.metadata import EntryPoint
 
 import pytest
+from test_kb import without_sqlite3
 
 from elbench import cli
 from elbench.backends import prompt_digest
@@ -63,6 +64,16 @@ class TestIngest:
         code, _, err = run(capsys, ["ingest", "--input", str(path)])
         assert code == 2
         assert "line 1" in err and "got 'Q1\\n'" in err
+
+    def test_boolean_offsets_rejected(self, capsys, tmp_path):
+        # JSON booleans are Python ints; false/true would read as the span [0, 1).
+        path = tmp_path / "b.jsonl"
+        path.write_text(json.dumps({"id": "s1", "text": "V wrote.", "mentions": [
+            {"surface": "V", "qid": "Q1", "start": False, "end": True}]}) + "\n",
+            encoding="utf-8")
+        code, _, err = run(capsys, ["ingest", "--input", str(path)])
+        assert code == 2
+        assert "line 1: mention 0: start/end must be integers" in err
 
     def test_missing_input(self, capsys):
         code, _, err = run(capsys, ["ingest"])
@@ -206,6 +217,18 @@ class TestResolve:
                 "1 page-id, 1 title") in stdout
         records = load_predictions(str(out))
         assert {r.sentence_id for r in records} == {"s1", "s2"}
+
+    def test_external_boolean_page_id_rejected(self, capsys, tmp_path):
+        # JSON true is a Python int, and used to resolve as page 1.
+        kb = tmp_path / "map.tsv"
+        kb.write_text("1\tThomas Moore\tQ315346\n", encoding="utf-8")
+        ext = tmp_path / "ext.jsonl"
+        ext.write_text('{"sentence_id": "s01", "surface": "X", "page_id": true}\n',
+                       encoding="utf-8")
+        code, _, err = run(capsys, ["resolve", "--kb", str(kb), "--external", str(ext),
+                                    "--out", str(tmp_path / "o.jsonl")])
+        assert code == 2
+        assert "line 1: page_id must be a positive integer, got True" in err
 
     def test_exactly_one_source(self, capsys, tmp_path, e2e_paths, linked):
         base = ["resolve", "--kb", e2e_paths["mapping"], "--out", str(tmp_path / "o.jsonl")]
@@ -547,6 +570,55 @@ class TestReproducibility:
         assert outputs[0] == outputs[1]
         artifact = json.loads(outputs[0][1])
         assert artifact["manifest"]["timestamp"] == "2023-11-14T22:13:20Z"
+
+    def test_cold_and_warm_kb_cache_give_identical_artifacts(self, capsys, tmp_path, e2e_paths,
+                                                             e2e_fixture, monkeypatch):
+        """The README pipeline writes the same bytes whether the KB index cache
+        is empty, warm, or unusable for want of sqlite3."""
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        bench, kb = e2e_paths["benchmark"], e2e_paths["mapping"]
+        external = tmp_path / "external.jsonl"
+        external.write_text("".join(json.dumps(row) + "\n" for row in [
+            {"sentence_id": "s01", "surface": "Rossini", "page_id": 2002},
+            {"sentence_id": "s01", "surface": "Barber", "page_id": 99, "title": "the_Barber of Seville"},
+            {"sentence_id": "s02", "surface": "x", "title": "Nowhere", "qid": "Q5"},
+            {"sentence_id": "s02", "surface": "y", "title": "Nowhere"}]), encoding="utf-8")
+        out = {name: str(tmp_path / name) for name in (
+            "preds.jsonl", "resolved.jsonl", "external_resolved.jsonl", "score.json",
+            "score.csv", "score_qid.json", "strata.csv", "strata.json", "table.csv")}
+        commands = [
+            ["link", "--backend", "replay", "--fixture", e2e_fixture, "--benchmark", bench,
+             "--out", out["preds.jsonl"]],
+            ["resolve", "--predictions", out["preds.jsonl"], "--kb", kb,
+             "--out", out["resolved.jsonl"]],
+            ["resolve", "--external", str(external), "--kb", kb,
+             "--out", out["external_resolved.jsonl"]],
+            ["score", "--benchmark", bench, "--predictions", out["preds.jsonl"], "--mode", "title",
+             "--kb", kb, "--system", "llm", "--out", out["score.json"], "--csv", out["score.csv"]],
+            ["score", "--benchmark", bench, "--predictions", out["resolved.jsonl"],
+             "--mode", "qid", "--kb", kb, "--out", out["score_qid.json"]],
+            ["stratify", "--benchmark", bench, "--predictions", out["preds.jsonl"],
+             "--mode", "title", "--kb", kb, "--counts", e2e_paths["counts"],
+             "--thetas", "20,100,inf", "--system", "llm", "--out", out["strata.csv"],
+             "--json", out["strata.json"]],
+            ["report", "--inputs", out["score.json"], "--out", out["table.csv"]],
+        ]
+
+        def pipeline():
+            for argv in commands:
+                assert cli.main(argv) == 0, argv
+            capsys.readouterr()
+            return {name: (tmp_path / name).read_bytes()
+                    for name in os.listdir(tmp_path) if name.endswith((".jsonl", ".json", ".csv"))}
+
+        cold = pipeline()
+        assert len(os.listdir(tmp_path / "cache" / "elbench")) == 1
+        assert pipeline() == cold
+        with monkeypatch.context() as patch:
+            without_sqlite3(patch)
+            assert pipeline() == cold
+        assert set(out) <= set(cold)
 
 
 # Runs the offline pipeline (record, replay link, resolve, score, stratify)

@@ -1,12 +1,19 @@
+import os
+import sys
+import tempfile
 import unicodedata
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_kb import reference_load_mapping, reference_normalize_title
 
+import elbench
+from elbench import kb, kbcache
 from elbench.kb import (REDIRECT_DEPTH, KbRecord, MappingIndex, is_qid, load_mapping,
                         normalize_title, pageid_to_qid, qid_to_title, title_to_qid)
+from elbench.kbcache import cache_dir
 
 
 class TestNormalizeTitle:
@@ -262,3 +269,235 @@ class TestLoadMappingOracle:
         outcome = mapping_outcome(load_mapping, str(path))
         assert outcome == mapping_outcome(reference_load_mapping, str(path))
         assert outcome[0] == "error" and "7 malformed row(s)" in outcome[1]
+
+
+# The compiled cache.  Titles that stay distinct after normalization,
+# written in raw forms that normalize to them; "A\x00b" holds a NUL, which
+# must match as exactly as any other character.
+CACHE_TITLES = ["Alpha", "Beta Two", "\u00c9cole", "\u03a9mega", "Gamma", "Delta", "Eta",
+                "Theta", "Iota", "Kappa", "Lambda", "Mu", "A\x00b", "Zeta"]
+QUERY_TITLES = CACHE_TITLES + ["beta_Two", "  \u00e9cole ", "Nowhere", "A", "Elsewhere"]
+CACHE_QIDS = ["Q1", "Q2", "Q3", "Q4"]
+
+
+@st.composite
+def valid_mappings(draw):
+    """A valid mapping TSV: redirects at random or in one long chain, which
+    may close into a cycle, with tombstones and QIDs shared between
+    redirects and canonical pages."""
+    titles = draw(st.lists(st.sampled_from(CACHE_TITLES), min_size=1, max_size=len(CACHE_TITLES),
+                           unique=True))
+    page_ids = draw(st.lists(st.integers(1, 2 ** 70), min_size=len(titles),
+                             max_size=len(titles), unique=True))
+    chain = draw(st.booleans())
+    rows = []
+    for i, (title, page_id) in enumerate(zip(titles, page_ids)):
+        if chain:
+            last = i == len(titles) - 1
+            qid = draw(st.sampled_from(["", "Q1"])) if last else ""
+            redirect = (draw(st.sampled_from(["", titles[0]])) if last and len(titles) > 1
+                        else "" if last else titles[i + 1])
+        else:
+            qid = draw(st.sampled_from([""] + CACHE_QIDS))
+            redirect = draw(st.sampled_from(["", "Elsewhere"] + [t for t in titles if t != title]))
+        raw = draw(st.sampled_from([title, title.replace(" ", "_"), f" {title} "]))
+        rows.append("\t".join([str(page_id), raw, qid] + ([redirect] if redirect or
+                                                            draw(st.booleans()) else [])))
+    return "\n".join(rows) + "\n", page_ids
+
+
+def cache_entries():
+    """Every file in the cache directory, temporary ones included."""
+    return sorted(os.listdir(cache_dir())) if os.path.isdir(cache_dir()) else []
+
+
+def assert_answers(keyed, ref, titles, page_ids, qids):
+    """The keyed index answers every declared key as the reference index does."""
+    assert len(keyed) == len(ref)
+    for title in titles:
+        assert title_to_qid(keyed, title) == title_to_qid(ref, title), title
+    for page_id in page_ids:
+        assert pageid_to_qid(keyed, page_id) == pageid_to_qid(ref, page_id), page_id
+    for qid in qids:
+        assert qid_to_title(keyed, qid) == qid_to_title(ref, qid), qid
+
+
+def load_keyed(path, titles=(), page_ids=(), qids=()):
+    return load_mapping(str(path), titles=set(titles), page_ids=set(page_ids), qids=set(qids))
+
+
+def without_sqlite3(monkeypatch):
+    """Make `import sqlite3`, and so the cache module, fail, as on a Python built without it."""
+    monkeypatch.setitem(sys.modules, "sqlite3", None)
+    monkeypatch.delitem(sys.modules, "elbench.kbcache")
+    monkeypatch.delattr(elbench, "kbcache")
+
+
+def never_parsed():
+    """Within this, a load that parses the TSV fails: answers must come from the cache."""
+    return mock.patch.object(kb, "_parse_mapping", side_effect=AssertionError("parsed the TSV"))
+
+
+class TestKeyedCacheOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(mapping=valid_mappings(), data=st.data())
+    def test_cold_and_warm_equal_reference(self, mapping, data):
+        text, page_ids = mapping
+        titles = data.draw(st.lists(st.sampled_from(QUERY_TITLES), max_size=20))
+        pages = data.draw(st.lists(st.sampled_from(page_ids) | st.integers(1, 2 ** 70),
+                                   max_size=20))
+        qids = data.draw(st.lists(st.sampled_from(CACHE_QIDS + ["Q9"]), max_size=5))
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.dict(os.environ, {"XDG_CACHE_HOME": tmp}):
+            path = os.path.join(tmp, "map.tsv")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            ref = reference_load_mapping(path)
+            cold = load_keyed(path, titles, pages, qids)
+            assert len(cache_entries()) == 1
+            with never_parsed():
+                warm = load_keyed(path, titles, pages, qids)
+            for keyed in (cold, warm):
+                assert_answers(keyed, ref, titles, pages, qids)
+
+    def test_many_keys_take_several_queries(self, tmp_path):
+        # 2,500 keys against 6,000 rows: indexed lookups, more than one query's worth.
+        path = tmp_path / "map.tsv"
+        path.write_text("".join(f"{i}\tT{i}\tQ{i}\n" for i in range(1, 6001)), encoding="utf-8")
+        titles = [f"T{i}" for i in range(0, 5000, 2)]
+        pages = range(0, 5000, 2)
+        qids = [f"Q{i}" for i in range(0, 5000, 2)]
+        ref = reference_load_mapping(str(path))
+        load_keyed(path, titles, pages, qids)
+        with never_parsed():
+            assert_answers(load_keyed(path, titles, pages, qids), ref, titles, pages, qids)
+
+    def test_chain_cycle_tombstone_and_shared_qid(self, tmp_path):
+        path = tmp_path / "map.tsv"
+        hops = [f"Hop{i}" for i in range(REDIRECT_DEPTH + 2)]
+        path.write_text("".join(f"{i + 1}\t{hop}\t\t{hops[i + 1] if i + 1 < len(hops) else 'Target'}\n"
+                                for i, hop in enumerate(hops))
+                        + "50\tTarget\tQ9\n60\tA\t\tB\n61\tB\t\tA\n70\tGone\t\n"
+                        + "80\tOld Name\tQ7\tNew Name\n81\tNew Name\tQ7\n", encoding="utf-8")
+        titles = hops + ["Target", "A", "B", "Gone", "Old Name", "New Name", "Missing"]
+        pages, qids = [1, 50, 60, 70, 80, 999], ["Q7", "Q9", "Q1"]
+        ref = reference_load_mapping(str(path))
+        keyed = load_keyed(path, titles, pages, qids)
+        assert_answers(keyed, ref, titles, pages, qids)
+        assert title_to_qid(keyed, "Hop0") is None and title_to_qid(keyed, "Hop2") == "Q9"
+        assert qid_to_title(keyed, "Q7") == "New Name"
+        with never_parsed():
+            assert_answers(load_keyed(path, titles, pages, qids), ref, titles, pages, qids)
+
+
+class TestKeyedCache:
+    MAPPING = "1\tFelix Mendelssohn\tQ4\n2\tMendelssohn\t\tFelix Mendelssohn\n3\tRossini\tQ5\n"
+    KEYS = (["Mendelssohn", "Rossini", "Nowhere"], [1, 2, 9], ["Q4", "Q5", "Q6"])
+
+    @pytest.fixture(autouse=True)
+    def own_cache(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+
+    def check(self, path):
+        ref = reference_load_mapping(str(path))
+        assert_answers(load_keyed(path, *self.KEYS), ref, *self.KEYS)
+
+    def test_no_keys_gives_the_full_index_and_no_entry(self, tmp_path):
+        path = tmp_path / "map.tsv"
+        path.write_text(self.MAPPING, encoding="utf-8")
+        assert isinstance(load_mapping(str(path)), MappingIndex)
+        assert cache_entries() == []
+
+    def test_undeclared_key_is_an_error(self, tmp_path):
+        path = tmp_path / "map.tsv"
+        path.write_text(self.MAPPING, encoding="utf-8")
+        keyed = load_keyed(path, titles=["rossini"])
+        assert title_to_qid(keyed, "rossini") == "Q5"
+        # Keys are the raw titles declared, not their normalized forms.
+        for title in ("Rossini", "Mendelssohn"):
+            with pytest.raises(KeyError):
+                title_to_qid(keyed, title)
+        with pytest.raises(KeyError):
+            pageid_to_qid(keyed, 1)
+
+    @pytest.mark.parametrize("content", [
+        "1\tA\tQ1\n2\tA\tQ2\nx\tB\tQ3\n".encode("utf-8"),
+        "1\tLoop\t\tLoop\n".encode("utf-8"),
+        b"".join(b"%d\tT%d\tQ1\n" % (i, i) for i in range(1, 3000)) + b"\xff\n",
+    ], ids=["duplicate-and-bad-page-id", "self-redirect", "not-utf-8"])
+    def test_invalid_file_same_error_and_no_entry(self, tmp_path, content):
+        path = tmp_path / "map.tsv"
+        path.write_bytes(content)
+        with pytest.raises(ValueError) as full:
+            load_mapping(str(path))
+        with pytest.raises(ValueError) as keyed:
+            load_keyed(path, *self.KEYS)
+        assert str(keyed.value) == str(full.value)
+        assert cache_entries() == []
+
+    def test_changed_bytes_rebuild_and_replace_the_entry(self, tmp_path):
+        path = tmp_path / "map.tsv"
+        path.write_text(self.MAPPING, encoding="utf-8")
+        self.check(path)
+        first = cache_entries()
+        path.write_text(self.MAPPING.replace("Q5", "Q6"), encoding="utf-8")
+        self.check(path)
+        second = cache_entries()
+        assert len(first) == len(second) == 1 and first != second
+
+    @pytest.mark.parametrize("module", [kb, kbcache], ids=["kb", "kbcache"])
+    def test_loader_source_is_part_of_the_key(self, tmp_path, module):
+        edited = tmp_path / "edited.py"
+        with open(module.__file__, "rb") as handle:
+            edited.write_bytes(handle.read() + b"# edited\n")
+        data = self.MAPPING.encode("utf-8")
+        entry = kbcache.entry_path(data)
+        with mock.patch.object(module, "__file__", str(edited)):
+            assert kbcache.entry_path(data) != entry
+
+    @pytest.mark.parametrize("damage", ["truncate", "garbage"])
+    def test_damaged_entry_is_rebuilt(self, tmp_path, damage):
+        path = tmp_path / "map.tsv"
+        path.write_text(self.MAPPING + "4\tVerdi\tQ8\n", encoding="utf-8")
+        self.check(path)
+        entry = kbcache.entry_path(path.read_bytes())
+        size = os.path.getsize(entry)
+        with open(entry, "r+b") as handle:
+            if damage == "truncate":
+                # The last page belongs to the last table, so a load that
+                # reads only titles would still find what it reads.
+                handle.truncate(size - 512)
+            else:
+                handle.write(b"not a database" * 8)
+        assert title_to_qid(load_keyed(path, titles=["Verdi"]), "Verdi") == "Q8"
+        assert os.path.getsize(entry) == size
+        with never_parsed():
+            self.check(path)
+
+    def test_unwritable_cache_dir_still_answers(self, tmp_path, monkeypatch):
+        path = tmp_path / "map.tsv"
+        path.write_text(self.MAPPING, encoding="utf-8")
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("", encoding="utf-8")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        self.check(path)
+        self.check(path)
+        assert blocker.read_text(encoding="utf-8") == ""
+
+    def test_read_only_cache_dir_serves_its_entry(self, tmp_path):
+        path = tmp_path / "map.tsv"
+        path.write_text(self.MAPPING, encoding="utf-8")
+        self.check(path)
+        os.chmod(cache_dir(), 0o555)
+        try:
+            with never_parsed():
+                self.check(path)
+        finally:
+            os.chmod(cache_dir(), 0o755)
+
+    def test_without_sqlite3(self, tmp_path, monkeypatch):
+        without_sqlite3(monkeypatch)
+        path = tmp_path / "map.tsv"
+        path.write_text(self.MAPPING, encoding="utf-8")
+        self.check(path)
+        assert cache_entries() == []
