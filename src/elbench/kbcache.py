@@ -3,11 +3,11 @@
 An entry holds answers, not records: every redirect chain, tombstone and
 preference among titles sharing a QID was settled when it was built from
 the full index.  Its name hashes the mapping's bytes together with the
-source of this module and of `kb`, so a change to the loader, the
-normalization or the schema makes every older entry unreachable.  Entries
-are written under a temporary name and moved into place, and never changed
-after, so readers open them without locks.  Every failure here is a miss:
-`kb.load_mapping` then answers from the parsed file.
+source of this module and of `kb` and the Unicode version, so a change to
+the loader, the normalization or the schema makes every older entry
+unreachable.  Entries are written under a temporary name and moved into
+place, and never changed after, so readers open them without locks.  Every
+failure here is a miss: `kb.load_mapping` then answers from the parsed file.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import os
 import sqlite3
+import unicodedata
 from typing import Collection, Dict, List, Optional
 from urllib.parse import quote
 
@@ -39,8 +40,12 @@ def cache_dir() -> str:
 
 
 def entry_path(data: bytes) -> Optional[str]:
-    """The entry for a mapping's bytes; None when the loader's source is unreadable."""
-    digest = hashlib.sha256()
+    """The entry for a mapping's bytes; None when the loader's source is unreadable.
+
+    The Unicode version is part of the name because normalized titles depend
+    on it, and one cache directory serves every Python of a user.
+    """
+    digest = hashlib.sha256(unicodedata.unidata_version.encode())
     try:
         for source in (kb.__file__, __file__):
             with open(source, "rb") as handle:
@@ -55,14 +60,8 @@ def _connect_read_only(entry: str) -> sqlite3.Connection:
     return sqlite3.connect(f"file:{quote(entry)}?mode=ro&immutable=1", uri=True)
 
 
-def _lookup(con: sqlite3.Connection, table: str, keys: List[str], rows: int
-            ) -> Dict[str, Optional[str]]:
-    """The answers in table for keys: by a scan of the table when the keys
-    number at least half the mapping's rows, where one seek per key costs
-    more, and by indexed lookups otherwise."""
-    if 2 * len(keys) >= rows:
-        found = dict(con.execute(f"SELECT k, v FROM {table}"))
-        return {key: found.get(key) for key in keys}
+def _lookup(con: sqlite3.Connection, table: str, keys: List[str]) -> Dict[str, Optional[str]]:
+    """The answers in table for keys, None for a key with no row."""
     answers: Dict[str, Optional[str]] = dict.fromkeys(keys)
     for start in range(0, len(keys), _KEYS_PER_QUERY):
         chunk = keys[start:start + _KEYS_PER_QUERY]
@@ -84,9 +83,9 @@ def read(entry: str, titles: Collection[str], page_ids: Collection[int],
             if size != os.path.getsize(entry):
                 return None
             rows = int(con.execute("SELECT v FROM meta WHERE k = 'rows'").fetchone()[0])
-            by_title = _lookup(con, "title", list(set(normalized.values())), rows)
-            by_page = _lookup(con, "page", [str(page_id) for page_id in page_ids], rows)
-            by_qid = _lookup(con, "qid", list(qids), rows)
+            by_title = _lookup(con, "title", list(set(normalized.values())))
+            by_page = _lookup(con, "page", [str(page_id) for page_id in page_ids])
+            by_qid = _lookup(con, "qid", list(qids))
         finally:
             con.close()
     except (sqlite3.Error, OSError, TypeError, ValueError):
@@ -96,7 +95,8 @@ def read(entry: str, titles: Collection[str], page_ids: Collection[int],
 
 
 def write(entry: str, source: str, idx: MappingIndex) -> None:
-    """Store every answer of idx as entry, then drop older entries of source.
+    """Store every answer of idx as entry, then drop older entries of source
+    and entries of mapping files that are gone.
 
     Best-effort: on any failure the cache is left without the entry.
     """
@@ -135,7 +135,8 @@ def write(entry: str, source: str, idx: MappingIndex) -> None:
 
 
 def _drop_older_entries(entry: str, source: str) -> None:
-    """Remove every other entry built from the mapping file at source."""
+    """Remove every other entry built from the mapping file at source, and
+    every entry whose mapping file is gone."""
     directory = os.path.dirname(entry)
     try:
         names = os.listdir(directory)
@@ -151,7 +152,7 @@ def _drop_older_entries(entry: str, source: str) -> None:
                 row = con.execute("SELECT v FROM meta WHERE k = 'source'").fetchone()
             finally:
                 con.close()
-            if row is not None and row[0] == source:
+            if row is not None and (row[0] == source or not os.path.exists(row[0])):
                 os.unlink(other)
         except (sqlite3.Error, OSError):
             continue

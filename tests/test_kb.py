@@ -361,7 +361,7 @@ class TestKeyedCacheOracle:
                 assert_answers(keyed, ref, titles, pages, qids)
 
     def test_many_keys_take_several_queries(self, tmp_path):
-        # 2,500 keys against 6,000 rows: indexed lookups, more than one query's worth.
+        # 2,500 keys of each kind: more than one query's worth.
         path = tmp_path / "map.tsv"
         path.write_text("".join(f"{i}\tT{i}\tQ{i}\n" for i in range(1, 6001)), encoding="utf-8")
         titles = [f"T{i}" for i in range(0, 5000, 2)]
@@ -454,6 +454,26 @@ class TestKeyedCache:
         entry = kbcache.entry_path(data)
         with mock.patch.object(module, "__file__", str(edited)):
             assert kbcache.entry_path(data) != entry
+
+    def test_unicode_version_is_part_of_the_key(self, monkeypatch):
+        # Normalized titles depend on it: str.upper maps U+2C5F to U+2C2F
+        # from Unicode 14 on, and leaves it unchanged before.
+        data = self.MAPPING.encode("utf-8")
+        entry = kbcache.entry_path(data)
+        monkeypatch.setattr(unicodedata, "unidata_version", "13.0.0")
+        assert kbcache.entry_path(data) != entry
+
+    def test_entries_of_deleted_mappings_are_dropped(self, tmp_path):
+        paths = [tmp_path / name for name in ("a.tsv", "b.tsv", "c.tsv")]
+        for n, path in enumerate(paths):
+            path.write_text(self.MAPPING + f"{10 + n}\tExtra {n}\tQ{10 + n}\n", encoding="utf-8")
+        self.check(paths[0])
+        self.check(paths[1])
+        assert len(cache_entries()) == 2
+        paths[0].unlink()
+        self.check(paths[2])
+        assert cache_entries() == sorted(os.path.basename(kbcache.entry_path(path.read_bytes()))
+                                         for path in paths[1:])
 
     @pytest.mark.parametrize("damage", ["truncate", "garbage"])
     def test_damaged_entry_is_rebuilt(self, tmp_path, damage):
