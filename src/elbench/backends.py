@@ -15,7 +15,6 @@ import os
 import random
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -293,18 +292,21 @@ def batch_complete(cfg: BackendConfig,
 
     Per-prompt failures are recorded in place as BackendError values and
     never abort the batch; only fatal configuration errors raise.  At most
-    cfg.parallelism requests are in flight at once.
+    cfg.parallelism requests are in flight at once.  Replay answers from
+    memory, with nothing to wait for, so it runs inline without threads.
     """
     backend = make_backend(cfg)
-    if not prompts:
-        return []
-    results: List[Union[Completion, BackendError]] = [None] * len(prompts)  # type: ignore[list-item]
+
+    def outcome(prompt: str) -> Union[Completion, BackendError]:
+        try:
+            return backend.complete(prompt)
+        except BackendError as exc:
+            return exc
+
+    if cfg.kind == "replay" or cfg.parallelism == 1:
+        return list(map(outcome, prompts))
+    # Imported here, on the one path that starts threads.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-        futures = {pool.submit(backend.complete, prompt): i for i, prompt in enumerate(prompts)}
-        for future in as_completed(futures):
-            index = futures[future]
-            try:
-                results[index] = future.result()
-            except BackendError as exc:
-                results[index] = exc
-    return results
+        return list(pool.map(outcome, prompts))

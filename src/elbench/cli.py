@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import json
 import math
 import os
@@ -19,19 +20,46 @@ from dataclasses import replace
 from functools import partial
 from typing import Collection, Dict, List, Optional, Sequence, Set, Union
 
-from .backends import (DEFAULT_API_KEY_ENV, BackendConfig, BackendError,
-                       batch_complete, prompt_digest)
-from .baseline import RESOLUTION_NOT_FOUND, RESOLUTION_TITLE, load_external_predictions
-from .benchmark import Benchmark, benchmark_stats, load_benchmark, save_benchmark
-from .kb import load_mapping, title_to_qid
-from .manifest import build_run_manifest, write_manifest
-from .parsing import (STATUS_UNPARSEABLE, PredictionRecord, load_predictions,
-                      parse_predictions, save_predictions)
-from .popularity import (DEFAULT_THETAS, STRATIFY_CSV_FIELDS, load_counts, stratify,
-                         stratify_csv_rows)
-from .prompting import DEFAULT_TEMPLATE_VERSION, build_prompt, default_template_text, parse_template
-from .scoring import (CSV_FIELDS, NIL_EXCLUDE_AND_IGNORE, MatchConfig, csv_fields,
-                      percent, report_to_dict, score)
+# The names the commands use from each module.  Every import compiles its
+# module from source when there is no bytecode cache, so a command imports
+# only the modules it runs (see _bind) and start-up pays for nothing else.
+_NAMES = {
+    "backends": ("DEFAULT_API_KEY_ENV", "BackendConfig", "BackendError", "batch_complete",
+                 "prompt_digest"),
+    "baseline": ("RESOLUTION_NOT_FOUND", "RESOLUTION_TITLE", "load_external_predictions"),
+    "benchmark": ("benchmark_stats", "load_benchmark", "save_benchmark"),
+    "kb": ("load_mapping", "title_to_qid"),
+    "manifest": ("build_run_manifest", "write_manifest"),
+    "parsing": ("STATUS_UNPARSEABLE", "PredictionRecord", "load_predictions",
+                "parse_predictions", "save_predictions"),
+    "popularity": ("DEFAULT_THETAS", "STRATIFY_CSV_FIELDS", "load_counts", "stratify",
+                   "stratify_csv_rows"),
+    "prompting": ("DEFAULT_TEMPLATE_VERSION", "build_prompt", "default_template_text",
+                  "parse_template"),
+    "scoring": ("CSV_FIELDS", "NIL_EXCLUDE_AND_IGNORE", "MatchConfig", "csv_fields", "percent",
+                "report_to_dict", "score"),
+}
+_MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}
+
+
+def _bind(*modules: str) -> None:
+    """Import modules and bind their _NAMES as globals of this module.
+
+    The commands call those names through these globals, so a name already
+    bound, such as a replacement set on this module from outside, is kept.
+    """
+    for module in modules:
+        loaded = importlib.import_module(f".{module}", __package__)
+        for name in _NAMES[module]:
+            globals().setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name: str):
+    """Any name of _NAMES reads as an attribute before a command binds it."""
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_MODULE_OF[name])
+    return globals()[name]
 
 
 def load_config(path: str, keys: Collection[str]) -> Dict[str, str]:
@@ -97,6 +125,7 @@ def _load_template_opt(path: Optional[str]):
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    _bind("benchmark")
     opts = _Options(args)
     path = opts.require("input")
     benchmark = load_benchmark(path, opts.get("format", "jsonl"), name=opts.get("name"))
@@ -111,6 +140,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_link(args: argparse.Namespace) -> int:
+    _bind("benchmark", "prompting", "backends", "parsing", "manifest")
     opts = _Options(args)
     benchmark_path = opts.require("benchmark")
     out = opts.require("out")
@@ -193,6 +223,7 @@ def _titles(records: Sequence[PredictionRecord]) -> Set[str]:
 
 
 def cmd_resolve(args: argparse.Namespace) -> int:
+    _bind("parsing", "kb", "baseline", "manifest")
     opts = _Options(args)
     kb_path = opts.require("kb")
     out = opts.require("out")
@@ -231,6 +262,7 @@ def cmd_resolve(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
+    _bind("benchmark", "parsing", "kb", "scoring", "manifest")
     opts = _Options(args)
     benchmark_path = opts.require("benchmark")
     predictions_path = opts.require("predictions")
@@ -265,6 +297,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_stratify(args: argparse.Namespace) -> int:
+    _bind("benchmark", "parsing", "kb", "scoring", "popularity", "manifest")
     opts = _Options(args)
     benchmark_path = opts.require("benchmark")
     predictions_path = opts.require("predictions")
@@ -310,6 +343,7 @@ def cmd_stratify(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    _bind("scoring", "manifest")
     opts = _Options(args)
     input_paths = opts.require("inputs", cast=str.split)
     out = opts.require("out")
@@ -346,6 +380,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_record(args: argparse.Namespace) -> int:
+    _bind("benchmark", "prompting", "backends")
     opts = _Options(args)
     benchmark = load_benchmark(opts.require("benchmark"), opts.get("format", "jsonl"))
     template, _, _ = _load_template_opt(opts.get("template"))
@@ -507,11 +542,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BackendError as exc:
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # Only a command that bound the backends can raise a BackendError.
+        if "BackendError" not in globals() or not isinstance(exc, BackendError):
+            raise
+        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return 2
 
 

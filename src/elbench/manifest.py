@@ -11,8 +11,8 @@ import dataclasses
 import hashlib
 import json
 import os
+import time
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from . import __version__
@@ -38,11 +38,7 @@ def config_digest(config: object) -> str:
 
 def manifest_timestamp() -> str:
     raw = os.environ.get("SOURCE_DATE_EPOCH")
-    if raw:
-        moment = datetime.fromtimestamp(int(raw), tz=timezone.utc)
-    else:
-        moment = datetime.now(timezone.utc)
-    return moment.strftime("%Y-%m-%dT%H:%M:%SZ")
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(int(raw) if raw else None))
 
 
 @dataclass(frozen=True)

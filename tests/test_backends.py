@@ -369,7 +369,12 @@ def test_record_fixture_entry_helper(tmp_path):
 
 
 class TestBatchComplete:
-    def test_order_preserved_with_errors_in_place(self, tmp_path):
+    def test_order_preserved_with_errors_in_place(self, tmp_path, monkeypatch):
+        """A replay batch runs inline: a dict lookup has no wait for threads to overlap."""
+        def no_thread(self):
+            raise AssertionError(f"replay started thread {self.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
         path = tmp_path / "fix.jsonl"
         write_fixture(path, [
             {"digest": prompt_digest("a"), "prompt": "a", "raw_text": "ra", "model_id": "m"},

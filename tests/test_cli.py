@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+from datetime import datetime, timezone
 from importlib.metadata import EntryPoint
 
 import pytest
@@ -11,6 +12,7 @@ from test_kb import without_sqlite3
 
 from elbench import cli
 from elbench.backends import prompt_digest
+from elbench.manifest import manifest_timestamp
 from elbench.parsing import STATUS_CLEAN, STATUS_UNPARSEABLE, load_predictions
 from elbench.prompting import build_prompt, default_template
 
@@ -571,6 +573,15 @@ class TestReproducibility:
         artifact = json.loads(outputs[0][1])
         assert artifact["manifest"]["timestamp"] == "2023-11-14T22:13:20Z"
 
+    def test_manifest_timestamp(self, monkeypatch):
+        """SOURCE_DATE_EPOCH pins the stamp; without it the stamp is now, in UTC."""
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        assert manifest_timestamp() == "2023-11-14T22:13:20Z"
+        monkeypatch.delenv("SOURCE_DATE_EPOCH")
+        before = datetime.now(timezone.utc).replace(microsecond=0)
+        stamp = datetime.strptime(manifest_timestamp(), "%Y-%m-%dT%H:%M:%SZ")
+        assert before <= stamp.replace(tzinfo=timezone.utc) <= datetime.now(timezone.utc)
+
     def test_cold_and_warm_kb_cache_give_identical_artifacts(self, capsys, tmp_path, e2e_paths,
                                                              e2e_fixture, monkeypatch):
         """The README pipeline writes the same bytes whether the KB index cache
@@ -621,52 +632,111 @@ class TestReproducibility:
         assert set(out) <= set(cold)
 
 
-# Runs the offline pipeline (record, replay link, resolve, score, stratify)
-# through cli.main in a fresh interpreter, then prints which of the HTTP client
-# modules were imported.  argv: data directory, work directory, then "http" to
-# also build an http backend.
+# Runs elbench commands through cli.main in a fresh interpreter, then prints
+# the elbench modules and the watched standard-library modules it imported.
+# argv: a JSON list of argument lists; ["http-backend"] builds an http backend.
 IMPORT_PROBE = """
-import os, sys
+import json, os, sys
 from elbench import cli
-data, work = sys.argv[1], sys.argv[2]
-def path(name):
-    return os.path.join(data, name)
-def out(name):
-    return os.path.join(work, name)
-commands = [
-    ["record", "--benchmark", path("e2e_benchmark.jsonl"),
-     "--completions", path("e2e_completions.jsonl"), "--out", out("fixture.jsonl")],
-    ["link", "--backend", "replay", "--fixture", out("fixture.jsonl"),
-     "--benchmark", path("e2e_benchmark.jsonl"), "--out", out("preds.jsonl")],
-    ["resolve", "--predictions", out("preds.jsonl"), "--kb", path("e2e_mapping.tsv"),
-     "--out", out("resolved.jsonl")],
-    ["score", "--benchmark", path("e2e_benchmark.jsonl"), "--predictions", out("preds.jsonl"),
-     "--kb", path("e2e_mapping.tsv"), "--out", out("score.json")],
-    ["stratify", "--benchmark", path("e2e_benchmark.jsonl"),
-     "--predictions", out("preds.jsonl"), "--kb", path("e2e_mapping.tsv"),
-     "--counts", path("e2e_counts.tsv"), "--out", out("strata.csv")],
-]
-for argv in commands:
-    assert cli.main(argv) == 0, argv
-if sys.argv[3:] == ["http"]:
-    from elbench.backends import BackendConfig, make_backend
-    os.environ["EL_API_KEY"] = "probe"
-    make_backend(BackendConfig(kind="http", endpoint="http://127.0.0.1:9"))
-print([m for m in ("http.client", "urllib.request", "requests") if m in sys.modules])
+for argv in json.loads(sys.argv[1]):
+    if argv == ["http-backend"]:
+        from elbench.backends import BackendConfig, make_backend
+        os.environ["EL_API_KEY"] = "probe"
+        make_backend(BackendConfig(kind="http", endpoint="http://127.0.0.1:9"))
+    else:
+        assert cli.main(argv) == 0, argv
+watched = ("concurrent.futures", "datetime", "http.client", "urllib.request", "requests")
+print(" ".join(sorted(name.replace("elbench.", "") for name in sys.modules
+                      if name.startswith("elbench.") or name in watched)))
+"""
+
+# What each case imports.  The commands that read a KB mapping load sqlite3
+# for its index cache; sqlite3 imports datetime, and so does http.client.
+IMPORTED = {
+    "offline": "backends baseline benchmark cli datetime kb kbcache manifest parsing "
+               "popularity prompting scoring",
+    "http": "backends cli datetime http.client urllib.request",
+    "ingest": "benchmark cli kb",
+    "record": "backends benchmark cli kb prompting",
+    "link": "backends benchmark cli kb manifest parsing prompting",
+    "resolve": "baseline cli datetime kb kbcache manifest parsing",
+    "score-title": "benchmark cli datetime kb kbcache manifest parsing scoring",
+    "score-qid": "benchmark cli kb manifest parsing scoring",
+    "stratify": "benchmark cli datetime kb kbcache manifest parsing popularity scoring",
+    "report": "benchmark cli kb manifest parsing scoring",
+}
+
+
+@pytest.mark.parametrize("case", list(IMPORTED))
+def test_http_client_imported_only_for_http(tmp_path, e2e_paths, e2e_fixture, linked, case):
+    """Each command imports only the modules it runs.  Only the http backend
+    loads the standard library's HTTP client, no case here loads
+    concurrent.futures (replay runs inline), and nothing loads requests."""
+    bench, kb = e2e_paths["benchmark"], e2e_paths["mapping"]
+    score_path = tmp_path / "score.json"
+    score_path.write_text(json.dumps({"system": "sys", "mode": "title",
+                                      "tp": 1, "fp": 1, "fn": 0}), encoding="utf-8")
+    commands = {
+        "ingest": ["ingest", "--input", bench],
+        "record": ["record", "--benchmark", bench, "--completions", e2e_paths["completions"],
+                   "--out", str(tmp_path / "fixture.jsonl")],
+        "link": ["link", "--backend", "replay", "--fixture", e2e_fixture, "--benchmark", bench,
+                 "--out", str(linked)],
+        "resolve": ["resolve", "--predictions", str(linked), "--kb", kb,
+                    "--out", str(tmp_path / "resolved.jsonl")],
+        "score-title": ["score", "--benchmark", bench, "--predictions", str(linked), "--kb", kb,
+                        "--out", str(tmp_path / "score_title.json")],
+        "score-qid": ["score", "--benchmark", bench, "--predictions", str(linked),
+                      "--mode", "qid", "--out", str(tmp_path / "score_qid.json")],
+        "stratify": ["stratify", "--benchmark", bench, "--predictions", str(linked), "--kb", kb,
+                     "--counts", e2e_paths["counts"], "--out", str(tmp_path / "strata.csv")],
+        "report": ["report", "--inputs", str(score_path), "--out", str(tmp_path / "table.csv")],
+    }
+    runs = {"offline": [commands[name] for name in
+                        ("record", "link", "resolve", "score-title", "stratify")],
+            "http": [["http-backend"]]}.get(case) or [commands[case]]
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(runs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == IMPORTED[case]
+
+
+# The names perfbench/traced.py reads from elbench.cli and replaces with
+# timing wrappers.
+TRACED_NAMES = ("load_benchmark", "benchmark_stats", "build_prompt", "batch_complete",
+                "parse_predictions", "save_predictions", "load_predictions", "load_mapping",
+                "title_to_qid", "load_external_predictions", "load_counts", "stratify",
+                "build_run_manifest", "write_manifest", "score")
+
+TRACE_PROBE = """
+import sys
+from elbench import cli
+names, argv = sys.argv[1].split(","), sys.argv[2:]
+found = {name: getattr(cli, name) for name in names}
+assert all(callable(fn) and fn.__module__.startswith("elbench.") for fn in found.values()), found
+calls = []
+def load_mapping(*args, **kwargs):
+    calls.append(args)
+    return found["load_mapping"](*args, **kwargs)
+cli.load_mapping = load_mapping
+assert cli.main(argv) == 0, argv
+print(len(calls))
 """
 
 
-@pytest.mark.parametrize("extra,imported", [
-    ([], "[]"), (["http"], "['http.client', 'urllib.request']")], ids=["offline", "http"])
-def test_http_client_imported_only_for_http(tmp_path, data_dir, extra, imported):
-    """Only the http backend loads the standard library's HTTP client, and
-    nothing loads requests; every other command starts without either."""
+def test_traced_names_readable_and_replaceable_before_any_command(tmp_path, e2e_paths, linked):
+    """A fresh elbench.cli has every traced name as an attribute before any
+    command has bound it, and a command calls the replacement set there."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, data_dir, str(tmp_path), *extra],
+    argv = ["resolve", "--predictions", str(linked), "--kb", e2e_paths["mapping"],
+            "--out", str(tmp_path / "resolved.jsonl")]
+    proc = subprocess.run([sys.executable, "-c", TRACE_PROBE, ",".join(TRACED_NAMES), *argv],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == imported
+    assert proc.stdout.splitlines()[-1] == "1"
 
 
 @pytest.mark.skipif(shutil.which("elbench") is None,
