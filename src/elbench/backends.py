@@ -18,6 +18,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
+from .records import read_records
+
 KINDS = ("http", "replay")
 WIRES = ("completions", "chat")
 DEFAULT_API_KEY_ENV = "EL_API_KEY"
@@ -112,19 +114,14 @@ class ReplayStore:
     def __init__(self, path: str):
         self.path = path
         self._by_digest: Dict[str, Dict[str, str]] = {}
-        with open(path, "r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, 1):
-                if not line.strip():
-                    continue
-                try:
-                    entry = json.loads(line)
-                    digest = entry["digest"]
-                    raw_text = entry["raw_text"]
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                    raise ValueError(f"{path}:{lineno}: malformed fixture entry: {exc}") from exc
-                if not isinstance(digest, str) or not isinstance(raw_text, str):
-                    raise ValueError(f"{path}:{lineno}: digest and raw_text must be strings")
-                self._by_digest[digest] = entry
+
+        def check(entry: Dict[str, str], lineno: int, errors: List[str]) -> None:
+            if isinstance(entry.get("digest"), str) and isinstance(entry.get("raw_text"), str):
+                self._by_digest[entry["digest"]] = entry
+            else:
+                errors.append(f"line {lineno}: digest and raw_text must be strings")
+
+        read_records(path, check)
 
     def __len__(self) -> int:
         return len(self._by_digest)

@@ -8,12 +8,12 @@ QID so they cost precision exactly like a hallucinated title would.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .kb import KbIndex, is_qid, pageid_to_qid, title_to_qid
 from .parsing import ORIGIN_CLEAN, STATUS_CLEAN, PredictedLink, PredictionRecord
+from .records import read_records
 
 RESOLUTION_PAGE_ID = "page-id"
 RESOLUTION_TITLE = "title"
@@ -55,22 +55,7 @@ def load_external_predictions(path: str, idx: Union[KbIndex, Callable[..., KbInd
     path.  Every input row yields exactly one output link (no silent drops);
     the per-link resolution field documents which path resolved it.
     """
-    errors: List[str] = []
-    rows: List[ExternalPrediction] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                errors.append(f"line {lineno}: invalid JSON: {exc}")
-                continue
-            row = _check_row(raw, lineno, errors)
-            if row is not None:
-                rows.append(row)
-    if errors:
-        raise ValueError(f"{path}: {len(errors)} malformed record(s):\n" + "\n".join(errors))
+    rows = read_records(path, _check_row)
     if callable(idx):
         idx = idx(titles={row.title for row in rows if row.title is not None},
                   page_ids={row.page_id for row in rows if row.page_id is not None})
@@ -89,10 +74,7 @@ def load_external_predictions(path: str, idx: Union[KbIndex, Callable[..., KbInd
     return records, tally
 
 
-def _check_row(raw: object, lineno: int, errors: List[str]) -> Optional[ExternalPrediction]:
-    if not isinstance(raw, dict):
-        errors.append(f"line {lineno}: record must be a JSON object")
-        return None
+def _check_row(raw: Dict[str, object], lineno: int, errors: List[str]) -> Optional[ExternalPrediction]:
     sentence_id = raw.get("sentence_id")
     surface = raw.get("surface")
     page_id = raw.get("page_id")

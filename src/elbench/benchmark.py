@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .kb import is_qid
+from .records import read_records
 
 NIL = "NIL"
 
@@ -94,56 +95,46 @@ def _check_mention(fields: Dict[str, object], text: str, where: str, errors: Lis
                        char_start=start, char_end=end)
 
 
-def _load_jsonl(path: str, errors: List[str]) -> List[BenchmarkSentence]:
-    sentences: List[BenchmarkSentence] = []
+def _load_jsonl(path: str) -> List[BenchmarkSentence]:
     seen_ids: Dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            if not line.strip():
+
+    def check(record: Dict[str, object], lineno: int, errors: List[str]) -> Optional[BenchmarkSentence]:
+        sentence_id = record.get("id")
+        text = record.get("text")
+        raw_mentions = record.get("mentions", [])
+        if not isinstance(sentence_id, str) or not sentence_id:
+            errors.append(f"line {lineno}: id must be a non-empty string")
+            return None
+        if sentence_id in seen_ids:
+            errors.append(f"line {lineno}: duplicate id {sentence_id!r} (first seen on line {seen_ids[sentence_id]})")
+            return None
+        if not isinstance(text, str) or not text.strip():
+            errors.append(f"line {lineno}: text must be non-empty")
+            return None
+        if not isinstance(raw_mentions, list):
+            errors.append(f"line {lineno}: mentions must be a list")
+            return None
+        mentions: List[GoldMention] = []
+        ok = True
+        for i, fields in enumerate(raw_mentions):
+            if not isinstance(fields, dict):
+                errors.append(f"line {lineno}: mention {i} must be a JSON object")
+                ok = False
                 continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                errors.append(f"line {lineno}: invalid JSON: {exc}")
-                continue
-            if not isinstance(record, dict):
-                errors.append(f"line {lineno}: record must be a JSON object")
-                continue
-            sentence_id = record.get("id")
-            text = record.get("text")
-            raw_mentions = record.get("mentions", [])
-            if not isinstance(sentence_id, str) or not sentence_id:
-                errors.append(f"line {lineno}: id must be a non-empty string")
-                continue
-            if sentence_id in seen_ids:
-                errors.append(f"line {lineno}: duplicate id {sentence_id!r} (first seen on line {seen_ids[sentence_id]})")
-                continue
-            if not isinstance(text, str) or not text.strip():
-                errors.append(f"line {lineno}: text must be non-empty")
-                continue
-            if not isinstance(raw_mentions, list):
-                errors.append(f"line {lineno}: mentions must be a list")
-                continue
-            mentions: List[GoldMention] = []
-            ok = True
-            for i, fields in enumerate(raw_mentions):
-                if not isinstance(fields, dict):
-                    errors.append(f"line {lineno}: mention {i} must be a JSON object")
-                    ok = False
-                    continue
-                mention = _check_mention(fields, text, f"line {lineno}: mention {i}", errors)
-                if mention is None:
-                    ok = False
-                else:
-                    mentions.append(mention)
-            if not ok:
-                continue
-            seen_ids[sentence_id] = lineno
-            sentences.append(BenchmarkSentence(sentence_id=sentence_id, text=text, mentions=tuple(mentions)))
-    return sentences
+            mention = _check_mention(fields, text, f"line {lineno}: mention {i}", errors)
+            if mention is None:
+                ok = False
+            else:
+                mentions.append(mention)
+        if not ok:
+            return None
+        seen_ids[sentence_id] = lineno
+        return BenchmarkSentence(sentence_id=sentence_id, text=text, mentions=tuple(mentions))
+
+    return read_records(path, check)
 
 
-def _load_tsv(path: str, errors: List[str]) -> List[BenchmarkSentence]:
+def _load_tsv(path: str) -> List[BenchmarkSentence]:
     """TSV rows: sentence_id <TAB> text <TAB> surface <TAB> qid <TAB> type.
 
     Rows for one sentence must be consecutive; a row with surface, qid and
@@ -160,42 +151,40 @@ def _load_tsv(path: str, errors: List[str]) -> List[BenchmarkSentence]:
             sentences.append(BenchmarkSentence(sentence_id=current_id, text=current_text,
                                                mentions=tuple(current_mentions)))
 
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 5:
-                errors.append(f"line {lineno}: expected 5 tab-separated fields, got {len(parts)}")
-                continue
-            sentence_id, text, surface, qid, entity_type = parts
-            if not sentence_id:
-                errors.append(f"line {lineno}: empty sentence_id")
-                continue
-            if not text.strip():
-                errors.append(f"line {lineno}: text must be non-empty")
-                continue
-            if sentence_id != current_id:
-                if sentence_id in finished:
-                    errors.append(f"line {lineno}: rows for sentence {sentence_id!r} are not consecutive "
-                                  f"(first group ended before line {finished[sentence_id]})")
-                    continue
-                flush()
-                if current_id is not None:
-                    finished[current_id] = lineno
-                current_id = sentence_id
-                current_text = text
-                current_mentions = []
-            elif text != current_text:
-                errors.append(f"line {lineno}: text differs from earlier rows of sentence {sentence_id!r}")
-                continue
-            if not surface and not qid and not entity_type:
-                continue  # mention-less sentence marker
-            mention = _check_mention({"surface": surface, "qid": qid, "type": entity_type},
-                                     text, f"line {lineno}", errors)
-            if mention is not None:
-                current_mentions.append(mention)
+    def check(parts: List[str], lineno: int, errors: List[str]) -> None:
+        nonlocal current_id, current_text, current_mentions
+        if len(parts) != 5:
+            errors.append(f"line {lineno}: expected 5 tab-separated fields, got {len(parts)}")
+            return
+        sentence_id, text, surface, qid, entity_type = parts
+        if not sentence_id:
+            errors.append(f"line {lineno}: empty sentence_id")
+            return
+        if not text.strip():
+            errors.append(f"line {lineno}: text must be non-empty")
+            return
+        if sentence_id != current_id:
+            if sentence_id in finished:
+                errors.append(f"line {lineno}: rows for sentence {sentence_id!r} are not consecutive "
+                              f"(first group ended before line {finished[sentence_id]})")
+                return
+            flush()
+            if current_id is not None:
+                finished[current_id] = lineno
+            current_id = sentence_id
+            current_text = text
+            current_mentions = []
+        elif text != current_text:
+            errors.append(f"line {lineno}: text differs from earlier rows of sentence {sentence_id!r}")
+            return
+        if not surface and not qid and not entity_type:
+            return  # mention-less sentence marker
+        mention = _check_mention({"surface": surface, "qid": qid, "type": entity_type},
+                                 text, f"line {lineno}", errors)
+        if mention is not None:
+            current_mentions.append(mention)
+
+    read_records(path, check, tsv=True)
     flush()
     return sentences
 
@@ -208,13 +197,7 @@ def load_benchmark(path: str, format: str = "jsonl", name: Optional[str] = None)
     """
     if format not in FORMATS:
         raise ValueError(f"unknown benchmark format {format!r}; expected one of {FORMATS}")
-    errors: List[str] = []
-    if format == "jsonl":
-        sentences = _load_jsonl(path, errors)
-    else:
-        sentences = _load_tsv(path, errors)
-    if errors:
-        raise ValueError(f"{path}: {len(errors)} malformed record(s):\n" + "\n".join(errors))
+    sentences = _load_jsonl(path) if format == "jsonl" else _load_tsv(path)
     if name is None:
         name = os.path.splitext(os.path.basename(path))[0]
     return Benchmark(name=name, sentences=tuple(sentences))

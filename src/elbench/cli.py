@@ -14,11 +14,13 @@ import csv
 import importlib
 import json
 import math
-import os
 import sys
 from dataclasses import replace
 from functools import partial
-from typing import Collection, Dict, List, Optional, Sequence, Set, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Union
+
+# Every command reads its inputs through this module, so it is no extra cost.
+from .records import read_records
 
 # The names the commands use from each module.  Every import compiles its
 # module from source when there is no bytecode cache, so a command imports
@@ -34,10 +36,9 @@ _NAMES = {
                 "parse_predictions", "save_predictions"),
     "popularity": ("DEFAULT_THETAS", "STRATIFY_CSV_FIELDS", "load_counts", "stratify",
                    "stratify_csv_rows"),
-    "prompting": ("DEFAULT_TEMPLATE_VERSION", "build_prompt", "default_template_text",
-                  "parse_template"),
-    "scoring": ("CSV_FIELDS", "NIL_EXCLUDE_AND_IGNORE", "MatchConfig", "csv_fields", "percent",
-                "report_to_dict", "score"),
+    "prompting": ("build_prompt", "load_template"),
+    "scoring": ("CSV_FIELDS", "NIL_EXCLUDE_AND_IGNORE", "MatchConfig", "build_report",
+                "csv_fields", "report_to_dict", "score"),
 }
 _MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}
 
@@ -62,13 +63,19 @@ def __getattr__(name: str):
     return globals()[name]
 
 
-def load_config(path: str, keys: Collection[str]) -> Dict[str, str]:
+# The words a config file may give a store_true flag.
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
+def load_config(path: str, actions: Mapping[str, argparse.Action]) -> Dict[str, object]:
     """key=value per line; blank lines and # comments ignored.
 
-    Every key must be one of keys, so a misspelt option fails instead of
-    silently leaving its default in force.
+    Every key must name a flag of actions, so a misspelt option fails
+    instead of silently leaving its default in force.  Each value is
+    converted as its flag's would be (see _convert); errors name the line.
     """
-    values: Dict[str, str] = {}
+    values: Dict[str, object] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, 1):
             stripped = line.strip()
@@ -78,15 +85,36 @@ def load_config(path: str, keys: Collection[str]) -> Dict[str, str]:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, _, value = stripped.partition("=")
             key = key.strip()
-            if key not in keys:
+            if key not in actions:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}; "
-                                 f"expected one of {', '.join(sorted(keys))}")
-            values[key] = value.strip()
+                                 f"expected one of {', '.join(sorted(actions))}")
+            try:
+                values[key] = _convert(actions[key], value.strip())
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 
-def _parse_bool(raw: str) -> bool:
-    return raw.strip().lower() in ("1", "true", "yes", "on")
+def _convert(action: argparse.Action, raw: str) -> object:
+    """A config value as its flag's action turns it into an option value:
+    through its type and checked against its choices.  A store_true flag
+    takes one of _BOOLEANS, and an nargs="+" value is split on whitespace."""
+    if action.nargs == 0:
+        if raw.lower() not in _BOOLEANS:
+            raise ValueError(f"expected one of {'/'.join(_BOOLEANS)}, got {raw!r}")
+        return _BOOLEANS[raw.lower()]
+    items = raw.split() if action.nargs == "+" else [raw]
+    if not items:
+        raise ValueError("expected at least one value")
+    try:
+        values = [action.type(item) if action.type else item for item in items]
+    except ValueError:
+        raise ValueError(f"invalid {action.type.__name__} value: {raw!r}") from None
+    for value in values:
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"invalid choice: {value!r} "
+                             f"(choose from {', '.join(map(repr, action.choices))})")
+    return values if action.nargs == "+" else values[0]
 
 
 class _Options:
@@ -94,34 +122,20 @@ class _Options:
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
-        self.config = (load_config(args.config, args.config_keys)
+        self.config = (load_config(args.config, args.config_actions)
                        if getattr(args, "config", None) else {})
 
-    def get(self, key: str, default=None, cast=None):
+    def get(self, key: str, default=None):
         value = getattr(self.args, key.replace("-", "_"))
         if value is not None:
             return value
-        if key in self.config:
-            raw = self.config[key]
-            return cast(raw) if cast else raw
-        return default
+        return self.config.get(key, default)
 
-    def require(self, key: str, cast=None):
-        value = self.get(key, cast=cast)
+    def require(self, key: str):
+        value = self.get(key)
         if value is None:
             raise ValueError(f"missing required option --{key}")
         return value
-
-
-def _load_template_opt(path: Optional[str]):
-    if path:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-        version = os.path.splitext(os.path.basename(path))[0]
-    else:
-        text = default_template_text()
-        version = DEFAULT_TEMPLATE_VERSION
-    return parse_template(text, version=version), text, version
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -145,18 +159,18 @@ def cmd_link(args: argparse.Namespace) -> int:
     benchmark_path = opts.require("benchmark")
     out = opts.require("out")
     benchmark = load_benchmark(benchmark_path, opts.get("format", "jsonl"))
-    template, template_text, template_version = _load_template_opt(opts.get("template"))
+    template = load_template(opts.get("template"))
     cfg = BackendConfig(
         kind=opts.require("backend"),
         endpoint=opts.get("endpoint", ""),
         model_id=opts.get("model", ""),
         fixture_path=opts.get("fixture", ""),
-        temperature=opts.get("temperature", 0.0, float),
-        max_output_tokens=opts.get("max-output-tokens", 512, int),
-        request_timeout=opts.get("timeout", 30.0, float),
-        max_retries=opts.get("max-retries", 3, int),
-        retry_backoff=opts.get("retry-backoff", 0.5, float),
-        parallelism=opts.get("parallelism", 4, int),
+        temperature=opts.get("temperature", 0.0),
+        max_output_tokens=opts.get("max-output-tokens", 512),
+        request_timeout=opts.get("timeout", 30.0),
+        max_retries=opts.get("max-retries", 3),
+        retry_backoff=opts.get("retry-backoff", 0.5),
+        parallelism=opts.get("parallelism", 4),
         wire=opts.get("wire", "completions"),
         api_key_env=opts.get("api-key-env", DEFAULT_API_KEY_ENV),
         record_path=opts.get("record", ""),
@@ -184,8 +198,8 @@ def cmd_link(args: argparse.Namespace) -> int:
     if cfg.kind == "replay":
         inputs["fixture"] = cfg.fixture_path
         model_id = _replayed_model_ids(results)
-    manifest = build_run_manifest(inputs, template_text=template_text,
-                                  template_version=template_version, backend_config=cfg,
+    manifest = build_run_manifest(inputs, template_text=template.text,
+                                  template_version=template.version, backend_config=cfg,
                                   backend_model=model_id)
     write_manifest(manifest, out + ".manifest.json")
     summary = ", ".join(f"{count} {name}" for name, count in sorted(status_counts.items()))
@@ -274,7 +288,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     kb = load_mapping(kb_path, qids=_gold_qids(benchmark)) if kb_path else None
     cfg = MatchConfig(mode=mode, nil_policy=opts.get("nil-policy", NIL_EXCLUDE_AND_IGNORE))
     report = score(benchmark, preds, cfg, kb, system_id=opts.get("system", "system"),
-                   keep_per_sentence=bool(opts.get("per-sentence", False, _parse_bool)))
+                   keep_per_sentence=bool(opts.get("per-sentence", False)))
     inputs = {"benchmark": benchmark_path, "predictions": predictions_path}
     if kb_path:
         inputs["kb"] = kb_path
@@ -314,7 +328,7 @@ def cmd_stratify(args: argparse.Namespace) -> int:
     raw_thetas = opts.get("thetas")
     thetas = ([token for token in raw_thetas.split(",") if token.strip()]
               if raw_thetas else DEFAULT_THETAS)
-    strict = not bool(opts.get("lenient", False, _parse_bool))
+    strict = not opts.get("lenient", False)
     system_id = opts.get("system", "system")
     slices = stratify(benchmark, preds, cfg, kb, pop, thetas, strict=strict, system_id=system_id)
     rows = stratify_csv_rows(slices)
@@ -345,26 +359,35 @@ def cmd_stratify(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     _bind("scoring", "manifest")
     opts = _Options(args)
-    input_paths = opts.require("inputs", cast=str.split)
+    input_paths = opts.require("inputs")
     out = opts.require("out")
-    rows = []
+    reports = []
     modes = set()
     for path in input_paths:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            try:
+                data = json.load(handle)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: invalid JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: a score report must be a JSON object")
         for field in ("system", "tp", "fp", "fn"):
             if field not in data:
                 raise ValueError(f"{path}: missing field {field!r}")
+        if not isinstance(data["system"], str):
+            raise ValueError(f"{path}: system must be a string, got {data['system']!r}")
+        for field in ("tp", "fp", "fn"):
+            # type(), not isinstance(): JSON true/false are ints to isinstance.
+            if type(data[field]) is not int or data[field] < 0:
+                raise ValueError(f"{path}: {field} must be a nonnegative integer, "
+                                 f"got {data[field]!r}")
         modes.add(data.get("mode", ""))
-        rows.append((data["system"], data["tp"], data["fp"], data["fn"]))
-    if len(modes) > 1 and not bool(opts.get("force", False, _parse_bool)):
+        reports.append(build_report(data["system"], "all", data["tp"], data["fp"], data["fn"], {}))
+    if len(modes) > 1 and not opts.get("force", False):
         raise ValueError(f"refusing to merge reports with mixed match modes {sorted(modes)}; "
                          "pass --force to override")
-    entries = []
-    for system, tp, fp, fn in rows:
-        entries.append((system, percent(tp, tp + fp), percent(tp, tp + fn),
-                        percent(2 * tp, 2 * tp + fp + fn)))
-    entries.sort(key=lambda entry: (-entry[3], entry[0]))
+    entries = sorted(((r.system_id, r.precision_pct(), r.recall_pct(), r.f1_pct())
+                      for r in reports), key=lambda entry: (-entry[3], entry[0]))
     with open(out, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(("system", "precision", "recall", "f1"))
@@ -383,40 +406,29 @@ def cmd_record(args: argparse.Namespace) -> int:
     _bind("benchmark", "prompting", "backends")
     opts = _Options(args)
     benchmark = load_benchmark(opts.require("benchmark"), opts.get("format", "jsonl"))
-    template, _, _ = _load_template_opt(opts.get("template"))
+    template = load_template(opts.get("template"))
     completions_path = opts.require("completions")
     default_model = opts.get("model", "")
     out = opts.require("out")
     known = {sentence.sentence_id for sentence in benchmark.sentences}
-    errors: List[str] = []
     rows: Dict[str, Dict[str, str]] = {}
-    with open(completions_path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError as exc:
-                errors.append(f"line {lineno}: invalid JSON: {exc}")
-                continue
-            sentence_id = entry.get("sentence_id") if isinstance(entry, dict) else None
-            raw_text = entry.get("raw_text") if isinstance(entry, dict) else None
-            if not isinstance(sentence_id, str) or not sentence_id:
-                errors.append(f"line {lineno}: sentence_id must be a non-empty string")
-                continue
-            if not isinstance(raw_text, str):
-                errors.append(f"line {lineno}: raw_text must be a string")
-                continue
-            if sentence_id not in known:
-                errors.append(f"line {lineno}: unknown sentence_id {sentence_id!r}")
-                continue
-            if sentence_id in rows:
-                errors.append(f"line {lineno}: duplicate sentence_id {sentence_id!r}")
-                continue
+
+    def check(entry: Dict[str, object], lineno: int, errors: List[str]) -> None:
+        sentence_id = entry.get("sentence_id")
+        raw_text = entry.get("raw_text")
+        if not isinstance(sentence_id, str) or not sentence_id:
+            errors.append(f"line {lineno}: sentence_id must be a non-empty string")
+        elif not isinstance(raw_text, str):
+            errors.append(f"line {lineno}: raw_text must be a string")
+        elif sentence_id not in known:
+            errors.append(f"line {lineno}: unknown sentence_id {sentence_id!r}")
+        elif sentence_id in rows:
+            errors.append(f"line {lineno}: duplicate sentence_id {sentence_id!r}")
+        else:
             rows[sentence_id] = {"raw_text": raw_text,
                                  "model_id": entry.get("model_id", default_model)}
-    if errors:
-        raise ValueError(f"{completions_path}: {len(errors)} malformed record(s):\n" + "\n".join(errors))
+
+    read_records(completions_path, check)
     written = 0
     skipped = 0
     with open(out, "w", encoding="utf-8") as handle:
@@ -531,9 +543,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     # A config file may set any long flag of its subcommand but --config and --help.
     for subparser in sub.choices.values():
-        subparser.set_defaults(config_keys=frozenset(
-            flag[2:] for action in subparser._actions for flag in action.option_strings
-            if flag.startswith("--") and flag not in ("--config", "--help")))
+        subparser.set_defaults(config_actions={
+            flag[2:]: action for action in subparser._actions for flag in action.option_strings
+            if flag.startswith("--") and flag not in ("--config", "--help")})
     return parser
 
 

@@ -14,6 +14,8 @@ import re
 import unicodedata
 from typing import Collection, Dict, Iterable, List, NamedTuple, Optional, TextIO, Tuple, Union
 
+from .records import read_records
+
 QID_RE = re.compile(r"Q[0-9]+")
 
 # Longest redirect chain the resolver will walk before giving up.
@@ -89,10 +91,10 @@ class MappingIndex:
 
     def qid_for_title(self, title: str) -> Optional[str]:
         """The QID of a raw title, redirects followed."""
-        return _resolve_record(self, self.by_title.get(normalize_title(title)), True)
+        return _resolve_record(self, self.by_title.get(normalize_title(title)))
 
     def qid_for_page(self, page_id: int) -> Optional[str]:
-        return _resolve_record(self, self.by_page_id.get(page_id), True)
+        return _resolve_record(self, self.by_page_id.get(page_id))
 
     def keyed(self, titles: Collection[str], page_ids: Collection[int],
               qids: Collection[str]) -> "KeyedIndex":
@@ -107,7 +109,7 @@ class MappingIndex:
         by_title: Dict[str, str] = {}
         by_page: Dict[int, str] = {}
         for rec in self.by_title.values():
-            qid = _resolve_record(self, rec, True)
+            qid = _resolve_record(self, rec)
             if qid is not None:
                 by_title[rec.canonical_title] = qid
                 by_page[rec.page_id] = qid
@@ -118,7 +120,7 @@ class KeyedIndex:
     """A full index's answers for the keys a command declared, and no others.
 
     Titles are the raw titles declared, each resolved after normalization
-    with redirects followed, as `title_to_qid` does by default.  Looking up a
+    with redirects followed, as `title_to_qid` does.  Looking up a
     key that was not declared raises KeyError rather than passing for a miss.
     """
 
@@ -183,59 +185,54 @@ def load_mapping(path: str, titles: Optional[Collection[str]] = None,
 
 def _parse_mapping(path: str, handle: TextIO) -> MappingIndex:
     """Check and index every row in the one pass that reads it; closes handle."""
-    errors: List[str] = []
     idx = MappingIndex()
     title_lines: Dict[str, int] = {}
     pageid_lines: Dict[int, int] = {}
-    with handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) not in (3, 4):
-                errors.append(f"line {lineno}: expected 3 or 4 tab-separated fields, got {len(parts)}")
-                continue
-            raw_page_id = parts[0].strip()
-            raw_qid = parts[2].strip()
-            raw_redirect = parts[3].strip() if len(parts) == 4 else ""
-            page_id = int(raw_page_id) if raw_page_id.isascii() and raw_page_id.isdigit() else 0
-            if page_id < 1:
-                errors.append(f"line {lineno}: page_id must be a positive integer, got {raw_page_id!r}")
-                continue
-            title = normalize_title(parts[1])  # which strips the cell as well
-            if not title:
-                errors.append(f"line {lineno}: empty title")
-                continue
-            qid = raw_qid or None
-            if qid is not None and not is_qid(qid):
-                errors.append(f"line {lineno}: invalid qid {raw_qid!r}")
-                continue
-            redirect_to = (normalize_title(raw_redirect) or None) if raw_redirect else None
-            if redirect_to == title:
-                errors.append(f"line {lineno}: redirect_to equals the record's own title")
-                continue
-            if title in title_lines:
-                errors.append(f"line {lineno}: duplicate title {title!r} (first seen on line {title_lines[title]})")
-                continue
-            if page_id in pageid_lines:
-                errors.append(f"line {lineno}: duplicate page_id {page_id} (first seen on line {pageid_lines[page_id]})")
-                continue
-            title_lines[title] = lineno
-            pageid_lines[page_id] = lineno
-            idx._add(KbRecord(page_id, title, qid, redirect_to))
-    if errors:
-        raise ValueError(f"{path}: {len(errors)} malformed row(s):\n" + "\n".join(errors))
+
+    def check(parts: List[str], lineno: int, errors: List[str]) -> None:
+        if len(parts) not in (3, 4):
+            errors.append(f"line {lineno}: expected 3 or 4 tab-separated fields, got {len(parts)}")
+            return
+        raw_page_id = parts[0].strip()
+        raw_qid = parts[2].strip()
+        raw_redirect = parts[3].strip() if len(parts) == 4 else ""
+        page_id = int(raw_page_id) if raw_page_id.isascii() and raw_page_id.isdigit() else 0
+        if page_id < 1:
+            errors.append(f"line {lineno}: page_id must be a positive integer, got {raw_page_id!r}")
+            return
+        title = normalize_title(parts[1])  # which strips the cell as well
+        if not title:
+            errors.append(f"line {lineno}: empty title")
+            return
+        qid = raw_qid or None
+        if qid is not None and not is_qid(qid):
+            errors.append(f"line {lineno}: invalid qid {raw_qid!r}")
+            return
+        redirect_to = (normalize_title(raw_redirect) or None) if raw_redirect else None
+        if redirect_to == title:
+            errors.append(f"line {lineno}: redirect_to equals the record's own title")
+            return
+        if title in title_lines:
+            errors.append(f"line {lineno}: duplicate title {title!r} (first seen on line {title_lines[title]})")
+            return
+        if page_id in pageid_lines:
+            errors.append(f"line {lineno}: duplicate page_id {page_id} (first seen on line {pageid_lines[page_id]})")
+            return
+        title_lines[title] = lineno
+        pageid_lines[page_id] = lineno
+        idx._add(KbRecord(page_id, title, qid, redirect_to))
+
+    read_records(path, check, tsv=True, handle=handle)
     return idx
 
 
-def _resolve_record(idx: MappingIndex, rec: Optional[KbRecord], follow_redirects: bool) -> Optional[str]:
+def _resolve_record(idx: MappingIndex, rec: Optional[KbRecord]) -> Optional[str]:
     seen = set()
     depth = 0
     while rec is not None:
         if rec.qid:
             return rec.qid
-        if not follow_redirects or not rec.redirect_to:
+        if not rec.redirect_to:
             return None
         if rec.canonical_title in seen or depth >= REDIRECT_DEPTH:
             return None
@@ -245,22 +242,17 @@ def _resolve_record(idx: MappingIndex, rec: Optional[KbRecord], follow_redirects
     return None
 
 
-def title_to_qid(idx: KbIndex, title: str, follow_redirects: bool = True) -> Optional[str]:
+def title_to_qid(idx: KbIndex, title: str) -> Optional[str]:
     """Resolve a raw title to a QID, walking redirects up to REDIRECT_DEPTH.
 
     Returns None for unknown titles, tombstones, over-long chains and cycles.
-    Only the full index can answer with follow_redirects off.
     """
-    if follow_redirects:
-        return idx.qid_for_title(title)
-    return _resolve_record(idx, idx.by_title.get(normalize_title(title)), False)
+    return idx.qid_for_title(title)
 
 
 def qid_to_title(idx: KbIndex, qid: str) -> Optional[str]:
     return idx.title_for_qid(qid)
 
 
-def pageid_to_qid(idx: KbIndex, page_id: int, follow_redirects: bool = True) -> Optional[str]:
-    if follow_redirects:
-        return idx.qid_for_page(page_id)
-    return _resolve_record(idx, idx.by_page_id.get(page_id), False)
+def pageid_to_qid(idx: KbIndex, page_id: int) -> Optional[str]:
+    return idx.qid_for_page(page_id)

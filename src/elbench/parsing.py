@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .kb import is_qid
+from .records import read_records
 
 ORIGIN_CLEAN = "parsed-clean"
 ORIGIN_REPAIRED = "parsed-repaired"
@@ -256,29 +257,10 @@ def save_predictions(records: List[PredictionRecord], path: str) -> None:
 
 def load_predictions(path: str) -> List[PredictionRecord]:
     """Load interchange records; fails whole on malformed lines, listing them."""
-    errors: List[str] = []
-    records: List[PredictionRecord] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                errors.append(f"line {lineno}: invalid JSON: {exc}")
-                continue
-            record = _check_record(row, lineno, errors)
-            if record is not None:
-                records.append(record)
-    if errors:
-        raise ValueError(f"{path}: {len(errors)} malformed record(s):\n" + "\n".join(errors))
-    return records
+    return read_records(path, _check_record)
 
 
-def _check_record(row: object, lineno: int, errors: List[str]) -> Optional[PredictionRecord]:
-    if not isinstance(row, dict):
-        errors.append(f"line {lineno}: record must be a JSON object")
-        return None
+def _check_record(row: Dict[str, object], lineno: int, errors: List[str]) -> Optional[PredictionRecord]:
     sentence_id = row.get("sentence_id")
     status = row.get("status")
     raw_links = row.get("links", [])

@@ -22,6 +22,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 from .benchmark import Benchmark
 from .kb import KbIndex, is_qid, title_to_qid
 from .parsing import PredictedLink, PredictionRecord
+from .records import read_records
 from .scoring import MatchConfig, ScoreReport, SentenceScore, build_report, match_items
 
 INF = math.inf
@@ -79,32 +80,27 @@ def counts_from_entities(entities: Mapping[str, Mapping], qids: Iterable[str]) -
 
 def load_counts(path: str) -> PopularityIndex:
     """Load a counts TSV: qid <TAB> count.  Fails whole, listing bad lines."""
-    errors: List[str] = []
     counts: Dict[str, int] = {}
     lines_seen: Dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = [cell.strip() for cell in line.split("\t")]
-            if len(parts) != 2:
-                errors.append(f"line {lineno}: expected 2 tab-separated fields, got {len(parts)}")
-                continue
-            qid, raw_count = parts
-            if not is_qid(qid):
-                errors.append(f"line {lineno}: invalid qid {qid!r}")
-                continue
-            if not (raw_count.isascii() and raw_count.isdigit()):
-                errors.append(f"line {lineno}: count must be a nonnegative integer, got {raw_count!r}")
-                continue
-            if qid in lines_seen:
-                errors.append(f"line {lineno}: duplicate qid {qid} (first seen on line {lines_seen[qid]})")
-                continue
-            lines_seen[qid] = lineno
-            counts[qid] = int(raw_count)
-    if errors:
-        raise ValueError(f"{path}: {len(errors)} malformed row(s):\n" + "\n".join(errors))
+
+    def check(cells: List[str], lineno: int, errors: List[str]) -> None:
+        if len(cells) != 2:
+            errors.append(f"line {lineno}: expected 2 tab-separated fields, got {len(cells)}")
+            return
+        qid, raw_count = cells[0].strip(), cells[1].strip()
+        if not is_qid(qid):
+            errors.append(f"line {lineno}: invalid qid {qid!r}")
+            return
+        if not (raw_count.isascii() and raw_count.isdigit()):
+            errors.append(f"line {lineno}: count must be a nonnegative integer, got {raw_count!r}")
+            return
+        if qid in lines_seen:
+            errors.append(f"line {lineno}: duplicate qid {qid} (first seen on line {lines_seen[qid]})")
+            return
+        lines_seen[qid] = lineno
+        counts[qid] = int(raw_count)
+
+    read_records(path, check, tsv=True)
     return PopularityIndex(counts=counts)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from importlib import resources
-from typing import Tuple
+from typing import Optional, Tuple
 
 SENTENCE_SLOT = "{{sentence}}"
 DEFAULT_TEMPLATE_VERSION = "el_one_shot_v1"
@@ -25,13 +25,15 @@ class PromptTemplate:
     shot_examples holds (sentence, output payload) pairs; the payload is
     everything after the shot's "Output:" marker, leading whitespace
     included, so a template round-trips byte-for-byte.  sentence_slot is
-    the target block and must contain {{sentence}} exactly once.
+    the target block and must contain {{sentence}} exactly once.  text is
+    the text the template was parsed from, which run manifests digest.
     """
 
     instruction: str
     shot_examples: Tuple[Tuple[str, str], ...]
     sentence_slot: str
     version: str = "custom"
+    text: str = ""
 
 
 def parse_template(text: str, version: str = "custom") -> PromptTemplate:
@@ -43,10 +45,8 @@ def parse_template(text: str, version: str = "custom") -> PromptTemplate:
         Sentence:"<example sentence>"
         Output:<example output>
     """
-    if text.endswith("\n"):
-        text = text[:-1]
     blocks: list[list[str]] = [[]]
-    for line in text.split("\n"):
+    for line in (text[:-1] if text.endswith("\n") else text).split("\n"):
         if line == "#":
             blocks.append([])
         else:
@@ -69,10 +69,14 @@ def parse_template(text: str, version: str = "custom") -> PromptTemplate:
             raise ValueError(f"shot block {i}: second line must start with {_OUTPUT_PREFIX!r}")
         shots.append((sentence_line[len(_SENTENCE_PREFIX):-1], output_line[len(_OUTPUT_PREFIX):]))
     return PromptTemplate(instruction=instruction, shot_examples=tuple(shots),
-                          sentence_slot=target, version=version)
+                          sentence_slot=target, version=version, text=text)
 
 
-def load_template(path: str) -> PromptTemplate:
+def load_template(path: Optional[str] = None) -> PromptTemplate:
+    """The template in the file at path, versioned by its file name; the
+    default template when there is no path."""
+    if not path:
+        return parse_template(default_template_text(), version=DEFAULT_TEMPLATE_VERSION)
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     return parse_template(text, version=os.path.splitext(os.path.basename(path))[0])
@@ -84,7 +88,7 @@ def default_template_text() -> str:
 
 
 def default_template() -> PromptTemplate:
-    return parse_template(default_template_text(), version=DEFAULT_TEMPLATE_VERSION)
+    return load_template()
 
 
 def build_prompt(template: PromptTemplate, sentence: str) -> str:

@@ -1,0 +1,279 @@
+"""The per-format loaders that `elbench.records.read_records` replaced.
+
+Each format used to read its file with its own loop: skip blank lines,
+decode JSON or split cells, collect errors, raise.  This module keeps those
+loops as they were, as test oracles: `tests/test_records.py` requires the
+loaders built on the shared reader to return the same records, or raise
+the same error text, on random files.  The mapping's loader is kept in
+`tests/reference_kb.py`.  What did not change is called, not copied:
+`_check_mention`, the predictions' and external rows' checks past the
+JSON-object test, and the external rows' resolution.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+from typing import Dict, List, Optional, Tuple
+
+from elbench.baseline import (RESOLUTION_GIVEN_QID, RESOLUTION_NOT_FOUND, RESOLUTION_PAGE_ID,
+                              RESOLUTION_TITLE, ExternalPrediction, _check_row, _resolve)
+from elbench.benchmark import Benchmark, BenchmarkSentence, GoldMention, _check_mention
+from elbench.kb import KbIndex, is_qid
+from elbench.parsing import (ORIGIN_CLEAN, STATUS_CLEAN, PredictedLink, PredictionRecord,
+                             _check_record)
+from elbench.popularity import PopularityIndex
+
+
+def _load_jsonl(path: str, errors: List[str]) -> List[BenchmarkSentence]:
+    sentences: List[BenchmarkSentence] = []
+    seen_ids: Dict[str, int] = {}
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, 1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                errors.append(f"line {lineno}: invalid JSON: {exc}")
+                continue
+            if not isinstance(record, dict):
+                errors.append(f"line {lineno}: record must be a JSON object")
+                continue
+            sentence_id = record.get("id")
+            text = record.get("text")
+            raw_mentions = record.get("mentions", [])
+            if not isinstance(sentence_id, str) or not sentence_id:
+                errors.append(f"line {lineno}: id must be a non-empty string")
+                continue
+            if sentence_id in seen_ids:
+                errors.append(f"line {lineno}: duplicate id {sentence_id!r} (first seen on line {seen_ids[sentence_id]})")
+                continue
+            if not isinstance(text, str) or not text.strip():
+                errors.append(f"line {lineno}: text must be non-empty")
+                continue
+            if not isinstance(raw_mentions, list):
+                errors.append(f"line {lineno}: mentions must be a list")
+                continue
+            mentions: List[GoldMention] = []
+            ok = True
+            for i, fields in enumerate(raw_mentions):
+                if not isinstance(fields, dict):
+                    errors.append(f"line {lineno}: mention {i} must be a JSON object")
+                    ok = False
+                    continue
+                mention = _check_mention(fields, text, f"line {lineno}: mention {i}", errors)
+                if mention is None:
+                    ok = False
+                else:
+                    mentions.append(mention)
+            if not ok:
+                continue
+            seen_ids[sentence_id] = lineno
+            sentences.append(BenchmarkSentence(sentence_id=sentence_id, text=text, mentions=tuple(mentions)))
+    return sentences
+
+
+def _load_tsv(path: str, errors: List[str]) -> List[BenchmarkSentence]:
+    sentences: List[BenchmarkSentence] = []
+    finished: Dict[str, int] = {}
+    current_id: Optional[str] = None
+    current_text = ""
+    current_mentions: List[GoldMention] = []
+
+    def flush() -> None:
+        if current_id is not None:
+            sentences.append(BenchmarkSentence(sentence_id=current_id, text=current_text,
+                                               mentions=tuple(current_mentions)))
+
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, 1):
+            line = line.rstrip("\n")
+            if not line.strip():
+                continue
+            parts = line.split("\t")
+            if len(parts) != 5:
+                errors.append(f"line {lineno}: expected 5 tab-separated fields, got {len(parts)}")
+                continue
+            sentence_id, text, surface, qid, entity_type = parts
+            if not sentence_id:
+                errors.append(f"line {lineno}: empty sentence_id")
+                continue
+            if not text.strip():
+                errors.append(f"line {lineno}: text must be non-empty")
+                continue
+            if sentence_id != current_id:
+                if sentence_id in finished:
+                    errors.append(f"line {lineno}: rows for sentence {sentence_id!r} are not consecutive "
+                                  f"(first group ended before line {finished[sentence_id]})")
+                    continue
+                flush()
+                if current_id is not None:
+                    finished[current_id] = lineno
+                current_id = sentence_id
+                current_text = text
+                current_mentions = []
+            elif text != current_text:
+                errors.append(f"line {lineno}: text differs from earlier rows of sentence {sentence_id!r}")
+                continue
+            if not surface and not qid and not entity_type:
+                continue  # mention-less sentence marker
+            mention = _check_mention({"surface": surface, "qid": qid, "type": entity_type},
+                                     text, f"line {lineno}", errors)
+            if mention is not None:
+                current_mentions.append(mention)
+    flush()
+    return sentences
+
+
+def reference_load_benchmark(path: str, format: str = "jsonl") -> Benchmark:
+    errors: List[str] = []
+    if format == "jsonl":
+        sentences = _load_jsonl(path, errors)
+    else:
+        sentences = _load_tsv(path, errors)
+    if errors:
+        raise ValueError(f"{path}: {len(errors)} malformed record(s):\n" + "\n".join(errors))
+    return Benchmark(name=os.path.splitext(os.path.basename(path))[0], sentences=tuple(sentences))
+
+
+def reference_load_counts(path: str) -> PopularityIndex:
+    errors: List[str] = []
+    counts: Dict[str, int] = {}
+    lines_seen: Dict[str, int] = {}
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, 1):
+            line = line.rstrip("\n")
+            if not line.strip():
+                continue
+            parts = [cell.strip() for cell in line.split("\t")]
+            if len(parts) != 2:
+                errors.append(f"line {lineno}: expected 2 tab-separated fields, got {len(parts)}")
+                continue
+            qid, raw_count = parts
+            if not is_qid(qid):
+                errors.append(f"line {lineno}: invalid qid {qid!r}")
+                continue
+            if not (raw_count.isascii() and raw_count.isdigit()):
+                errors.append(f"line {lineno}: count must be a nonnegative integer, got {raw_count!r}")
+                continue
+            if qid in lines_seen:
+                errors.append(f"line {lineno}: duplicate qid {qid} (first seen on line {lines_seen[qid]})")
+                continue
+            lines_seen[qid] = lineno
+            counts[qid] = int(raw_count)
+    if errors:
+        raise ValueError(f"{path}: {len(errors)} malformed row(s):\n" + "\n".join(errors))
+    return PopularityIndex(counts=counts)
+
+
+def reference_load_predictions(path: str) -> List[PredictionRecord]:
+    errors: List[str] = []
+    records: List[PredictionRecord] = []
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, 1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                errors.append(f"line {lineno}: invalid JSON: {exc}")
+                continue
+            if not isinstance(row, dict):
+                errors.append(f"line {lineno}: record must be a JSON object")
+                continue
+            record = _check_record(row, lineno, errors)
+            if record is not None:
+                records.append(record)
+    if errors:
+        raise ValueError(f"{path}: {len(errors)} malformed record(s):\n" + "\n".join(errors))
+    return records
+
+
+def reference_load_external_predictions(path: str, idx: KbIndex
+                                        ) -> Tuple[List[PredictionRecord], Dict[str, int]]:
+    errors: List[str] = []
+    rows: List[ExternalPrediction] = []
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, 1):
+            if not line.strip():
+                continue
+            try:
+                raw = json.loads(line)
+            except json.JSONDecodeError as exc:
+                errors.append(f"line {lineno}: invalid JSON: {exc}")
+                continue
+            if not isinstance(raw, dict):
+                errors.append(f"line {lineno}: record must be a JSON object")
+                continue
+            row = _check_row(raw, lineno, errors)
+            if row is not None:
+                rows.append(row)
+    if errors:
+        raise ValueError(f"{path}: {len(errors)} malformed record(s):\n" + "\n".join(errors))
+    tally = {RESOLUTION_PAGE_ID: 0, RESOLUTION_TITLE: 0,
+             RESOLUTION_GIVEN_QID: 0, RESOLUTION_NOT_FOUND: 0}
+    grouped: Dict[str, List[PredictedLink]] = {}
+    for row in rows:
+        qid, resolution = _resolve(row, idx)
+        tally[resolution] += 1
+        link = PredictedLink(surface=row.surface, title=row.title, origin=ORIGIN_CLEAN,
+                             qid=qid, resolution=resolution)
+        grouped.setdefault(row.sentence_id, []).append(link)
+    records = [PredictionRecord(sentence_id=sentence_id, links=tuple(links), status=STATUS_CLEAN)
+               for sentence_id, links in grouped.items()]
+    return records, tally
+
+
+def reference_read_completions(path: str, known: set,
+                               default_model: str) -> Dict[str, Dict[str, str]]:
+    """The completions loop of `elbench record`."""
+    errors: List[str] = []
+    rows: Dict[str, Dict[str, str]] = {}
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, 1):
+            if not line.strip():
+                continue
+            try:
+                entry = json.loads(line)
+            except json.JSONDecodeError as exc:
+                errors.append(f"line {lineno}: invalid JSON: {exc}")
+                continue
+            sentence_id = entry.get("sentence_id") if isinstance(entry, dict) else None
+            raw_text = entry.get("raw_text") if isinstance(entry, dict) else None
+            if not isinstance(sentence_id, str) or not sentence_id:
+                errors.append(f"line {lineno}: sentence_id must be a non-empty string")
+                continue
+            if not isinstance(raw_text, str):
+                errors.append(f"line {lineno}: raw_text must be a string")
+                continue
+            if sentence_id not in known:
+                errors.append(f"line {lineno}: unknown sentence_id {sentence_id!r}")
+                continue
+            if sentence_id in rows:
+                errors.append(f"line {lineno}: duplicate sentence_id {sentence_id!r}")
+                continue
+            rows[sentence_id] = {"raw_text": raw_text,
+                                 "model_id": entry.get("model_id", default_model)}
+    if errors:
+        raise ValueError(f"{path}: {len(errors)} malformed record(s):\n" + "\n".join(errors))
+    return rows
+
+
+def reference_replay_entries(path: str) -> Dict[str, Dict[str, str]]:
+    """`ReplayStore`'s entries by digest; fails on the first bad line."""
+    by_digest: Dict[str, Dict[str, str]] = {}
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, 1):
+            if not line.strip():
+                continue
+            try:
+                entry = json.loads(line)
+                digest = entry["digest"]
+                raw_text = entry["raw_text"]
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                raise ValueError(f"{path}:{lineno}: malformed fixture entry: {exc}") from exc
+            if not isinstance(digest, str) or not isinstance(raw_text, str):
+                raise ValueError(f"{path}:{lineno}: digest and raw_text must be strings")
+            by_digest[digest] = entry
+    return by_digest

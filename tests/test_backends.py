@@ -103,13 +103,15 @@ class TestReplayStore:
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "fix.jsonl"
         path.write_text('{"digest": "d1", "raw_text": "ok"}\nnot json\n', encoding="utf-8")
-        with pytest.raises(ValueError, match=r"fix\.jsonl:2: malformed fixture entry"):
+        with pytest.raises(ValueError,
+                           match=r"fix\.jsonl: 1 malformed record\(s\):\nline 2: invalid JSON"):
             ReplayStore(str(path))
 
     def test_missing_key(self, tmp_path):
         path = tmp_path / "fix.jsonl"
         path.write_text('{"digest": "d1"}\n', encoding="utf-8")
-        with pytest.raises(ValueError, match=":1: malformed fixture entry"):
+        with pytest.raises(ValueError,
+                           match=r"fix\.jsonl: 1 malformed record\(s\):\nline 1: digest and raw_text"):
             ReplayStore(str(path))
 
     def test_non_string_fields(self, tmp_path):

@@ -430,6 +430,24 @@ class TestReport:
         assert code == 2
         assert "missing field 'fn'" in err
 
+    @pytest.mark.parametrize("content, message", [
+        ('[1, 2]', "a score report must be a JSON object"),
+        ('not json', "invalid JSON"),
+        ('{"system": 7, "tp": 1, "fp": 1, "fn": 1}', "system must be a string, got 7"),
+        ('{"system": "x", "tp": -3, "fp": 1, "fn": 2}', "tp must be a nonnegative integer, got -3"),
+        ('{"system": "x", "tp": true, "fp": 1, "fn": 2}', "tp must be a nonnegative integer, got True"),
+        ('{"system": "x", "tp": 1, "fp": 1.5, "fn": 2}', "fp must be a nonnegative integer, got 1.5"),
+        ('{"system": "x", "tp": "3", "fp": 1, "fn": 2}', "tp must be a nonnegative integer, got '3'"),
+    ])
+    def test_malformed_report_rejected(self, capsys, tmp_path, content, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(content + "\n", encoding="utf-8")
+        out = tmp_path / "t.csv"
+        code, stdout, err = run(capsys, ["report", "--inputs", str(bad), "--out", str(out)])
+        assert code == 2
+        assert f"error: {bad}: {message}" in err
+        assert stdout == "" and not out.exists()
+
 
 class TestRecord:
     def test_build_fixture_then_link(self, capsys, tmp_path):
@@ -538,6 +556,37 @@ class TestConfigFile:
         code, _, err = run(capsys, ["ingest", "--config", str(cfg)])
         assert code == 2
         assert f"{cfg}:2: unknown key 'thetas'" in err
+
+    @pytest.mark.parametrize("command, line, message", [
+        ("link", "parallelism = four", "parallelism: invalid int value: 'four'"),
+        ("stratify", "lenient = treu",
+         "lenient: expected one of 1/true/yes/on/0/false/no/off, got 'treu'"),
+        ("score", "format = xml", "format: invalid choice: 'xml' (choose from 'jsonl', 'tsv')"),
+        ("score", "mode = foo", "mode: invalid choice: 'foo' (choose from 'title', 'qid')"),
+    ])
+    def test_bad_value_names_file_and_line(self, capsys, tmp_path, command, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# defaults\n{line}\n", encoding="utf-8")
+        code, _, err = run(capsys, [command, "--config", str(cfg)])
+        assert code == 2
+        assert f"error: {cfg}:2: {message}" in err
+
+    def test_values_converted_as_their_flags(self, capsys, tmp_path, e2e_paths, linked):
+        out = tmp_path / "score.json"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"benchmark = {e2e_paths['benchmark']}\n"
+                       f"predictions = {linked}\n"
+                       f"kb = {e2e_paths['mapping']}\n"
+                       "per-sentence = Yes\n"
+                       f"out = {out}\n", encoding="utf-8")
+        code, _, _ = run(capsys, ["score", "--config", str(cfg)])
+        assert code == 0
+        assert len(json.loads(out.read_text(encoding="utf-8"))["per_sentence"]) == 20
+        cfg.write_text("max-retries = 2\nparallelism = 3\ntemperature = 0.5\n", encoding="utf-8")
+        args = cli.build_parser().parse_args(["link", "--config", str(cfg)])
+        options = cli._Options(args)
+        assert [options.get(key) for key in ("max-retries", "parallelism", "temperature")] == \
+            [2, 3, 0.5]
 
     def test_report_inputs_from_config(self, capsys, tmp_path):
         score_path = tmp_path / "a.json"
@@ -654,16 +703,16 @@ print(" ".join(sorted(name.replace("elbench.", "") for name in sys.modules
 # for its index cache; sqlite3 imports datetime, and so does http.client.
 IMPORTED = {
     "offline": "backends baseline benchmark cli datetime kb kbcache manifest parsing "
-               "popularity prompting scoring",
-    "http": "backends cli datetime http.client urllib.request",
-    "ingest": "benchmark cli kb",
-    "record": "backends benchmark cli kb prompting",
-    "link": "backends benchmark cli kb manifest parsing prompting",
-    "resolve": "baseline cli datetime kb kbcache manifest parsing",
-    "score-title": "benchmark cli datetime kb kbcache manifest parsing scoring",
-    "score-qid": "benchmark cli kb manifest parsing scoring",
-    "stratify": "benchmark cli datetime kb kbcache manifest parsing popularity scoring",
-    "report": "benchmark cli kb manifest parsing scoring",
+               "popularity prompting records scoring",
+    "http": "backends cli datetime http.client records urllib.request",
+    "ingest": "benchmark cli kb records",
+    "record": "backends benchmark cli kb prompting records",
+    "link": "backends benchmark cli kb manifest parsing prompting records",
+    "resolve": "baseline cli datetime kb kbcache manifest parsing records",
+    "score-title": "benchmark cli datetime kb kbcache manifest parsing records scoring",
+    "score-qid": "benchmark cli kb manifest parsing records scoring",
+    "stratify": "benchmark cli datetime kb kbcache manifest parsing popularity records scoring",
+    "report": "benchmark cli kb manifest parsing records scoring",
 }
 
 

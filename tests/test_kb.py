@@ -130,9 +130,6 @@ class TestResolution:
     def test_redirect_followed(self, small_kb):
         assert title_to_qid(small_kb, "Mendelssohn") == "Q4"
 
-    def test_redirect_not_followed_when_disabled(self, small_kb):
-        assert title_to_qid(small_kb, "Mendelssohn", follow_redirects=False) is None
-
     def test_chain_depth_limit(self):
         records = [KbRecord(99, "Target", "Q9")]
         for i in range(6):
@@ -161,7 +158,6 @@ class TestResolution:
     def test_pageid_resolution(self, small_kb):
         assert pageid_to_qid(small_kb, 3) == "Q3"
         assert pageid_to_qid(small_kb, 5) == "Q4"
-        assert pageid_to_qid(small_kb, 5, follow_redirects=False) is None
         assert pageid_to_qid(small_kb, 12345) is None
 
     def test_qid_to_title_prefers_canonical(self):

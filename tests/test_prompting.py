@@ -93,7 +93,15 @@ class TestParseTemplate:
     def test_load_template_names_version_after_file(self, tmp_path):
         path = tmp_path / "my_variant.txt"
         path.write_text(REFERENCE_TEMPLATE_TEXT, encoding="utf-8")
-        assert load_template(str(path)).version == "my_variant"
+        template = load_template(str(path))
+        assert template.version == "my_variant"
+        assert template.text == REFERENCE_TEMPLATE_TEXT
+
+    def test_load_template_without_path_is_default(self):
+        template = load_template()
+        assert template == default_template()
+        assert template.version == DEFAULT_TEMPLATE_VERSION
+        assert template.text == default_template_text()
 
 
 sentences = st.text(

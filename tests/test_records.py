@@ -1,0 +1,293 @@
+"""The loaders built on `records.read_records` against the loops they replaced.
+
+On random files that mix valid lines, blank lines, bad JSON, non-objects,
+wrong types, duplicates and, for TSV, non-consecutive sentence groups,
+each loader must return the same records as its reference in
+`tests/reference_loaders.py`, or raise a ValueError with the same text.
+Three texts differ on purpose, and each test says how:
+
+- the benchmark TSV counts its errors as "row(s)", as the other TSV
+  formats do, not "record(s)";
+- a replay fixture lists every bad line like the other formats, where it
+  used to stop at the first as "path:N: ...";
+- a completions line that is not a JSON object reads "record must be a
+  JSON object", as in the other JSON Lines formats.
+"""
+
+import contextlib
+import io
+import json
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_loaders import (reference_load_benchmark, reference_load_counts,
+                               reference_load_external_predictions, reference_load_predictions,
+                               reference_read_completions, reference_replay_entries)
+
+from elbench.backends import ReplayStore
+from elbench.baseline import load_external_predictions
+from elbench.benchmark import load_benchmark
+from elbench import cli
+from elbench.kb import KbRecord, MappingIndex
+from elbench.parsing import load_predictions
+from elbench.prompting import build_prompt, default_template
+from elbench.popularity import load_counts
+from elbench.records import read_records
+
+EXAMPLES = 300
+
+BLANK = ["", "  ", "\t"]
+# Lines of a JSON Lines file that no format takes.
+JUNK = BLANK + ["{", "not json", "{'id': 1}", '{"a": 1,}', "[1",
+                "[]", "[1, 2]", "1", '"text"', "null", "true"]
+
+
+def objects(**fields):
+    """JSON objects with fields drawn from the given pools."""
+    return st.fixed_dictionaries({key: st.sampled_from(pool) for key, pool in fields.items()})
+
+
+def wild_objects(**fields):
+    """JSON objects with each of the fields present or not, drawn from pools."""
+    return st.fixed_dictionaries({}, optional={key: st.sampled_from(pool)
+                                               for key, pool in fields.items()})
+
+
+def files(valid, wild, junk):
+    """Half the files hold only valid lines and blank ones (so a load often
+    succeeds, unless a duplicate or group split gets in the way); the rest
+    mix in wild lines and junk."""
+    return st.one_of(st.lists(st.one_of(valid, valid, st.sampled_from(BLANK)), max_size=10),
+                     st.lists(st.one_of(valid, wild, wild, st.sampled_from(junk)), max_size=10)
+                     ).map(lambda lines: "\n".join(lines) + "\n")
+
+
+def jsonl(valid, wild):
+    return files(valid.map(json.dumps), wild.map(json.dumps), JUNK)
+
+
+def tsv(valid, wild):
+    return files(valid.map("\t".join), wild.map("\t".join), BLANK)
+
+
+IDS = ["s1", "s2", "s3", "s4", "s5", "s6"]
+WILD_IDS = ["s1", "s2", "", 7, None]
+BENCHMARK_JSONL = jsonl(
+    objects(id=IDS, text=["Alpha beta."],
+            mentions=[[], [{"surface": "Alpha", "qid": "Q1", "type": "PER"}],
+                      [{"surface": "beta", "qid": "NIL", "start": 6, "end": 10}]]),
+    wild_objects(id=WILD_IDS, text=["Alpha beta.", "  ", "", 3],
+                 mentions=[{}, "none", None, [1], [{"surface": ""}], [{"qid": "Q1"}],
+                           [{"surface": "Alpha", "qid": "q1"}],
+                           [{"surface": "Alpha", "qid": "Q1\n"}],
+                           [{"surface": "Alpha", "qid": "Q1", "type": 1}],
+                           [{"surface": "Alpha", "qid": "Q1", "start": 0}],
+                           [{"surface": "Alpha", "qid": "Q1", "start": True, "end": 5}],
+                           [{"surface": "Alpha", "qid": "Q1", "start": 0, "end": 99}],
+                           [{"surface": "Alpha", "qid": "Q1", "start": 6, "end": 10}]]))
+# Few ids and texts, so groups split, texts clash and rows are malformed.
+BENCHMARK_TSV = tsv(
+    st.tuples(st.sampled_from(["a", "b", "c"]), st.just("Alpha beta."),
+              st.sampled_from(["Alpha", "beta", ""]), st.sampled_from(["Q1", "NIL", ""]),
+              st.sampled_from(["PER", ""])).filter(lambda row: all(row[2:]) or not any(row[2:])),
+    st.one_of(st.tuples(st.sampled_from(["a", "b", ""]),
+                        st.sampled_from(["Alpha beta.", "Other.", " "]),
+                        st.sampled_from(["Alpha", "zzz", ""]), st.sampled_from(["Q1", "q1", ""]),
+                        st.sampled_from(["PER", ""])),
+              st.lists(st.sampled_from(["a", "Alpha beta.", "Q1"]), min_size=1, max_size=6)))
+COUNTS_TSV = tsv(
+    st.tuples(st.sampled_from([f"Q{i}" for i in range(1, 30)] + [" Q1 "]),
+              st.sampled_from(["0", "1", "17", " 3 "])),
+    st.one_of(st.tuples(st.sampled_from(["Q1", "q1", "", "Q"]),
+                        st.sampled_from(["1", "-1", "x", "\u00b2", ""])),
+              st.lists(st.sampled_from(["Q1", "2", ""]), min_size=1, max_size=4)))
+PREDICTIONS = jsonl(
+    st.one_of(objects(sentence_id=IDS, status=["clean", "repaired"],
+                      links=[[], [{"surface": "Alpha", "title": "A"}],
+                             [{"surface": "Alpha", "title": None, "qid": "Q1",
+                               "resolution": "title"}]]),
+              objects(sentence_id=IDS, status=["unparseable"], links=[[]],
+                      error=["replay-miss"])),
+    wild_objects(sentence_id=WILD_IDS, status=["clean", "unparseable", "odd", None],
+                 links=[{}, "x", ["l"], [{"surface": ""}], [{"surface": "A", "title": 2}],
+                        [{"surface": "A", "qid": "x"}], [{"surface": "A", "resolution": 0}],
+                        [{"surface": "Alpha", "title": "A"}]],
+                 error=["replay-miss", None, 3]))
+EXTERNAL = jsonl(
+    st.one_of(objects(sentence_id=IDS, surface=["Alpha"], page_id=[1, 2, 9]),
+              objects(sentence_id=IDS, surface=["Beta"], title=["A", "B", "Nowhere"]),
+              objects(sentence_id=IDS, surface=["Gamma"], page_id=[9], title=["Nowhere"],
+                      qid=["Q7"])),
+    wild_objects(sentence_id=WILD_IDS, surface=["Alpha", " ", 2],
+                 page_id=[1, 0, -1, True, 2.0, "3", None], title=["A", "", " ", 5, None],
+                 qid=["Q7", "q7", 7, None]))
+COMPLETIONS = jsonl(
+    st.one_of(objects(sentence_id=IDS[:3], raw_text=["[]", ""]),
+              objects(sentence_id=IDS[:3], raw_text=["[]"], model_id=["m1", ""])),
+    wild_objects(sentence_id=WILD_IDS + ["ghost"], raw_text=["[]", None, 1],
+                 model_id=["m1", None]))
+FIXTURE = jsonl(
+    objects(digest=["d1", "d2", "d3"], raw_text=["[]", "x"], prompt=["p"], model_id=["m", ""]),
+    wild_objects(digest=["d1", 7, None], raw_text=["x", None, 2], prompt=["p"]))
+KB = MappingIndex([KbRecord(1, "A", "Q1"), KbRecord(2, "B", None, redirect_to="A")])
+
+
+def outcome(load, *args):
+    """("ok", what a load returned), or ("error", the text of its ValueError)."""
+    try:
+        return ("ok", load(*args))
+    except ValueError as exc:
+        return ("error", str(exc))
+
+
+def write(tmp_path_factory, name, text):
+    path = tmp_path_factory.getbasetemp() / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(text=BENCHMARK_JSONL)
+def test_benchmark_jsonl_equals_reference(tmp_path_factory, text):
+    path = write(tmp_path_factory, "oracle_benchmark.jsonl", text)
+    assert outcome(load_benchmark, path) == outcome(reference_load_benchmark, path)
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(text=BENCHMARK_TSV)
+def test_benchmark_tsv_equals_reference(tmp_path_factory, text):
+    """The one difference: the error count's noun is "row(s)"."""
+    path = write(tmp_path_factory, "oracle_benchmark.tsv", text)
+    expected = outcome(reference_load_benchmark, path, "tsv")
+    if expected[0] == "error":
+        expected = ("error", expected[1].replace(" malformed record(s):", " malformed row(s):", 1))
+    assert outcome(load_benchmark, path, "tsv") == expected
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(text=COUNTS_TSV)
+def test_counts_equal_reference(tmp_path_factory, text):
+    path = write(tmp_path_factory, "oracle_counts.tsv", text)
+    assert outcome(load_counts, path) == outcome(reference_load_counts, path)
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(text=PREDICTIONS)
+def test_predictions_equal_reference(tmp_path_factory, text):
+    path = write(tmp_path_factory, "oracle_predictions.jsonl", text)
+    assert outcome(load_predictions, path) == outcome(reference_load_predictions, path)
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(text=EXTERNAL)
+def test_external_rows_equal_reference(tmp_path_factory, text):
+    path = write(tmp_path_factory, "oracle_external.jsonl", text)
+    assert outcome(load_external_predictions, path, KB) == \
+        outcome(reference_load_external_predictions, path, KB)
+
+
+def non_object_lines(text):
+    """The numbers of the lines that decode to JSON values other than objects."""
+    numbers = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        try:
+            value = json.loads(line)
+        except ValueError:
+            continue
+        if not isinstance(value, dict):
+            numbers.append(lineno)
+    return numbers
+
+
+def record(tmp_path_factory, completions):
+    """What `elbench record` keeps of a completions log, by sentence ID, for a
+    benchmark of the sentences IDS[:3]; a failed command raises its error."""
+    base = tmp_path_factory.getbasetemp()
+    bench, out = base / "oracle_record_bench.jsonl", base / "oracle_record_fixture.jsonl"
+    texts = {sentence_id: f"Text of {sentence_id}." for sentence_id in IDS[:3]}
+    bench.write_text("".join(json.dumps({"id": sentence_id, "text": text}) + "\n"
+                             for sentence_id, text in texts.items()), encoding="utf-8")
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = cli.main(["record", "--benchmark", str(bench), "--completions", completions,
+                         "--model", "default", "--out", str(out)])
+    if code:
+        raise ValueError(stderr.getvalue().removeprefix("error: ").removesuffix("\n"))
+    template = default_template()
+    sentence_of = {build_prompt(template, text): sentence_id for sentence_id, text in texts.items()}
+    entries = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    return {sentence_of[entry["prompt"]]: {"raw_text": entry["raw_text"],
+                                           "model_id": entry["model_id"]} for entry in entries}
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(text=COMPLETIONS)
+def test_record_completions_equal_reference(tmp_path_factory, text):
+    """The one difference: a non-object line reads "record must be a JSON
+    object", where the reference said its sentence_id was missing."""
+    path = write(tmp_path_factory, "oracle_completions.jsonl", text)
+    expected = outcome(reference_read_completions, path, set(IDS[:3]), "default")
+    if expected[0] == "error":
+        message = expected[1]
+        for lineno in non_object_lines(text):
+            message = message.replace(f"\nline {lineno}: sentence_id must be a non-empty string",
+                                      f"\nline {lineno}: record must be a JSON object")
+        expected = ("error", message)
+    assert outcome(record, tmp_path_factory, path) == expected
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(text=FIXTURE)
+def test_replay_store_equals_reference(tmp_path_factory, text):
+    """The one difference: the store lists every bad line where the reference
+    stopped at the first; that first line is the first one listed."""
+    path = write(tmp_path_factory, "oracle_fixture.jsonl", text)
+    expected = outcome(reference_replay_entries, path)
+    got = outcome(ReplayStore, path)
+    assert got[0] == expected[0]
+    if expected[0] == "error":
+        first = re.match(re.escape(path) + r":(\d+): ", expected[1]).group(1)
+        listed = re.match(re.escape(path) + r": \d+ malformed record\(s\):\nline (\d+): ", got[1])
+        assert listed.group(1) == first
+    else:
+        store, entries = got[1], expected[1]
+        assert len(store) == len(entries)
+        assert {digest: store.get(digest) for digest in entries} == entries
+
+
+class TestReadRecords:
+    def test_jsonl_lists_every_bad_line(self, tmp_path):
+        path = tmp_path / "in.jsonl"
+        path.write_text('{"k": 1}\n\n  \nnope\n[1]\n{"k": 2}\n{"k": "x"}\n', encoding="utf-8")
+
+        def check(value, lineno, errors):
+            if not isinstance(value["k"], int):
+                errors.append(f"line {lineno}: k must be an integer")
+                return None
+            return value["k"]
+
+        with pytest.raises(ValueError) as err:
+            read_records(str(path), check)
+        lines = str(err.value).splitlines()
+        assert lines[0] == f"{path}: 3 malformed record(s):"
+        assert lines[1].startswith("line 4: invalid JSON: Expecting value")
+        assert lines[2:] == ["line 5: record must be a JSON object",
+                             "line 7: k must be an integer"]
+        path.write_text('{"k": 1}\n\n{"k": 2}\n', encoding="utf-8")
+        assert read_records(str(path), check) == [1, 2]
+
+    def test_tsv_cells_and_handle(self):
+        seen = []
+
+        def check(cells, lineno, errors):
+            seen.append((lineno, cells))
+            if len(cells) != 2:
+                errors.append(f"line {lineno}: expected 2 cells")
+
+        handle = io.StringIO("a\tb\n \n\t\nc\n")
+        with pytest.raises(ValueError, match=r"^named\.tsv: 1 malformed row\(s\):\nline 4: "):
+            read_records("named.tsv", check, tsv=True, handle=handle)
+        assert seen == [(1, ["a", "b"]), (4, ["c"])]
+        assert handle.closed
