@@ -116,10 +116,12 @@ class ReplayStore:
         self._by_digest: Dict[str, Dict[str, str]] = {}
 
         def check(entry: Dict[str, str], lineno: int, errors: List[str]) -> None:
-            if isinstance(entry.get("digest"), str) and isinstance(entry.get("raw_text"), str):
-                self._by_digest[entry["digest"]] = entry
-            else:
+            if not (isinstance(entry.get("digest"), str) and isinstance(entry.get("raw_text"), str)):
                 errors.append(f"line {lineno}: digest and raw_text must be strings")
+            elif not isinstance(entry.get("model_id", ""), str):
+                errors.append(f"line {lineno}: model_id must be a string")
+            else:
+                self._by_digest[entry["digest"]] = entry
 
         read_records(path, check)
 

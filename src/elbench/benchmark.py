@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .kb import is_qid
 from .records import read_records
@@ -20,8 +20,7 @@ NIL = "NIL"
 FORMATS = ("jsonl", "tsv")
 
 
-@dataclass(frozen=True)
-class GoldMention:
+class GoldMention(NamedTuple):
     """One annotated mention: surface span, QID (or NIL), free-text type.
 
     char_start/char_end are 0-based, end-exclusive offsets into the sentence;
@@ -91,8 +90,7 @@ def _check_mention(fields: Dict[str, object], text: str, where: str, errors: Lis
         if text[start:end] != surface:
             errors.append(f"{where}: text slice {text[start:end]!r} does not equal surface {surface!r}")
             return None
-    return GoldMention(surface=surface, qid=qid, entity_type=entity_type,
-                       char_start=start, char_end=end)
+    return GoldMention(surface, qid, entity_type, start, end)
 
 
 def _load_jsonl(path: str) -> List[BenchmarkSentence]:

@@ -15,7 +15,6 @@ import importlib
 import json
 import math
 import sys
-from dataclasses import replace
 from functools import partial
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Union
 
@@ -32,7 +31,7 @@ _NAMES = {
     "benchmark": ("benchmark_stats", "load_benchmark", "save_benchmark"),
     "kb": ("load_mapping", "title_to_qid"),
     "manifest": ("build_run_manifest", "write_manifest"),
-    "parsing": ("STATUS_UNPARSEABLE", "PredictionRecord", "load_predictions",
+    "parsing": ("STATUS_UNPARSEABLE", "PredictedLink", "PredictionRecord", "load_predictions",
                 "parse_predictions", "save_predictions"),
     "popularity": ("DEFAULT_THETAS", "STRATIFY_CSV_FIELDS", "load_counts", "stratify",
                    "stratify_csv_rows"),
@@ -71,11 +70,13 @@ _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
 def load_config(path: str, actions: Mapping[str, argparse.Action]) -> Dict[str, object]:
     """key=value per line; blank lines and # comments ignored.
 
-    Every key must name a flag of actions, so a misspelt option fails
-    instead of silently leaving its default in force.  Each value is
-    converted as its flag's would be (see _convert); errors name the line.
+    Every key must name a flag of actions, and name it once, so a misspelt
+    or repeated option fails instead of silently leaving another value in
+    force.  Each value is converted as its flag's would be (see _convert);
+    errors name the line.
     """
     values: Dict[str, object] = {}
+    first_line: Dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, 1):
             stripped = line.strip()
@@ -88,6 +89,10 @@ def load_config(path: str, actions: Mapping[str, argparse.Action]) -> Dict[str, 
             if key not in actions:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}; "
                                  f"expected one of {', '.join(sorted(actions))}")
+            if key in first_line:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r} "
+                                 f"(first set on line {first_line[key]})")
+            first_line[key] = lineno
             try:
                 values[key] = _convert(actions[key], value.strip())
             except ValueError as exc:
@@ -262,8 +267,9 @@ def cmd_resolve(args: argparse.Namespace) -> int:
                 qid = qids.get(link.title)
                 resolution = RESOLUTION_TITLE if qid is not None else RESOLUTION_NOT_FOUND
                 tally[resolution] += 1
-                links.append(replace(link, qid=qid, resolution=resolution))
-            records.append(replace(record, links=tuple(links)))
+                links.append(PredictedLink(link.surface, link.title, link.origin, qid, resolution))
+            records.append(PredictionRecord(record.sentence_id, tuple(links), record.status,
+                                            record.error))
         source = predictions
     save_predictions(records, out)
     manifest = build_run_manifest({"predictions": source, "kb": kb_path})
@@ -425,8 +431,11 @@ def cmd_record(args: argparse.Namespace) -> int:
         elif sentence_id in rows:
             errors.append(f"line {lineno}: duplicate sentence_id {sentence_id!r}")
         else:
-            rows[sentence_id] = {"raw_text": raw_text,
-                                 "model_id": entry.get("model_id", default_model)}
+            model_id = entry.get("model_id", default_model)
+            if not isinstance(model_id, str):
+                errors.append(f"line {lineno}: model_id must be a string")
+            # Kept even then, so a later line for the sentence reads as a duplicate.
+            rows[sentence_id] = {"raw_text": raw_text, "model_id": model_id}
 
     read_records(completions_path, check)
     written = 0

@@ -9,8 +9,9 @@ an empty outcome so the sentence's gold entities score as false negatives.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .kb import is_qid
 from .records import read_records
@@ -65,39 +66,15 @@ def _strip_prose(text: str) -> str:
     return text[first:last + 1]
 
 
+# A JSON string, kept whole, or a comma with only JSON whitespace before a
+# closer, dropped.  An unterminated string runs to the end of the text; a
+# lone backslash ending it is left out of the match, and so kept as well.
+_STRING_OR_TRAILING_COMMA = re.compile(r'("[^"\\]*(?:\\[\s\S][^"\\]*)*"?)|,(?=[ \t\r\n]*[\]}])')
+
+
 def _drop_trailing_commas(text: str) -> str:
     """Remove commas that immediately precede a closing bracket (string-aware)."""
-    out: List[str] = []
-    in_str = False
-    escaped = False
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if in_str:
-            out.append(ch)
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_str = False
-            i += 1
-            continue
-        if ch == '"':
-            in_str = True
-            out.append(ch)
-            i += 1
-            continue
-        if ch == ",":
-            j = i + 1
-            while j < len(text) and text[j] in " \t\r\n":
-                j += 1
-            if j < len(text) and text[j] in "}]":
-                i += 1
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    return _STRING_OR_TRAILING_COMMA.sub(r"\1", text)
 
 
 def _balance_brackets(text: str) -> str:
@@ -186,35 +163,37 @@ def _extract_links(value: object, origin: str, diagnostics: List[str]) -> Option
     return [PredictedLink(surface=k, title=v, origin=origin) for k, v in merged.items()]
 
 
-def parse_predictions(raw: str) -> ParseOutcome:
-    """Parse model output into links; never raises.
-
-    Repair ladder, applied cumulatively until the text parses as JSON:
-    strip surrounding prose, drop trailing commas, balance brackets.  A bare
-    object is accepted in place of the one-element array.  If nothing
-    parses, or the parsed value holds no "Entities" map, the outcome is
-    unparseable with no links.
-    """
-    attempts: List[Tuple[str, Tuple[str, ...]]] = [(raw, ())]
+def _candidates(raw: str) -> Iterator[Tuple[str, Tuple[str, ...]]]:
+    """raw, then each rung's text that differs from the one before, with the
+    rungs applied so far.  A generator, so a rung runs only when the caller
+    asks past the text before it."""
+    yield raw, ()
     text = raw
     applied: List[str] = []
     for name, repair in _REPAIRS:
         new = repair(text)
         if new != text:
             applied.append(name)
-            attempts.append((new, tuple(applied)))
             text = new
+            yield text, tuple(applied)
 
-    value: object = None
-    rungs: Optional[Tuple[str, ...]] = None
-    for candidate, candidate_rungs in attempts:
+
+def parse_predictions(raw: str) -> ParseOutcome:
+    """Parse model output into links; never raises.
+
+    Repair ladder, applied cumulatively, one rung at a time and only while
+    the text fails to parse as JSON: strip surrounding prose, drop trailing
+    commas, balance brackets.  A bare object is accepted in place of the
+    one-element array.  If nothing parses, or the parsed value holds no
+    "Entities" map, the outcome is unparseable with no links.
+    """
+    for candidate, rungs in _candidates(raw):
         try:
             value = json.loads(candidate)
         except json.JSONDecodeError:
             continue
-        rungs = candidate_rungs
         break
-    if rungs is None:
+    else:
         return ParseOutcome(links=(), status=STATUS_UNPARSEABLE, diagnostics=("unrecoverable-json",))
 
     diagnostics = [f"repair:{name}" for name in rungs]

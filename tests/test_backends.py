@@ -120,6 +120,17 @@ class TestReplayStore:
         with pytest.raises(ValueError, match="must be strings"):
             ReplayStore(str(path))
 
+    def test_non_string_model_id(self, tmp_path):
+        path = tmp_path / "fix.jsonl"
+        path.write_text('{"digest": "d1", "raw_text": "ok", "model_id": "m"}\n'
+                        '{"digest": "d2", "raw_text": "ok", "model_id": 5}\n'
+                        '{"digest": "d3", "raw_text": "ok"}\n'
+                        '{"digest": "d4", "raw_text": "ok", "model_id": null}\n', encoding="utf-8")
+        with pytest.raises(ValueError, match=r"fix\.jsonl: 2 malformed record\(s\):\n"
+                                             r"line 2: model_id must be a string\n"
+                                             r"line 4: model_id must be a string$"):
+            ReplayStore(str(path))
+
 
 class TestReplayBackend:
     def test_hit(self, tmp_path):

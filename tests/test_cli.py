@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from importlib.metadata import EntryPoint
 
@@ -12,8 +13,9 @@ from test_kb import without_sqlite3
 
 from elbench import cli
 from elbench.backends import prompt_digest
+from elbench.kb import load_mapping, title_to_qid
 from elbench.manifest import manifest_timestamp
-from elbench.parsing import STATUS_CLEAN, STATUS_UNPARSEABLE, load_predictions
+from elbench.parsing import STATUS_CLEAN, STATUS_UNPARSEABLE, load_predictions, save_predictions
 from elbench.prompting import build_prompt, default_template
 
 
@@ -199,6 +201,50 @@ class TestResolve:
         by_title = {link.title: link.qid for link in resolved}
         assert by_title["Mendelssohn"] == "Q90012"  # via redirect row
         assert by_title["Gioachino Rossini"] == "Q90002"
+
+    def test_failed_and_repaired_records_keep_their_fields(self, capsys, tmp_path, e2e_paths,
+                                                           monkeypatch):
+        """Each resolved record is the input record with only qid and
+        resolution set on its links, as dataclasses.replace would give:
+        origin, status and error come through unchanged."""
+        preds = tmp_path / "preds.jsonl"
+        rows = [
+            {"sentence_id": "s1", "status": "repaired",
+             "links": [{"surface": "Mendelssohn", "title": "Mendelssohn"},
+                       {"surface": "Paganini", "title": "Niccolo Paganini"},
+                       {"surface": "blank", "title": " "}]},
+            {"sentence_id": "s2", "status": "unparseable", "links": [], "error": "replay-miss"},
+            {"sentence_id": "s3", "status": "unparseable", "links": []},
+            {"sentence_id": "s4", "status": "clean", "error": "http-503",
+             "links": [{"surface": "Rossini", "title": "Gioachino Rossini"},
+                       {"surface": "none", "title": None}]},
+        ]
+        preds.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        saved = []
+        monkeypatch.setattr(cli, "save_predictions",
+                            lambda records, path: (saved.extend(records),
+                                                   save_predictions(records, path)))
+        out = tmp_path / "resolved.jsonl"
+        code, _, _ = run(capsys, ["resolve", "--kb", e2e_paths["mapping"],
+                                  "--predictions", str(preds), "--out", str(out)])
+        assert code == 0
+
+        kb = load_mapping(e2e_paths["mapping"])
+        expected = []
+        for record in load_predictions(str(preds)):
+            links = []
+            for link in record.links:
+                qid = title_to_qid(kb, link.title) if link.title and link.title.strip() else None
+                links.append(replace(link, qid=qid,
+                                     resolution="title" if qid is not None else "not-found"))
+            expected.append(replace(record, links=tuple(links)))
+        assert saved == expected
+        assert [link.origin for link in saved[0].links] == ["parsed-repaired"] * 3
+        assert [link.qid for link in saved[0].links] == ["Q90012", None, None]
+        assert [(r.status, r.error) for r in saved] == [
+            ("repaired", None), ("unparseable", "replay-miss"), ("unparseable", None),
+            ("clean", "http-503")]
+        assert load_predictions(str(out)) == expected
 
     def test_external_path(self, capsys, tmp_path):
         kb = tmp_path / "map.tsv"
@@ -496,6 +542,22 @@ class TestRecord:
         assert "unknown sentence_id 'ghost'" in err
         assert "line 3: duplicate sentence_id 'a'" in err
 
+    @pytest.mark.parametrize("model_id", [5, None, ["m"]])
+    def test_non_string_model_id_rejected(self, capsys, tmp_path, model_id):
+        bench = tmp_path / "bench.jsonl"
+        bench.write_text('{"id": "a", "text": "Alpha.", "mentions": []}\n'
+                         '{"id": "b", "text": "Beta.", "mentions": []}\n', encoding="utf-8")
+        log = tmp_path / "log.jsonl"
+        log.write_text(json.dumps({"sentence_id": "a", "raw_text": "[]", "model_id": "m"}) + "\n"
+                       + json.dumps({"sentence_id": "b", "raw_text": "[]", "model_id": model_id})
+                       + "\n", encoding="utf-8")
+        fixture = tmp_path / "f.jsonl"
+        code, _, err = run(capsys, ["record", "--benchmark", str(bench),
+                                    "--completions", str(log), "--out", str(fixture)])
+        assert code == 2
+        assert f"{log}: 1 malformed record(s):\nline 2: model_id must be a string" in err
+        assert not fixture.exists()
+
 
 class TestConfigFile:
     def test_config_supplies_required_options(self, capsys, tmp_path, e2e_paths, linked):
@@ -548,6 +610,20 @@ class TestConfigFile:
         key = typo.split(" = ")[0]
         assert f"{cfg}:4: unknown key {key!r}" in err
         assert "nil-policy" in err and "mode" in err
+        assert not out.exists()
+
+    def test_repeated_key_rejected(self, capsys, tmp_path, e2e_paths, linked):
+        out = tmp_path / "score.json"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mode = title\n"
+                       f"benchmark = {e2e_paths['benchmark']}\n"
+                       f"predictions = {linked}\n"
+                       f"kb = {e2e_paths['mapping']}\n"
+                       "mode = qid\n"
+                       f"out = {out}\n", encoding="utf-8")
+        code, _, err = run(capsys, ["score", "--config", str(cfg)])
+        assert code == 2
+        assert f"error: {cfg}:5: duplicate key 'mode' (first set on line 1)" in err
         assert not out.exists()
 
     def test_key_of_another_command_rejected(self, capsys, tmp_path):

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_parsing import reference_drop_trailing_commas, reference_parse_predictions
+
+from elbench import parsing
 from elbench.parsing import (ORIGIN_CLEAN, ORIGIN_REPAIRED, STATUS_CLEAN, STATUS_REPAIRED,
                              STATUS_UNPARSEABLE, STATUSES, PredictedLink, PredictionRecord,
                              canonical_serialization, load_predictions, parse_predictions,
@@ -116,6 +119,80 @@ def test_truncation_never_fabricates(entities, data):
     for link in outcome.links:
         assert link.surface in entities
         assert entities[link.surface].startswith(link.title)
+
+
+# Text for the oracles below, biased towards what the repair rungs look at:
+# quotes, backslashes, commas, brackets, JSON whitespace and other whitespace
+# before a closer, unterminated strings (some ending in a backslash), and
+# {"Entities": ...} payloads, well formed, wrapped in prose, with a trailing
+# comma or cut short.
+JSON_SPACE = [" ", "\t", "\r", "\n"]
+OTHER_SPACE = ["\x0b", "\x0c", "\u00a0", "\u2028"]
+PIECES = ['"', "\\", ",", "]", "}", "[", "{", ":", "a", '"Entities"', "null", "1",
+          ", ]", ",\n}", ",\x0b]"] + JSON_SPACE + OTHER_SPACE
+PROSE = ["", "Here you go: ", "Entities found:\n", " Hope this helps.", "\n[1] note"]
+pieces = st.lists(st.sampled_from(PIECES), max_size=24).map("".join)
+unterminated = st.tuples(st.just('"'), st.text(alphabet=st.sampled_from('ab ,]}\\'), max_size=8),
+                         st.sampled_from(["", "\\"])).map("".join)
+words = st.text(alphabet=st.sampled_from('ab ,]}"\\'), max_size=6)
+
+
+@st.composite
+def payloads(draw):
+    entities = draw(st.dictionaries(words, st.one_of(words, st.none()), max_size=3))
+    value = draw(st.sampled_from([[{"Entities": entities}], {"Entities": entities}]))
+    text = json.dumps(value, ensure_ascii=False, indent=draw(st.sampled_from([None, 1])))
+    closers = [i for i, ch in enumerate(text) if ch in "]}"]
+    if draw(st.booleans()):
+        i = draw(st.sampled_from(closers))
+        text = text[:i] + "," + draw(st.sampled_from(["", " ", "\n ", "\x0b"])) + text[i:]
+    if draw(st.booleans()):
+        text = draw(st.sampled_from(PROSE)) + text + draw(st.sampled_from(PROSE))
+    if draw(st.booleans()):
+        text = text[:draw(st.integers(min_value=0, max_value=len(text)))]
+    return text
+
+
+model_text = st.one_of(
+    payloads(),
+    pieces,
+    st.lists(st.one_of(pieces, payloads(), unterminated), max_size=4).map("".join),
+    st.tuples(pieces, unterminated).map("".join),
+    st.text(max_size=60))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(text=model_text)
+def test_drop_trailing_commas_equals_reference(text):
+    assert parsing._drop_trailing_commas(text) == reference_drop_trailing_commas(text)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(raw=model_text)
+def test_parse_predictions_equals_reference(raw):
+    """Same links, status, origin and diagnostics as the eager ladder."""
+    assert parse_predictions(raw) == reference_parse_predictions(raw)
+
+
+def _raising(name):
+    def repair(text):
+        raise AssertionError(f"rung {name} ran after a text parsed")
+    return repair
+
+
+@pytest.mark.parametrize("raw, rungs_needed", [
+    ('[{"Entities":{"A":"B"}}]', 0),
+    ('{"Entities": {"A": "B", "C": "D"}}', 0),
+    ('Here you go: [{"Entities":{"A":"B"}}] Hope this helps.', 1),
+    ('[{"Entities":{"A":"B",}}]', 2),
+])
+def test_rungs_run_only_while_the_text_fails_to_parse(monkeypatch, raw, rungs_needed):
+    """Every rung past the first text that parses is replaced by one that
+    raises; the outcome must not change."""
+    expected = parse_predictions(raw)
+    monkeypatch.setattr(parsing, "_REPAIRS", parsing._REPAIRS[:rungs_needed] + tuple(
+        (name, _raising(name)) for name, _ in parsing._REPAIRS[rungs_needed:]))
+    assert parse_predictions(raw) == expected
 
 
 class TestPersistence:

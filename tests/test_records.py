@@ -4,14 +4,17 @@ On random files that mix valid lines, blank lines, bad JSON, non-objects,
 wrong types, duplicates and, for TSV, non-consecutive sentence groups,
 each loader must return the same records as its reference in
 `tests/reference_loaders.py`, or raise a ValueError with the same text.
-Three texts differ on purpose, and each test says how:
+Three texts differ on purpose, and one check was added since; each test
+says how:
 
 - the benchmark TSV counts its errors as "row(s)", as the other TSV
   formats do, not "record(s)";
 - a replay fixture lists every bad line like the other formats, where it
   used to stop at the first as "path:N: ...";
 - a completions line that is not a JSON object reads "record must be a
-  JSON object", as in the other JSON Lines formats.
+  JSON object", as in the other JSON Lines formats;
+- a completions line whose model_id is not a string is rejected, where it
+  used to be recorded into the replay fixture as it was.
 """
 
 import contextlib
@@ -126,8 +129,9 @@ EXTERNAL = jsonl(
 COMPLETIONS = jsonl(
     st.one_of(objects(sentence_id=IDS[:3], raw_text=["[]", ""]),
               objects(sentence_id=IDS[:3], raw_text=["[]"], model_id=["m1", ""])),
-    wild_objects(sentence_id=WILD_IDS + ["ghost"], raw_text=["[]", None, 1],
-                 model_id=["m1", None]))
+    st.one_of(wild_objects(sentence_id=WILD_IDS + ["ghost"], raw_text=["[]", None, 1],
+                           model_id=["m1", None]),
+              objects(sentence_id=IDS[:3], raw_text=["[]"], model_id=[None, 5])))
 FIXTURE = jsonl(
     objects(digest=["d1", "d2", "d3"], raw_text=["[]", "x"], prompt=["p"], model_id=["m", ""]),
     wild_objects(digest=["d1", 7, None], raw_text=["x", None, 2], prompt=["p"]))
@@ -222,19 +226,42 @@ def record(tmp_path_factory, completions):
                                            "model_id": entry["model_id"]} for entry in entries}
 
 
+def non_string_model_id_lines(text):
+    """The numbers of the object lines whose model_id is there but no string."""
+    numbers = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        try:
+            value = json.loads(line)
+        except ValueError:
+            continue
+        if isinstance(value, dict) and not isinstance(value.get("model_id", ""), str):
+            numbers.append(lineno)
+    return numbers
+
+
 @settings(max_examples=EXAMPLES, deadline=None)
 @given(text=COMPLETIONS)
 def test_record_completions_equal_reference(tmp_path_factory, text):
-    """The one difference: a non-object line reads "record must be a JSON
-    object", where the reference said its sentence_id was missing."""
+    """Two differences: a non-object line reads "record must be a JSON
+    object", where the reference said its sentence_id was missing; and a line
+    the reference took whole with a model_id that is not a string is listed
+    as "model_id must be a string", where the reference recorded it as it
+    was (the row still counts for the duplicate check)."""
     path = write(tmp_path_factory, "oracle_completions.jsonl", text)
     expected = outcome(reference_read_completions, path, set(IDS[:3]), "default")
+    errors = {}
     if expected[0] == "error":
         message = expected[1]
         for lineno in non_object_lines(text):
             message = message.replace(f"\nline {lineno}: sentence_id must be a non-empty string",
                                       f"\nline {lineno}: record must be a JSON object")
-        expected = ("error", message)
+        for error in message.split("\n")[1:]:
+            errors[int(error.split(":")[0].removeprefix("line "))] = error
+    for lineno in non_string_model_id_lines(text):
+        errors.setdefault(lineno, f"line {lineno}: model_id must be a string")
+    if errors:
+        expected = ("error", f"{path}: {len(errors)} malformed record(s):\n"
+                    + "\n".join(errors[lineno] for lineno in sorted(errors)))
     assert outcome(record, tmp_path_factory, path) == expected
 
 
