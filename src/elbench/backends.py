@@ -15,10 +15,16 @@ import os
 import random
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from functools import partial
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
-from .records import read_records
+from . import __version__
+from .records import encode_json, read_records
+
+if TYPE_CHECKING:
+    from http.client import HTTPMessage
 
 KINDS = ("http", "replay")
 WIRES = ("completions", "chat")
@@ -141,7 +147,7 @@ class _Recorder:
 
     def append(self, digest: str, prompt: str, raw_text: str, model_id: str) -> None:
         entry = {"digest": digest, "prompt": prompt, "raw_text": raw_text, "model_id": model_id}
-        line = json.dumps(entry, ensure_ascii=False) + "\n"
+        line = encode_json(entry) + "\n"
         with self._lock:
             with open(self.path, "a", encoding="utf-8") as handle:
                 handle.write(line)
@@ -169,32 +175,77 @@ class _HttpBackend:
     def __init__(self, cfg: BackendConfig):
         # Imported here, on the one path that sends a request, so that no
         # other command pays for loading the HTTP client at start-up.
+        import base64
         import http.client
-        import urllib.error
-        import urllib.request
+        from urllib.parse import unquote, urlsplit
+        # _parse_proxy is urllib's own reader of proxy values, so that a
+        # value with credentials or without a scheme means what it meant to
+        # urllib's opener.
+        from urllib.request import _parse_proxy, getproxies, proxy_bypass
 
         self.cfg = cfg
         key = os.environ.get(cfg.api_key_env, "")
         if not key:
             raise CredentialMissingError(f"environment variable {cfg.api_key_env} is not set")
-        self._headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
         self._recorder = _Recorder(cfg.record_path) if cfg.record_path else None
         self._url = cfg.endpoint.rstrip("/") + ("/chat/completions" if cfg.wire == "chat"
                                                  else "/completions")
-        self._request = urllib.request.Request
-        self._http_error = urllib.error.HTTPError
+        self._encode = json.JSONEncoder(allow_nan=False).encode
+        parts = urlsplit(self._url)
+        scheme, host = parts.scheme, unquote(parts.netloc)
+        self._target = parts.path + ("?" + parts.query if parts.query else "")
+        # Each attempt opens its own connection and closes it once the body
+        # is read, so every request asks for Connection: close.
+        self._headers = {"Host": host, "User-Agent": f"elbench/{__version__}",
+                         "Authorization": f"Bearer {key}", "Content-Type": "application/json",
+                         "Connection": "close"}
+        # Proxies are chosen as urllib chooses them, once per backend: an http
+        # endpoint is asked of the proxy by its absolute URL, an https one
+        # through a CONNECT tunnel that carries the proxy credentials.
+        self._tunnel = None
+        proxy = getproxies().get(scheme)
+        if proxy and not proxy_bypass(host):
+            proxy_scheme, user, password, proxy_host = _parse_proxy(proxy)
+            auth = {}
+            if user and password:
+                token = f"{unquote(user)}:{unquote(password)}".encode()
+                auth["Proxy-Authorization"] = "Basic " + base64.b64encode(token).decode("ascii")
+            if scheme == "https":
+                self._tunnel = (host, auth)
+            else:
+                scheme = proxy_scheme or scheme
+                self._target = self._url
+                self._headers.update(auth)
+            host = unquote(proxy_host)
+        if scheme == "https":
+            # One SSL context for every request: left to itself, each
+            # connection would load the CA store again (about 30 ms of CPU).
+            import ssl
+
+            self._connection = partial(http.client.HTTPSConnection, host,
+                                       timeout=cfg.request_timeout,
+                                       context=ssl.create_default_context())
+        elif scheme == "http":
+            self._connection = partial(http.client.HTTPConnection, host,
+                                       timeout=cfg.request_timeout)
+        else:
+            raise ValueError(f"unsupported proxy scheme {scheme!r} for {self._url}")
         # Timeouts, resets and refused connections are OSErrors;
         # IncompleteRead and BadStatusLine are HTTPExceptions.
         self._transport_errors = (OSError, http.client.HTTPException)
-        handlers = []
-        if self._url.lower().startswith("https:"):
-            # One SSL context for every request: left to itself, urllib loads
-            # the CA store again for each connection (about 30 ms of CPU).
-            import ssl
 
-            handlers.append(urllib.request.HTTPSHandler(context=ssl.create_default_context()))
-        # The default opener also reads proxies from the environment.
-        self._open = urllib.request.build_opener(*handlers).open
+    def _post(self, payload: bytes) -> Tuple[int, HTTPMessage, bytes]:
+        """One attempt on its own connection: the status, headers and body
+        of whatever the server answered."""
+        conn = self._connection()
+        try:
+            if self._tunnel is not None:
+                conn.set_tunnel(self._tunnel[0], headers=self._tunnel[1])
+            conn.request("POST", self._target, payload, self._headers)
+            with conn.getresponse() as resp:
+                return resp.status, resp.headers, resp.read()
+        finally:
+            conn.close()
 
     def _body(self, prompt: str) -> Dict[str, object]:
         if self.cfg.wire == "chat":
@@ -220,7 +271,7 @@ class _HttpBackend:
 
     def complete(self, prompt: str) -> Completion:
         url = self._url
-        payload = json.dumps(self._body(prompt), allow_nan=False).encode("utf-8")
+        payload = self._encode(self._body(prompt)).encode("utf-8")
         digest = prompt_digest(prompt)
         last_error: Optional[BackendError] = None
         retry_after = 0.0
@@ -230,14 +281,8 @@ class _HttpBackend:
                 time.sleep(max(backoff, retry_after))
             retry_after = 0.0
             started = time.monotonic()
-            request = self._request(url, data=payload, headers=self._headers, method="POST")
             try:
-                try:
-                    resp = self._open(request, timeout=self.cfg.request_timeout)
-                except self._http_error as exc:
-                    resp = exc  # a 4xx/5xx answer: its status, headers and body as for any other
-                with resp:
-                    status, headers, raw = resp.status, resp.headers, resp.read()
+                status, headers, raw = self._post(payload)
             except self._transport_errors as exc:
                 last_error = EndpointUnreachableError(f"{url}: {exc}")
                 continue
@@ -304,8 +349,35 @@ def batch_complete(cfg: BackendConfig,
 
     if cfg.kind == "replay" or cfg.parallelism == 1:
         return list(map(outcome, prompts))
-    # Imported here, on the one path that starts threads.
-    from concurrent.futures import ThreadPoolExecutor
+    # cfg.parallelism plain threads take the prompts from one deque and put
+    # each result in its slot.  A thread pool would cost its import (about
+    # 12 ms, most of it logging) and, per prompt, a future and a wake-up of
+    # the waiting caller.
+    results: list = [None] * len(prompts)
+    pending = deque(enumerate(prompts))
+    raised: List[BaseException] = []
 
-    with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-        return list(pool.map(outcome, prompts))
+    def work() -> None:
+        try:
+            while True:
+                try:
+                    index, prompt = pending.popleft()
+                except IndexError:
+                    return  # every prompt is taken
+                results[index] = outcome(prompt)
+        except BaseException as exc:
+            pending.clear()
+            raised.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(min(cfg.parallelism, len(prompts)))]
+    for thread in threads:
+        thread.start()
+    try:
+        for thread in threads:
+            thread.join()
+    finally:
+        # An interrupt lets the requests in flight finish and starts no more.
+        pending.clear()
+    if raised:
+        raise raised[0]
+    return results

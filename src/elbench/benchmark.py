@@ -7,13 +7,12 @@ kept in the data model; excluding them is the scorer's job.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .kb import is_qid
-from .records import read_records
+from .records import encode_json, read_records
 
 NIL = "NIL"
 
@@ -202,33 +201,39 @@ def load_benchmark(path: str, format: str = "jsonl", name: Optional[str] = None)
 
 
 def save_benchmark(benchmark: Benchmark, path: str, format: str = "jsonl") -> None:
-    """Write a benchmark back out.  The TSV export is flat: offsets are dropped."""
+    """Write a benchmark back out.  The TSV export is flat: offsets are dropped.
+
+    A TSV export checks every cell before path is opened: a tab or a line
+    break inside a cell fails it with no file written, so no truncated file
+    replaces what was there.
+    """
     if format not in FORMATS:
         raise ValueError(f"unknown benchmark format {format!r}; expected one of {FORMATS}")
+    rows = []
+    if format == "tsv":
+        for sentence in benchmark.sentences:
+            # A sentence with no mention is one row with empty mention cells.
+            for mention in sentence.mentions or (GoldMention("", ""),):
+                row = (sentence.sentence_id, sentence.text, mention.surface, mention.qid,
+                       mention.entity_type)
+                if any(char in cell for cell in row for char in "\t\n\r"):
+                    raise ValueError(f"sentence {sentence.sentence_id!r}: "
+                                     "tabs/newlines are not representable in tsv")
+                rows.append("\t".join(row) + "\n")
     with open(path, "w", encoding="utf-8") as handle:
-        if format == "jsonl":
-            for sentence in benchmark.sentences:
-                mentions = []
-                for m in sentence.mentions:
-                    fields: Dict[str, object] = {"surface": m.surface, "qid": m.qid, "type": m.entity_type}
-                    if m.char_start is not None:
-                        fields["start"] = m.char_start
-                        fields["end"] = m.char_end
-                    mentions.append(fields)
-                record = {"id": sentence.sentence_id, "text": sentence.text, "mentions": mentions}
-                handle.write(json.dumps(record, ensure_ascii=False) + "\n")
-        else:
-            for sentence in benchmark.sentences:
-                cells = [sentence.sentence_id, sentence.text]
-                for cell in cells + [m.surface for m in sentence.mentions]:
-                    if "\t" in cell or "\n" in cell:
-                        raise ValueError(f"sentence {sentence.sentence_id!r}: "
-                                         "tabs/newlines are not representable in tsv")
-                if not sentence.mentions:
-                    handle.write("\t".join(cells + ["", "", ""]) + "\n")
-                    continue
-                for m in sentence.mentions:
-                    handle.write("\t".join(cells + [m.surface, m.qid, m.entity_type]) + "\n")
+        if format == "tsv":
+            handle.writelines(rows)
+            return
+        for sentence in benchmark.sentences:
+            mentions = []
+            for m in sentence.mentions:
+                fields: Dict[str, object] = {"surface": m.surface, "qid": m.qid, "type": m.entity_type}
+                if m.char_start is not None:
+                    fields["start"] = m.char_start
+                    fields["end"] = m.char_end
+                mentions.append(fields)
+            record = {"id": sentence.sentence_id, "text": sentence.text, "mentions": mentions}
+            handle.write(encode_json(record) + "\n")
 
 
 def benchmark_stats(benchmark: Benchmark) -> StatsSummary:

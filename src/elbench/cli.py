@@ -19,7 +19,7 @@ from functools import partial
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Union
 
 # Every command reads its inputs through this module, so it is no extra cost.
-from .records import read_records
+from .records import encode_json, read_records
 
 # The names the commands use from each module.  Every import compiles its
 # module from source when there is no bytecode cache, so a command imports
@@ -61,6 +61,10 @@ def __getattr__(name: str):
     _bind(_MODULE_OF[name])
     return globals()[name]
 
+
+# scoring.NIL_POLICIES, spelt out so that building the parser imports no
+# elbench module.
+_NIL_POLICIES = ("exclude-gold-and-ignore-matching-preds", "exclude-gold-only")
 
 # The words a config file may give a store_true flag.
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
@@ -449,7 +453,7 @@ def cmd_record(args: argparse.Namespace) -> int:
             prompt = build_prompt(template, sentence.text)
             fixture = {"digest": prompt_digest(prompt), "prompt": prompt,
                        "raw_text": entry["raw_text"], "model_id": entry["model_id"]}
-            handle.write(json.dumps(fixture, ensure_ascii=False) + "\n")
+            handle.write(encode_json(fixture) + "\n")
             written += 1
     note = f", {skipped} sentence(s) had no completion" if skipped else ""
     print(f"recorded {written} completion(s){note}")
@@ -506,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     score_p.add_argument("--predictions")
     score_p.add_argument("--mode", choices=("title", "qid"))
     score_p.add_argument("--kb")
-    score_p.add_argument("--nil-policy")
+    score_p.add_argument("--nil-policy", choices=_NIL_POLICIES)
     score_p.add_argument("--system")
     score_p.add_argument("--per-sentence", action="store_true", default=None)
     score_p.add_argument("--out")
@@ -520,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     stratify_p.add_argument("--predictions")
     stratify_p.add_argument("--mode", choices=("title", "qid"))
     stratify_p.add_argument("--kb")
-    stratify_p.add_argument("--nil-policy")
+    stratify_p.add_argument("--nil-policy", choices=_NIL_POLICIES)
     stratify_p.add_argument("--counts")
     stratify_p.add_argument("--thetas", help="comma-separated, e.g. 20,40,60,80,100,inf; "
                             "'all' for every distinct count of the run plus inf")

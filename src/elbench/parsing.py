@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .kb import is_qid
-from .records import read_records
+from .records import encode_json, read_records
 
 ORIGIN_CLEAN = "parsed-clean"
 ORIGIN_REPAIRED = "parsed-repaired"
@@ -231,7 +231,7 @@ def save_predictions(records: List[PredictionRecord], path: str) -> None:
                                       "status": record.status}
             if record.error is not None:
                 row["error"] = record.error
-            handle.write(json.dumps(row, ensure_ascii=False) + "\n")
+            handle.write(encode_json(row) + "\n")
 
 
 def load_predictions(path: str) -> List[PredictionRecord]:

@@ -12,6 +12,10 @@ from typing import Any, Callable, List, Optional, TextIO, TypeVar
 
 T = TypeVar("T")
 
+# The one encoder of every JSON Lines writer: json.dumps builds a new
+# encoder on each call that passes ensure_ascii=False.
+encode_json = json.JSONEncoder(ensure_ascii=False).encode
+
 
 def read_records(path: str, check: Callable[[Any, int, List[str]], Optional[T]],
                  tsv: bool = False, handle: Optional[TextIO] = None) -> List[T]:

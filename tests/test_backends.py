@@ -1,14 +1,18 @@
+import base64
 import hashlib
 import json
+import os
 import shutil
 import socket
 import ssl
 import subprocess
+import sys
 import threading
+import time
 
 import pytest
 
-from elbench import backends
+from elbench import __version__, backends
 from elbench.backends import (BackendConfig, BackendError, Completion, CredentialMissingError,
                               EndpointUnreachableError, HttpStatusError, ReplayMissError,
                               ReplayStore, batch_complete, complete, make_backend, prompt_digest,
@@ -41,6 +45,62 @@ def tls_certificate(tmp_path):
     context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
     context.load_cert_chain(str(cert), str(key))
     return str(cert), context
+
+
+@pytest.fixture
+def proxy_env(monkeypatch):
+    """Clears every proxy variable; the returned function sets some."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+
+    def set_proxies(**values):
+        for name, value in values.items():
+            monkeypatch.setenv(name, value)
+    return set_proxies
+
+
+def read_head(conn):
+    """The request head read from conn, and the bytes after it."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = conn.recv(65536)
+        if not chunk:
+            break
+        data += chunk
+    head, _, rest = data.partition(b"\r\n\r\n")
+    return head.decode("latin-1"), rest
+
+
+def serve_connections(handle, count):
+    """A listener on 127.0.0.1 whose thread passes each of count accepted
+    connections to handle(conn); returns its URL and the thread."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(5)
+
+    def serve():
+        with listener:
+            for _ in range(count):
+                conn, _ = listener.accept()
+                with conn:
+                    handle(conn)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return "http://127.0.0.1:%d" % listener.getsockname()[1], thread
+
+
+def relay(source, sink):
+    """Copies source to sink until source ends, then ends sink's writes."""
+    try:
+        while True:
+            data = source.recv(65536)
+            if not data:
+                break
+            sink.sendall(data)
+        sink.shutdown(socket.SHUT_WR)
+    except OSError:
+        pass
 
 
 def write_fixture(path, entries):
@@ -314,6 +374,113 @@ class TestHttpBackend:
         assert request["path"] == "/v1/completions"
         assert request["headers"]["Host"] == "model.invalid"
 
+    def test_request_headers(self, stub_server):
+        server = stub_server(lambda request: (200, {"choices": [{"text": "ok"}]}))
+        complete(http_config(server.url), "p")
+        (request,) = server.requests
+        headers = request["headers"]
+        assert headers["Connection"] == "close"
+        assert headers["User-Agent"] == f"elbench/{__version__}"
+        assert headers["Content-Type"] == "application/json"
+        assert headers["Host"] == server.url.split("://")[1]
+
+    @pytest.mark.parametrize("status", [301, 302, 307])
+    def test_redirect_is_an_error_neither_followed_nor_retried(self, stub_server, status):
+        server = stub_server(lambda request: (status, {"error": "moved"},
+                                              {"Location": server.url + "/elsewhere"}))
+        with pytest.raises(HttpStatusError, match=f"HTTP {status}") as err:
+            complete(http_config(server.url, max_retries=3), "p")
+        assert err.value.status == status
+        assert err.value.code == "http-status"
+        assert [request["path"] for request in server.requests] == ["/completions"]
+
+    @pytest.mark.parametrize("proxy_value, authorization", [
+        ("http://user:p%40ss@{}", "Basic " + base64.b64encode(b"user:p@ss").decode()),
+        ("user:p%40ss@{}", "Basic " + base64.b64encode(b"user:p@ss").decode()),
+        ("{}", None),
+        ("http://user@{}", None),  # a user without a password sends no credentials
+    ], ids=["url-with-credentials", "no-scheme-with-credentials", "no-scheme", "user-only"])
+    def test_proxied_http_request(self, proxy_env, proxy_value, authorization):
+        heads = []
+        body = json.dumps({"choices": [{"text": "via proxy"}]}).encode()
+
+        def answer(conn):
+            head, rest = read_head(conn)
+            length = int(next(line.split(":", 1)[1] for line in head.split("\r\n")
+                              if line.lower().startswith("content-length:")))
+            while len(rest) < length:
+                rest += conn.recv(65536)
+            heads.append(head)
+            conn.sendall(b"HTTP/1.0 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body))
+
+        url, thread = serve_connections(answer, 1)
+        proxy_env(http_proxy=proxy_value.format(url.split("://")[1]))
+        result = complete(http_config("http://model.invalid:8080/v1"), "p")
+        thread.join(5)
+        assert not thread.is_alive()
+        assert result.raw_text == "via proxy"
+        (head,) = heads
+        lines = head.split("\r\n")
+        assert lines[0] == "POST http://model.invalid:8080/v1/completions HTTP/1.1"
+        headers = dict(line.split(": ", 1) for line in lines[1:])
+        assert headers["Host"] == "model.invalid:8080"
+        assert headers.get("Proxy-Authorization") == authorization
+
+    @pytest.mark.parametrize("no_proxy", ["127.0.0.1", "*"])
+    def test_no_proxy_bypasses_the_proxy(self, proxy_env, stub_server, no_proxy):
+        server = stub_server(lambda request: (200, {"choices": [{"text": "direct"}]}))
+        # A proxy that would refuse the connection, were it used.
+        proxy_env(http_proxy="http://127.0.0.1:9", no_proxy=no_proxy)
+        assert complete(http_config(server.url), "p").raw_text == "direct"
+        assert len(server.requests) == 1
+
+    def test_proxy_of_another_scheme_rejected(self, proxy_env):
+        proxy_env(http_proxy="socks5://127.0.0.1:1080")
+        with pytest.raises(ValueError, match="unsupported proxy scheme 'socks5'"):
+            make_backend(http_config("http://model.invalid/v1"))
+
+    def test_https_through_a_connect_tunnel(self, monkeypatch, proxy_env, stub_server,
+                                            tls_certificate):
+        cert, server_context = tls_certificate
+        server = stub_server(lambda request: (200, {"choices": [{"text": "tunnelled"}]}),
+                             ssl_context=server_context)
+        heads = []
+
+        def tunnel(conn):
+            head, _ = read_head(conn)
+            heads.append(head)
+            host, port = head.split()[1].rsplit(":", 1)
+            with socket.create_connection((host, int(port)), timeout=5) as upstream:
+                conn.sendall(b"HTTP/1.0 200 Connection established\r\n\r\n")
+                back = threading.Thread(target=relay, args=(upstream, conn), daemon=True)
+                back.start()
+                relay(conn, upstream)
+                back.join(5)
+
+        url, thread = serve_connections(tunnel, 1)
+        proxy_env(https_proxy=url.replace("://", "://user:secret@"))
+        default_context = ssl.create_default_context
+
+        def default_context_trusting_cert():
+            context = default_context()
+            context.load_verify_locations(cert)
+            return context
+
+        monkeypatch.setattr(ssl, "create_default_context", default_context_trusting_cert)
+        result = complete(http_config(server.url), "p")
+        thread.join(5)
+        assert not thread.is_alive()
+        assert result.raw_text == "tunnelled"
+        (head,) = heads
+        lines = head.split("\r\n")
+        assert lines[0].startswith("CONNECT %s HTTP/1." % server.url.split("://")[1])
+        credentials = base64.b64encode(b"user:secret").decode()
+        assert "Proxy-Authorization: Basic " + credentials in lines
+        # The credentials are for the proxy: the endpoint never sees them.
+        (request,) = server.requests
+        assert request["path"] == "/completions"
+        assert "Proxy-Authorization" not in request["headers"]
+
     @pytest.mark.parametrize("reply", [
         b"",  # closed with no reply: BadStatusLine / ConnectionReset
         b"HTTP/1.0 200 OK\r\nContent-Length: 100\r\n\r\n{\"choices\"",  # IncompleteRead
@@ -426,3 +593,47 @@ class TestBatchComplete:
         assert all(isinstance(r, Completion) for r in results)
         assert len(server.requests) == 8
         assert peak[0] <= 2
+
+
+    def test_threads_keep_input_order(self, stub_server):
+        server = stub_server(lambda request: (200, {"choices": [{"text": request["body"]["prompt"]}]}))
+        prompts = [f"prompt {i}" for i in range(20)]
+        results = batch_complete(http_config(server.url, parallelism=3), prompts)
+        assert [result.raw_text for result in results] == prompts
+
+    def test_unexpected_error_raised_and_no_more_prompts_started(self, monkeypatch):
+        started = []
+
+        def complete(self, prompt):
+            started.append(prompt)
+            if prompt == "p0":
+                raise RuntimeError("not a backend failure")
+            time.sleep(0.001)  # the other thread waits, as on a request
+            return Completion(prompt_digest=prompt_digest(prompt), raw_text=prompt)
+
+        monkeypatch.setattr(backends._HttpBackend, "complete", complete)
+        prompts = [f"p{i}" for i in range(50)]
+        with pytest.raises(RuntimeError, match="not a backend failure"):
+            batch_complete(http_config("http://127.0.0.1:9", parallelism=2), prompts)
+        assert "p0" in started
+        assert len(started) < len(prompts)
+
+    def test_threads_take_each_prompt_once_under_stress(self, monkeypatch):
+        """More threads than cores and a short switch interval: a prompt lost
+        or taken twice between threads would show in the counts."""
+        taken = []
+
+        def complete(self, prompt):
+            taken.append(prompt)
+            return Completion(prompt_digest=prompt, raw_text=prompt)
+
+        monkeypatch.setattr(backends._HttpBackend, "complete", complete)
+        prompts = [f"p{i}" for i in range(3000)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = batch_complete(http_config("http://127.0.0.1:9", parallelism=8), prompts)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(taken) == sorted(prompts)
+        assert [result.raw_text for result in results] == prompts

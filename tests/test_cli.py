@@ -17,6 +17,7 @@ from elbench.kb import load_mapping, title_to_qid
 from elbench.manifest import manifest_timestamp
 from elbench.parsing import STATUS_CLEAN, STATUS_UNPARSEABLE, load_predictions, save_predictions
 from elbench.prompting import build_prompt, default_template
+from elbench.scoring import NIL_POLICIES
 
 
 def run(capsys, argv):
@@ -59,6 +60,31 @@ class TestIngest:
         code2, stdout2, _ = run(capsys, ["ingest", "--input", str(out), "--format", "tsv"])
         assert code2 == 0
         assert "total_mentions: 35" in stdout2
+
+    @pytest.mark.parametrize("second", [
+        {"id": "s2", "text": "tab\there", "mentions": []},
+        {"id": "s2", "text": "cr\rhere", "mentions": []},
+        {"id": "s\t2", "text": "Rome.", "mentions": []},
+        {"id": "s2", "text": "Rome.", "mentions": [{"surface": "Ro\tme", "qid": "Q220"}]},
+        {"id": "s2", "text": "Rome.", "mentions": [{"surface": "Rome", "qid": "Q220",
+                                                    "type": "L\nOC"}]},
+    ], ids=["tab-in-text", "cr-in-text", "tab-in-id", "tab-in-surface", "newline-in-type"])
+    @pytest.mark.parametrize("existing", [None, "kept\n"], ids=["no-file", "existing-file"])
+    def test_failed_tsv_export_writes_nothing(self, capsys, tmp_path, second, existing):
+        path = tmp_path / "b.jsonl"
+        first = {"id": "s1", "text": "Verdi wrote.", "mentions": [{"surface": "Verdi", "qid": "Q1"}]}
+        path.write_text("".join(json.dumps(r) + "\n" for r in (first, second)), encoding="utf-8")
+        out = tmp_path / "b.tsv"
+        if existing is not None:
+            out.write_text(existing, encoding="utf-8")
+        code, _, err = run(capsys, ["ingest", "--input", str(path), "--out", str(out),
+                                    "--out-format", "tsv"])
+        assert code == 2
+        assert "tabs/newlines are not representable in tsv" in err
+        if existing is None:
+            assert not out.exists()
+        else:
+            assert out.read_text(encoding="utf-8") == existing
 
     def test_qid_with_trailing_newline_rejected(self, capsys, tmp_path):
         path = tmp_path / "b.jsonl"
@@ -646,6 +672,21 @@ class TestConfigFile:
         code, _, err = run(capsys, [command, "--config", str(cfg)])
         assert code == 2
         assert f"error: {cfg}:2: {message}" in err
+
+    @pytest.mark.parametrize("command", ["score", "stratify"])
+    def test_nil_policy_choices(self, capsys, tmp_path, command):
+        actions = cli.build_parser().parse_args([command]).config_actions
+        assert tuple(actions["nil-policy"].choices) == NIL_POLICIES
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("nil-policy = bogus\n", encoding="utf-8")
+        code, _, err = run(capsys, [command, "--config", str(cfg)])
+        assert code == 2
+        assert (f"error: {cfg}:1: nil-policy: invalid choice: 'bogus' (choose from "
+                + ", ".join(map(repr, NIL_POLICIES)) + ")") in err
+        with pytest.raises(SystemExit) as exit_:
+            cli.main([command, "--nil-policy", "bogus"])
+        assert exit_.value.code == 2
+        assert "--nil-policy: invalid choice: 'bogus'" in capsys.readouterr().err
 
     def test_values_converted_as_their_flags(self, capsys, tmp_path, e2e_paths, linked):
         out = tmp_path / "score.json"

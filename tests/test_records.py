@@ -37,7 +37,7 @@ from elbench.kb import KbRecord, MappingIndex
 from elbench.parsing import load_predictions
 from elbench.prompting import build_prompt, default_template
 from elbench.popularity import load_counts
-from elbench.records import read_records
+from elbench.records import encode_json, read_records
 
 EXAMPLES = 300
 
@@ -318,3 +318,19 @@ class TestReadRecords:
             read_records("named.tsv", check, tsv=True, handle=handle)
         assert seen == [(1, ["a", "b"]), (4, ["c"])]
         assert handle.closed
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_shared_encoder_writes_what_json_dumps_wrote(value):
+    """Every JSON Lines writer goes through encode_json; its text must be
+    the json.dumps(..., ensure_ascii=False) the writers used before."""
+    assert encode_json(value) == json.dumps(value, ensure_ascii=False)
