@@ -164,7 +164,7 @@ def load_mapping(path: str, titles: Optional[Collection[str]] = None,
     new entry, best-effort.
     """
     if titles is None and page_ids is None and qids is None:
-        return _parse_mapping(path, open(path, "r", encoding="utf-8"))
+        return _parse_mapping(path, open(path, "r", encoding="utf-8", newline="\n"))
     keys = (frozenset(titles or ()), frozenset(page_ids or ()), frozenset(qids or ()))
     with open(path, "rb") as handle:
         data = handle.read()
@@ -177,7 +177,7 @@ def load_mapping(path: str, titles: Optional[Collection[str]] = None,
     if found is not None:
         return found
     # Parse the very bytes the entry's name was hashed from.
-    idx = _parse_mapping(path, io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    idx = _parse_mapping(path, io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n"))
     if entry:
         kbcache.write(entry, os.path.abspath(path), idx)
     return idx.keyed(*keys)

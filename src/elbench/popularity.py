@@ -6,24 +6,24 @@ gold mentions and predictions whose entity has at most θ statements;
 predictions that resolve to no entity stay in every slice, since their
 popularity is unknowable and they must still cost precision, and NIL gold
 mentions stay in every slice so the scorer's NIL policy stays in charge of
-them.  `stratify` computes every slice from one pass over the matched items,
-each tagged with the first slice that keeps it, so a sweep over every
-distinct count costs little more than one `score`.
+them.  `stratify` tags each matched item with the first slice that keeps it
+and leaves the counting to `scoring.count_slices`, the one counter, so a
+sweep over every distinct count costs little more than one `score`.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .benchmark import Benchmark
 from .kb import KbIndex, is_qid, title_to_qid
 from .parsing import PredictedLink, PredictionRecord
 from .records import read_records
-from .scoring import MatchConfig, ScoreReport, SentenceScore, build_report, match_items
+from .scoring import (MatchConfig, ScoreReport, SentenceItems, SliceTags, count_slices,
+                      match_items)
 
 INF = math.inf
 
@@ -171,9 +171,9 @@ def stratify(gold: Benchmark,
     still cost precision, and so do NIL gold mentions, which the NIL policy
     handles.  Matching is `scoring.match_items`'.
 
-    Each item is tagged once with the first slice that keeps it.  Counts are
-    added at that tag and one prefix sum over the slices gives every report,
-    so the cost hardly grows with the number of thresholds.
+    Each item is tagged once with the first slice that keeps it, and
+    `scoring.count_slices` counts every slice in the one pass, so the cost
+    hardly grows with the number of thresholds.
 
     strict mode requires a count for every gold QID and every resolvable
     predicted entity; lenient mode treats missing counts as +∞ (excluded
@@ -204,90 +204,29 @@ def stratify(gold: Benchmark,
         values.extend(float(count) for count in set(counts.values()) if 1 <= count < INF)
         values.append(INF)
     ordered = sorted(set(values))
-    size = len(ordered)
-    # Slices tag..size-1 keep an entity's items.  An entity without a count
-    # sits at +inf, so only an infinite slice keeps it (tag size: no slice
-    # does); an item with no entity is tagged 0 and kept by every slice.
+    # An entity's items are kept from its tag on.  An entity without a count
+    # sits at +inf, so only an infinite slice keeps it (past the last slice:
+    # none does); an item with no entity is tagged 0 and kept by every slice.
     tags: Dict[Optional[str], int] = {qid: bisect_left(ordered, count)
                                       for qid, count in counts.items()}
     tags[None] = 0
 
-    tp = [0] * (size + 1)
-    gold_kept = [0] * (size + 1)
-    preds_kept = [0] * (size + 1)
-    unresolved = [0] * (size + 1)
-    discarded = [0] * (size + 1)
-    nil_gold = 0
-    rows: List[List[SentenceScore]] = [[] for _ in ordered]
+    def link_tags(links: List[PredictedLink]) -> List[int]:
+        return [tags[link.qid if link.qid is not None else title_qids.get(link.title)]
+                for link in links]
 
-    def link_tag(link: PredictedLink) -> int:
-        return tags[link.qid if link.qid is not None else title_qids.get(link.title)]
+    def tag(items: SentenceItems) -> SliceTags:
+        return ([tags[mention.qid] for mention in items.gold], link_tags(items.preds),
+                link_tags(items.discarded))
 
-    for items in match_items(gold, preds, cfg, kb):
-        nil_gold += items.nil_gold
-        gold_tags: Dict[str, List[int]] = {}
-        for mention, ident in zip(items.gold, items.gold_ids):
-            k = tags[mention.qid]
-            if ident is None:
-                unresolved[k] += 1
-            else:
-                gold_kept[k] += 1
-                gold_tags.setdefault(ident, []).append(k)
-        pred_ks = [link_tag(link) for link in items.preds]
-        matched: Dict[str, List[int]] = {}
-        for k, ident in zip(pred_ks, items.pred_ids):
-            preds_kept[k] += 1
-            if ident in gold_tags:
-                matched.setdefault(ident, []).append(k)
-        for link in items.discarded:
-            discarded[link_tag(link)] += 1
-        # Per identifier, the tp at slice k is the smaller of the gold and
-        # the predictions kept there: the i-th least popular of each pair up
-        # and count from the later of their two tags.  One of each is by far
-        # the commonest case.
-        tp_ks: List[int] = []
-        for ident, ks in matched.items():
-            golds = gold_tags[ident]
-            if len(golds) == 1 == len(ks):
-                tp_ks.append(max(golds[0], ks[0]))
-            else:
-                tp_ks.extend(map(max, sorted(golds), sorted(ks)))
-        for k in tp_ks:
-            tp[k] += 1
-        if keep_per_sentence:
-            rows_for_sentence = _sentence_rows(
-                items.sentence_id, size, sorted(tp_ks),
-                sorted(k for ks in gold_tags.values() for k in ks), sorted(pred_ks))
-            for k, row in enumerate(rows_for_sentence):
-                rows[k].append(row)
-
-    tp, gold_kept, preds_kept, unresolved, discarded = (
-        list(accumulate(diff)) for diff in (tp, gold_kept, preds_kept, unresolved, discarded))
-    slices: List[ThresholdSlice] = []
-    for k, theta in enumerate(ordered):
-        tallies = {"nil_gold_excluded": nil_gold,
-                   "gold_title_unresolved": unresolved[k],
-                   "predictions_discarded_nil": discarded[k]}
-        if missing_gold:
-            tallies["popularity_missing_gold"] = len(missing_gold)
-        if missing_pred:
-            tallies["popularity_missing_preds"] = len(missing_pred)
-        report = build_report(system_id, slice_label(theta), tp[k], preds_kept[k] - tp[k],
-                              gold_kept[k] - tp[k], tallies,
-                              rows[k] if keep_per_sentence else None)
-        slices.append(ThresholdSlice(theta=theta, report=report))
-    return slices
-
-
-def _sentence_rows(sentence_id: str, size: int, tp_tags: List[int], gold_tags: List[int],
-                   pred_tags: List[int]) -> List[SentenceScore]:
-    """One sentence's counts at each slice index, from its sorted tags."""
-    out = []
-    for k in range(size):
-        sent_tp = bisect_right(tp_tags, k)
-        out.append(SentenceScore(sentence_id, sent_tp, bisect_right(pred_tags, k) - sent_tp,
-                                 bisect_right(gold_tags, k) - sent_tp))
-    return out
+    reports = count_slices(match_items(gold, preds, cfg, kb), tag,
+                           [slice_label(theta) for theta in ordered], system_id,
+                           keep_per_sentence)
+    missing = {"popularity_missing_gold": len(missing_gold),
+               "popularity_missing_preds": len(missing_pred)}
+    for report in reports:
+        report.tallies.update((key, n) for key, n in missing.items() if n)
+    return [ThresholdSlice(theta=theta, report=report) for theta, report in zip(ordered, reports)]
 
 
 STRATIFY_CSV_FIELDS = ("system", "theta", "precision", "recall", "f1")

@@ -24,17 +24,18 @@ def read_records(path: str, check: Callable[[Any, int, List[str]], Optional[T]],
     A JSON Lines value must be an object; a TSV value is the line's cells.
     check appends "line N: ..." to errors to reject a value, and returns the
     record to keep, or None.  Any error fails the whole file once it is
-    read, with one ValueError listing them all.  handle, when given, is read
-    (and closed) in place of opening path.
+    read, with one ValueError listing them all.  Lines end at "\n" alone (a
+    CRLF ending loses its "\r").  handle, opened so, is read (and closed) in
+    place of opening path when given.
     """
     kept: List[T] = []
     errors: List[str] = []
-    with handle or open(path, "r", encoding="utf-8") as lines:
+    with handle or open(path, "r", encoding="utf-8", newline="\n") as lines:
         for lineno, line in enumerate(lines, 1):
             if not line.strip():
                 continue
             if tsv:
-                value: Any = line.rstrip("\n").split("\t")
+                value: Any = line.rstrip("\n").removesuffix("\r").split("\t")
             else:
                 try:
                     value = json.loads(line)

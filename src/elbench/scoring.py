@@ -5,13 +5,18 @@ true positive when its identifier (normalized title in title mode, QID in
 qid mode) equals a not-yet-matched gold identifier of the same sentence.
 Duplicate predictions of one identifier cost false positives.  Surfaces are
 diagnostics only, except for the NIL policy below.
+
+`count_slices` is the one counter, for every slice of `popularity.stratify`
+in one pass; `score` is its case of one slice that keeps every item.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from .benchmark import Benchmark, BenchmarkSentence, GoldMention
 from .kb import KbIndex, normalize_title, qid_to_title
@@ -198,6 +203,85 @@ def build_report(system_id: str, slice_id: str, tp: int, fp: int, fn: int,
                        per_sentence=None if per_sentence is None else tuple(per_sentence))
 
 
+# A sentence's tags of its gold mentions, predictions and discarded predictions.
+SliceTags = Tuple[List[int], List[int], List[int]]
+
+
+def count_slices(sentences: Iterable[SentenceItems],
+                 tags: Callable[[SentenceItems], SliceTags],
+                 slice_ids: Sequence[str],
+                 system_id: str = "system",
+                 keep_per_sentence: bool = False) -> List[ScoreReport]:
+    """One ScoreReport per slice id from one pass over `match_items`' sentences.
+
+    tags(items) gives each gold mention and prediction of a sentence a tag.
+    Slice k keeps the items whose tag is at most k, so a tag equal to the
+    number of slices is kept by none.  Each count is gathered as the tags of
+    its items, and its value at slice k is the number of those up to k.
+    """
+    tp_tags, gold_tags, pred_tags, unresolved_tags, discarded_tags = [], [], [], [], []
+    nil_gold = 0
+    rows: List[List[SentenceScore]] = [[] for _ in slice_ids]
+
+    for items in sentences:
+        gold_ks, pred_ks, discarded_ks = tags(items)
+        nil_gold += items.nil_gold
+        gold_tags += gold_ks
+        pred_tags += pred_ks
+        discarded_tags += discarded_ks
+        first_tp = len(tp_tags)
+        # A gold mention matches one prediction of its identifier, counted
+        # from the later of their two tags: per identifier the i-th lowest
+        # gold tag pairs with the i-th lowest prediction tag.
+        gold_at = dict(zip(items.gold_ids, gold_ks))
+        distinct = len(gold_at) == len(gold_ks)
+        if None in gold_at:
+            del gold_at[None]
+            unresolved_tags += [k for ident, k in zip(items.gold_ids, gold_ks) if ident is None]
+        if distinct:
+            # Distinct gold identifiers (one of them may be None), by far the
+            # commonest case: each takes its predictions' lowest tag.
+            lowest: Dict[str, int] = {}
+            for ident, k in zip(items.pred_ids, pred_ks):
+                if ident in gold_at:
+                    if gold_at[ident] > k:
+                        k = gold_at[ident]
+                    if ident not in lowest or k < lowest[ident]:
+                        lowest[ident] = k
+            tp_tags += lowest.values()
+        else:
+            golds: Dict[Optional[str], List[int]] = {}
+            for ident, k in zip(items.gold_ids, gold_ks):
+                golds.setdefault(ident, []).append(k)
+            matched: Dict[str, List[int]] = {}
+            for ident, k in zip(items.pred_ids, pred_ks):
+                if ident in gold_at:
+                    matched.setdefault(ident, []).append(k)
+            for ident, ks in matched.items():
+                tp_tags += map(max, sorted(golds[ident]), sorted(ks))
+        if keep_per_sentence:
+            sent_tps = sorted(tp_tags[first_tp:])
+            sent_golds = sorted(k for ident, k in zip(items.gold_ids, gold_ks) if ident is not None)
+            sent_preds = sorted(pred_ks)
+            for k, slice_rows in enumerate(rows):
+                tp = bisect_right(sent_tps, k)
+                slice_rows.append(SentenceScore(items.sentence_id, tp,
+                                                bisect_right(sent_preds, k) - tp,
+                                                bisect_right(sent_golds, k) - tp))
+
+    sorted_tags = [sorted(flat) for flat in (tp_tags, gold_tags, pred_tags, unresolved_tags,
+                                             discarded_tags)]
+    reports = []
+    for k, slice_id in enumerate(slice_ids):
+        tp, gold, preds, unresolved, discarded = (bisect_right(flat, k) for flat in sorted_tags)
+        tallies = {"nil_gold_excluded": nil_gold,
+                   "gold_title_unresolved": unresolved,
+                   "predictions_discarded_nil": discarded}
+        reports.append(build_report(system_id, slice_id, tp, preds - tp, gold - unresolved - tp,
+                                    tallies, rows[k] if keep_per_sentence else None))
+    return reports
+
+
 def score(gold: Benchmark,
           preds: Sequence[PredictionRecord],
           cfg: MatchConfig,
@@ -210,42 +294,16 @@ def score(gold: Benchmark,
     Gold mentions whose QID has no title in the mapping (title mode) are
     dropped from the denominator and tallied (KB-snapshot drift, not model
     error).  Predictions lacking an identifier (no title in title mode, no
-    qid in qid mode) count as false positives.
+    qid in qid mode) count as false positives.  This is `count_slices` with
+    one slice that keeps every item.
     """
-    tp = fp = fn = 0
-    nil_gold_excluded = 0
-    gold_title_unresolved = 0
-    predictions_discarded_nil = 0
-    rows: List[SentenceScore] = []
+    (report,) = count_slices(match_items(gold, preds, cfg, kb), _untagged, [slice_id],
+                             system_id, keep_per_sentence)
+    return report
 
-    for items in match_items(gold, preds, cfg, kb):
-        # each gold identifier takes one unmatched prediction of it, if any
-        unmatched: Dict[Optional[str], int] = {}
-        for ident in items.pred_ids:
-            unmatched[ident] = unmatched.get(ident, 0) + 1
-        unmatched.pop(None, None)
-        sent_tp = 0
-        for ident in items.gold_ids:
-            if unmatched.get(ident):
-                unmatched[ident] -= 1
-                sent_tp += 1
-        unresolved = items.gold_ids.count(None)
-        sent_fp = len(items.pred_ids) - sent_tp
-        sent_fn = len(items.gold_ids) - unresolved - sent_tp
-        tp += sent_tp
-        fp += sent_fp
-        fn += sent_fn
-        nil_gold_excluded += items.nil_gold
-        gold_title_unresolved += unresolved
-        predictions_discarded_nil += len(items.discarded)
-        if keep_per_sentence:
-            rows.append(SentenceScore(items.sentence_id, sent_tp, sent_fp, sent_fn))
 
-    tallies = {"nil_gold_excluded": nil_gold_excluded,
-               "gold_title_unresolved": gold_title_unresolved,
-               "predictions_discarded_nil": predictions_discarded_nil}
-    return build_report(system_id, slice_id, tp, fp, fn, tallies,
-                        rows if keep_per_sentence else None)
+def _untagged(items: SentenceItems) -> SliceTags:
+    return [0] * len(items.gold), [0] * len(items.preds), [0] * len(items.discarded)
 
 
 CSV_FIELDS = ("system", "slice", "tp", "fp", "fn", "precision", "recall", "f1")

@@ -4,8 +4,10 @@ For each threshold θ this builds a benchmark holding only the gold mentions
 whose entity has at most θ statements (NIL mentions always stay) and a
 prediction list holding only the links whose resolved entity has at most θ
 statements (links that resolve to no entity always stay), then rescores them
-with `scoring.score`.  `popularity.stratify` computes every slice in one pass
-and must agree with this, field for field and error for error.
+with `reference_scoring.reference_score`, not with `scoring.score`, which
+runs the very counter `popularity.stratify` does.  `stratify` computes every
+slice in one pass and must agree with this, field for field and error for
+error.
 """
 
 from __future__ import annotations
@@ -14,12 +16,14 @@ import math
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from reference_scoring import reference_score
+
 from elbench.benchmark import Benchmark, BenchmarkSentence
 from elbench.kb import MappingIndex, title_to_qid
 from elbench.parsing import PredictedLink, PredictionRecord
 from elbench.popularity import (DEFAULT_THETAS, INF, PopularityIndex, ThresholdSlice,
                                 slice_label)
-from elbench.scoring import MatchConfig, score
+from elbench.scoring import MatchConfig
 
 
 def _link_qid(link: PredictedLink, kb: Optional[MappingIndex]) -> Optional[str]:
@@ -96,9 +100,9 @@ def reference_stratify(gold: Benchmark,
                 if resolved[(record.sentence_id, i)] is None
                 or count_of(resolved[(record.sentence_id, i)]) <= theta)
             filtered_preds.append(replace(record, links=kept_links))
-        report = score(filtered_gold, filtered_preds, cfg, kb,
-                       system_id=system_id, slice_id=slice_label(theta),
-                       keep_per_sentence=keep_per_sentence)
+        report = reference_score(filtered_gold, filtered_preds, cfg, kb,
+                                 system_id=system_id, slice_id=slice_label(theta),
+                                 keep_per_sentence=keep_per_sentence)
         if missing_gold:
             report.tallies["popularity_missing_gold"] = len(missing_gold)
         if missing_pred:

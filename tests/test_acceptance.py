@@ -323,3 +323,39 @@ def test_benchmark_stats_real_file():
     stats = benchmark_stats(load_benchmark(path, fmt))
     assert stats.sentences == 928
     assert stats.unique_qids == 966
+
+
+PINNED_DIR = os.path.join(os.path.dirname(__file__), "data", "pinned")
+
+
+def test_replay_artifacts_match_pinned(tmp_path, e2e_paths, e2e_fixture, capsys, monkeypatch):
+    """link → score --per-sentence --csv → stratify --json --thetas all on the
+    packaged sample writes the artifacts pinned under tests/data/pinned: the
+    predictions and both CSVs byte for byte, both JSON reports without their
+    `manifest`, which names temporary paths.  A change that alters any of
+    them on purpose rewrites the pinned copy in the same commit."""
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    monkeypatch.chdir(tmp_path)
+    bench, kb = e2e_paths["benchmark"], e2e_paths["mapping"]
+    assert cli.main(["link", "--backend", "replay", "--fixture", e2e_fixture,
+                     "--benchmark", bench, "--out", "preds.jsonl"]) == 0
+    assert cli.main(["score", "--benchmark", bench, "--predictions", "preds.jsonl",
+                     "--mode", "title", "--kb", kb, "--system", "llm", "--per-sentence",
+                     "--out", "score.json", "--csv", "score.csv"]) == 0
+    assert cli.main(["stratify", "--benchmark", bench, "--predictions", "preds.jsonl",
+                     "--mode", "title", "--kb", kb, "--counts", e2e_paths["counts"],
+                     "--thetas", "all", "--system", "llm",
+                     "--out", "strata.csv", "--json", "strata.json"]) == 0
+    capsys.readouterr()
+
+    def pinned(name):
+        with open(os.path.join(PINNED_DIR, name), "rb") as handle:
+            return handle.read()
+
+    for name in ("preds.jsonl", "score.csv", "strata.csv"):
+        assert (tmp_path / name).read_bytes() == pinned(name), name
+    for name in ("score.json", "strata.json"):
+        artifact = json.loads((tmp_path / name).read_text(encoding="utf-8"))
+        del artifact["manifest"]
+        text = json.dumps(artifact, ensure_ascii=False, indent=2) + "\n"
+        assert text.encode("utf-8") == pinned(name), name

@@ -237,26 +237,6 @@ class TestStratify:
         assert all(s.report.system_id == "llm" for s in slices)
 
 
-class TestStratifyAgainstFullScore:
-    def test_infinite_slice_field_by_field(self, e2e_paths):
-        from elbench.benchmark import load_benchmark
-        from elbench.kb import load_mapping
-
-        bench = load_benchmark(e2e_paths["benchmark"])
-        kb = load_mapping(e2e_paths["mapping"])
-        pop = load_counts(e2e_paths["counts"])
-        preds = [
-            pred("s01", ("Rossini", "Gioachino Rossini", "Q90002")),
-            pred("s02", ("Verdi", "Giuseppe Verdi", "Q90017"),
-                 ("Cimarosa", "Domenico Cimarosa", "Q90004")),
-        ]
-        (item,) = stratify(bench, preds, QID_CFG, kb, pop, thetas=[INF],
-                           system_id="x", keep_per_sentence=True)
-        full = score(bench, preds, QID_CFG, kb, system_id="x",
-                     slice_id="θ≤∞", keep_per_sentence=True)
-        assert dataclasses.asdict(item.report) == dataclasses.asdict(full)
-
-
 ORACLE_QIDS = ["Q1", "Q2", "Q3", "Q4", "Q5", "Q6"]
 # Q5 and Q6 have no title (title mode drops them as unresolved gold); R1 and
 # R3 redirect, so they resolve to an entity but never match a title exactly.
@@ -274,6 +254,14 @@ def outcome(fn, *args, **kwargs):
     """Every slice as plain data, or the ValueError message."""
     try:
         return [(item.theta, dataclasses.asdict(item.report)) for item in fn(*args, **kwargs)]
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def report_outcome(fn, *args, **kwargs):
+    """One report as plain data, or the ValueError message."""
+    try:
+        return dataclasses.asdict(fn(*args, **kwargs))
     except ValueError as exc:
         return f"ValueError: {exc}"
 
@@ -319,6 +307,20 @@ def stratify_instances(draw):
             "thetas": draw(st.lists(st.sampled_from(ORACLE_THETAS), min_size=1, max_size=5)),
             "strict": draw(st.booleans()), "system_id": "sys",
             "keep_per_sentence": draw(st.booleans())}
+
+
+class TestStratifyAgainstFullScore:
+    @settings(max_examples=300, deadline=None)
+    @given(stratify_instances(),
+           st.fixed_dictionaries({qid: st.sampled_from([0, 1, 2, 3, 5, 10, 20, 40])
+                                  for qid in ORACLE_QIDS}))
+    def test_infinite_slice_field_by_field(self, case, counts):
+        """With a count for every entity, the θ=∞ slice is the unstratified score."""
+        case = {**case, "pop": PopularityIndex(counts=counts), "thetas": case["thetas"] + [INF]}
+        expected = report_outcome(score, case["gold"], case["preds"], case["cfg"], case["kb"],
+                                  system_id="sys", slice_id="θ≤∞",
+                                  keep_per_sentence=case["keep_per_sentence"])
+        assert report_outcome(lambda: stratify(**case)[-1].report) == expected
 
 
 class TestStratifyOracle:

@@ -33,7 +33,7 @@ from elbench.backends import ReplayStore
 from elbench.baseline import load_external_predictions
 from elbench.benchmark import load_benchmark
 from elbench import cli
-from elbench.kb import KbRecord, MappingIndex
+from elbench.kb import KbRecord, MappingIndex, load_mapping, title_to_qid
 from elbench.parsing import load_predictions
 from elbench.prompting import build_prompt, default_template
 from elbench.popularity import load_counts
@@ -318,6 +318,54 @@ class TestReadRecords:
             read_records("named.tsv", check, tsv=True, handle=handle)
         assert seen == [(1, ["a", "b"]), (4, ["c"])]
         assert handle.closed
+
+
+class TestLineEndings:
+    """Lines end at "\n" alone.  A lone "\r" stays inside its line, so every
+    error names the line an editor shows, and a CRLF file loads as the same
+    file with LF endings."""
+
+    def load_error(self, load, path):
+        with pytest.raises(ValueError) as err:
+            load(str(path))
+        return str(err.value).splitlines()[1:]
+
+    def test_counts(self, tmp_path):
+        path = tmp_path / "counts.tsv"
+        path.write_bytes(b"Q1\t5\nQ2\r\t7\nQ3\tx\nQ4\t1\r2\n")
+        assert self.load_error(load_counts, path) == [
+            "line 3: count must be a nonnegative integer, got 'x'",
+            "line 4: count must be a nonnegative integer, got '1\\r2'"]
+        path.write_bytes(b"Q1\t5\r\n\r\nQ2\t7\r\n")
+        assert load_counts(str(path)).counts == {"Q1": 5, "Q2": 7}
+
+    def test_benchmark_tsv(self, tmp_path):
+        path = tmp_path / "benchmark.tsv"
+        path.write_bytes(b"a\tAlpha\rbeta.\tAlpha\tQ1\tPER\nb\tOther.\n")
+        assert self.load_error(lambda p: load_benchmark(p, "tsv"), path) == [
+            "line 2: expected 5 tab-separated fields, got 2"]
+        path.write_bytes(b"a\tAlpha\rbeta.\tAlpha\tQ1\tPER\n")
+        (sentence,) = load_benchmark(str(path), "tsv").sentences
+        assert sentence.text == "Alpha\rbeta."
+        lf = b"a\tAlpha beta.\tAlpha\tQ1\tPER\na\tAlpha beta.\tbeta\tNIL\t\nb\tGamma.\t\t\t\n"
+        path.write_bytes(lf)
+        expected = load_benchmark(str(path), "tsv").sentences
+        path.write_bytes(lf.replace(b"\n", b"\r\n"))
+        assert load_benchmark(str(path), "tsv").sentences == expected
+
+    @pytest.mark.parametrize("keyed", [False, True])
+    def test_mapping(self, tmp_path, keyed):
+        def load(path):
+            if keyed:
+                return load_mapping(str(path), titles=["A", "B", "Foo Bar"], qids=["Q1"])
+            return load_mapping(str(path))
+
+        path = tmp_path / "mapping.tsv"
+        path.write_bytes(b"1\tFoo\rBar\tQ1\n2\tBaz\tnotaqid\n")
+        assert self.load_error(load, path) == ["line 2: invalid qid 'notaqid'"]
+        path.write_bytes(b"1\tA\tQ1\r\n2\tB\t\tA\r\n3\tFoo\rBar\tQ3\r\n")
+        idx = load(path)
+        assert [title_to_qid(idx, title) for title in ("A", "B", "Foo Bar")] == ["Q1", "Q1", "Q3"]
 
 
 JSON_VALUES = st.recursive(

@@ -5,12 +5,15 @@ import pytest
 from conftest import make_benchmark, sent
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_scoring import reference_count, reference_score
+from test_popularity import report_outcome, stratify_instances
 
 from elbench.kb import KbRecord, MappingIndex
 from elbench.parsing import STATUS_CLEAN, PredictedLink, PredictionRecord
 from elbench.scoring import (CSV_FIELDS, FLAG_PRECISION_UNDEFINED, FLAG_RECALL_UNDEFINED,
-                             MODE_QID, MODE_TITLE, NIL_EXCLUDE_AND_IGNORE, NIL_EXCLUDE_GOLD_ONLY,
-                             MatchConfig, csv_fields, f1_from_counts, percent, report_to_dict,
+                             MODE_QID, MODE_TITLE, MODES, NIL_EXCLUDE_AND_IGNORE,
+                             NIL_EXCLUDE_GOLD_ONLY, NIL_POLICIES, MatchConfig, SentenceItems,
+                             count_slices, csv_fields, f1_from_counts, percent, report_to_dict,
                              score)
 
 QID_CFG = MatchConfig(mode=MODE_QID)
@@ -275,6 +278,77 @@ class TestScoreProperties:
         assert report.tp + report.fn == total_gold
         assert report.tp + report.fp == total_pred
         assert report.tp >= 0 and report.fp >= 0 and report.fn >= 0
+
+
+class TestAgainstReferenceLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(stratify_instances())
+    def test_matches_reference_loop(self, case):
+        """score, one slice of the shared slice counter, equals the loop it
+        used to run on its own, field for field and error for error: counts,
+        flags, tallies and per-sentence rows, in every mode and NIL policy."""
+        for mode in MODES:
+            for nil_policy in NIL_POLICIES:
+                args = (case["gold"], case["preds"], MatchConfig(mode, nil_policy), case["kb"])
+                kwargs = dict(system_id="sys", slice_id="s",
+                              keep_per_sentence=case["keep_per_sentence"])
+                assert (report_outcome(score, *args, **kwargs)
+                        == report_outcome(reference_score, *args, **kwargs))
+
+
+@st.composite
+def tagged_sentences(draw):
+    """A number of slices and matched sentences with a tag for every item.
+
+    count_slices reads a sentence through its identifiers, nil_gold and
+    sentence_id, and its items only through the tags, so the gold, preds
+    and discarded lists hold placeholders, position for position."""
+    size = draw(st.integers(1, 4))
+    sentences = []
+    for i in range(draw(st.integers(0, 4))):
+        gold_ids = draw(st.lists(st.sampled_from(["a", "b", "c", None]), max_size=4))
+        pred_ids = draw(st.lists(st.sampled_from(["a", "b", "c", None]), max_size=5))
+        discarded = list(range(draw(st.integers(0, 2))))
+        items = SentenceItems(f"s{i}", draw(st.integers(0, 2)), list(gold_ids), gold_ids,
+                              list(pred_ids), pred_ids, discarded)
+        tags = tuple(draw(st.lists(st.integers(0, size), min_size=len(part), max_size=len(part)))
+                     for part in (gold_ids, pred_ids, discarded))
+        sentences.append((items, tags))
+    return size, sentences
+
+
+def kept_at(items, tags, k):
+    """The sentence as slice k sees it: the items whose tag is at most k."""
+    def keep(values, ks):
+        return [value for value, tag in zip(values, ks) if tag <= k]
+
+    gold_ks, pred_ks, discarded_ks = tags
+    return items._replace(gold=keep(items.gold, gold_ks), gold_ids=keep(items.gold_ids, gold_ks),
+                          preds=keep(items.preds, pred_ks), pred_ids=keep(items.pred_ids, pred_ks),
+                          discarded=keep(items.discarded, discarded_ks))
+
+
+class TestCountSlices:
+    @settings(max_examples=500, deadline=None)
+    @given(tagged_sentences(), st.booleans())
+    def test_each_slice_counts_what_it_keeps(self, drawn, keep_per_sentence):
+        """Every slice equals the former loop run on the items it keeps."""
+        size, sentences = drawn
+        tags = {items.sentence_id: item_tags for items, item_tags in sentences}
+        reports = count_slices([items for items, _ in sentences],
+                               lambda items: tags[items.sentence_id],
+                               [f"k{k}" for k in range(size)], "sys", keep_per_sentence)
+        assert reports == [reference_count([kept_at(items, item_tags, k)
+                                            for items, item_tags in sentences],
+                                           "sys", f"k{k}", keep_per_sentence)
+                           for k in range(size)]
+
+    def test_duplicate_identifier_pairs_tags_in_order(self):
+        # gold tags 1, 0 and prediction tags 2, 0, 1 of one identifier pair
+        # up as (0, 0) and (1, 1): one tp from slice 0, a second from slice 1
+        items = SentenceItems("s1", 0, ["a", "a"], ["a", "a"], ["a"] * 3, ["a"] * 3, [])
+        reports = count_slices([items], lambda _: ([1, 0], [2, 0, 1], []), ["k0", "k1", "k2"])
+        assert [(r.tp, r.fp, r.fn) for r in reports] == [(1, 0, 0), (2, 0, 0), (2, 1, 0)]
 
 
 class TestSerialization:
