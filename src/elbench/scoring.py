@@ -230,38 +230,27 @@ def count_slices(sentences: Iterable[SentenceItems],
         pred_tags += pred_ks
         discarded_tags += discarded_ks
         first_tp = len(tp_tags)
+        golds: Dict[Optional[str], List[int]] = {}
+        for ident, k in zip(items.gold_ids, gold_ks):
+            golds.setdefault(ident, []).append(k)
+        unresolved_tags += golds.pop(None, ())
+        matched: Dict[str, List[int]] = {}
+        for ident, k in zip(items.pred_ids, pred_ks):
+            if ident in golds:
+                matched.setdefault(ident, []).append(k)
         # A gold mention matches one prediction of its identifier, counted
         # from the later of their two tags: per identifier the i-th lowest
-        # gold tag pairs with the i-th lowest prediction tag.
-        gold_at = dict(zip(items.gold_ids, gold_ks))
-        distinct = len(gold_at) == len(gold_ks)
-        if None in gold_at:
-            del gold_at[None]
-            unresolved_tags += [k for ident, k in zip(items.gold_ids, gold_ks) if ident is None]
-        if distinct:
-            # Distinct gold identifiers (one of them may be None), by far the
-            # commonest case: each takes its predictions' lowest tag.
-            lowest: Dict[str, int] = {}
-            for ident, k in zip(items.pred_ids, pred_ks):
-                if ident in gold_at:
-                    if gold_at[ident] > k:
-                        k = gold_at[ident]
-                    if ident not in lowest or k < lowest[ident]:
-                        lowest[ident] = k
-            tp_tags += lowest.values()
-        else:
-            golds: Dict[Optional[str], List[int]] = {}
-            for ident, k in zip(items.gold_ids, gold_ks):
-                golds.setdefault(ident, []).append(k)
-            matched: Dict[str, List[int]] = {}
-            for ident, k in zip(items.pred_ids, pred_ks):
-                if ident in gold_at:
-                    matched.setdefault(ident, []).append(k)
-            for ident, ks in matched.items():
-                tp_tags += map(max, sorted(golds[ident]), sorted(ks))
+        # gold tag pairs with the i-th lowest prediction tag.  One of each is
+        # by far the commonest case.
+        for ident, ks in matched.items():
+            gold_of = golds[ident]
+            if len(gold_of) == 1 == len(ks):
+                tp_tags.append(max(gold_of[0], ks[0]))
+            else:
+                tp_tags += map(max, sorted(gold_of), sorted(ks))
         if keep_per_sentence:
             sent_tps = sorted(tp_tags[first_tp:])
-            sent_golds = sorted(k for ident, k in zip(items.gold_ids, gold_ks) if ident is not None)
+            sent_golds = sorted(k for ks in golds.values() for k in ks)
             sent_preds = sorted(pred_ks)
             for k, slice_rows in enumerate(rows):
                 tp = bisect_right(sent_tps, k)
