@@ -1,9 +1,12 @@
-"""Text-completion backends behind one abstraction.
+"""The one text-completion backend: a replay fixture in front of an
+optional OpenAI-compatible HTTP endpoint.
 
-Two kinds: an OpenAI-compatible HTTP endpoint (plain completions wire by
-default, chat wire as a toggle) and a deterministic replay store answering
-prompts from recorded fixtures.  Live runs can record into a fixture so any
-remote experiment becomes an offline regression test.
+A prompt is answered from the fixture when the fixture holds the answer.
+Otherwise the http kind asks the endpoint (plain completions wire by
+default, chat wire as a toggle) and appends the answer to the fixture as
+soon as it arrives, so a stopped run loses nothing and its rerun asks only
+for what is missing.  The replay kind never sends a request: a prompt its
+fixture does not hold is a replay-miss.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ if TYPE_CHECKING:
 
 KINDS = ("http", "replay")
 WIRES = ("completions", "chat")
+# What a live fixture entry must share with the config to answer for it.
+LIVE_FIELDS = ("model_id", "wire", "temperature", "max_output_tokens")
 DEFAULT_API_KEY_ENV = "EL_API_KEY"
 # The longest wait a server's Retry-After can impose before one retry.
 MAX_RETRY_AFTER_S = 60.0
@@ -73,7 +78,6 @@ class BackendConfig:
     parallelism: int = 4
     wire: str = "completions"
     api_key_env: str = DEFAULT_API_KEY_ENV
-    record_path: str = ""
 
     def validate(self) -> None:
         if self.kind not in KINDS:
@@ -111,68 +115,63 @@ def prompt_digest(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
-class ReplayStore:
-    """Replay fixture: JSONL of {digest, prompt, raw_text, model_id}.
+def fixture_entry(prompt: str, raw_text: str, model_id: str, **live: object) -> str:
+    """One replay fixture line.  A live answer's line also carries live:
+    the wire, temperature and max_output_tokens it was asked with."""
+    return encode_json({"digest": prompt_digest(prompt), "prompt": prompt,
+                        "raw_text": raw_text, "model_id": model_id, **live}) + "\n"
 
-    Re-recorded runs append; on load the journal is compacted last-wins.
+
+class ReplayStore:
+    """Replay fixture: JSONL of {digest, prompt, raw_text, model_id}, live
+    entries with the rest of LIVE_FIELDS too.
+
+    An entry is kept under its digest and its values of fields.  The file is
+    a journal, so of two entries under one key the later wins.
     """
 
-    def __init__(self, path: str):
-        self.path = path
-        self._by_digest: Dict[str, Dict[str, str]] = {}
+    def __init__(self, path: str, fields: Tuple[str, ...] = ()):
+        self._entries: Dict[tuple, Dict[str, object]] = {}
 
-        def check(entry: Dict[str, str], lineno: int, errors: List[str]) -> None:
+        def check(entry: Dict[str, object], lineno: int, errors: List[str]) -> None:
             if not (isinstance(entry.get("digest"), str) and isinstance(entry.get("raw_text"), str)):
                 errors.append(f"line {lineno}: digest and raw_text must be strings")
             elif not isinstance(entry.get("model_id", ""), str):
                 errors.append(f"line {lineno}: model_id must be a string")
+            elif any(isinstance(entry.get(name), (list, dict)) for name in fields):
+                errors.append(f"line {lineno}: {', '.join(fields)} must not be arrays or objects")
             else:
-                self._by_digest[entry["digest"]] = entry
+                self._entries[(entry["digest"], *map(entry.get, fields))] = entry
 
         read_records(path, check)
 
     def __len__(self) -> int:
-        return len(self._by_digest)
+        return len(self._entries)
 
-    def get(self, digest: str) -> Optional[Dict[str, str]]:
-        return self._by_digest.get(digest)
-
-
-class _Recorder:
-    """Serialized appends of replay fixture entries."""
-
-    def __init__(self, path: str):
-        self.path = path
-        self._lock = threading.Lock()
-
-    def append(self, digest: str, prompt: str, raw_text: str, model_id: str) -> None:
-        entry = {"digest": digest, "prompt": prompt, "raw_text": raw_text, "model_id": model_id}
-        line = encode_json(entry) + "\n"
-        with self._lock:
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(line)
+    def get(self, digest: str, *values: object) -> Optional[Dict[str, object]]:
+        return self._entries.get((digest, *values))
 
 
-def record_fixture_entry(path: str, prompt: str, raw_text: str, model_id: str = "") -> None:
-    _Recorder(path).append(prompt_digest(prompt), prompt, raw_text, model_id)
+class Backend:
+    """Answers a prompt from the fixture when it holds the answer, else, for
+    the http kind, from the endpoint.
 
+    The replay kind takes any entry with the prompt's digest.  The http kind
+    takes only an entry whose LIVE_FIELDS equal the config's, so one model's
+    answer is never served as another's; its fixture, which need not exist
+    yet, gets each answer from the endpoint appended as it arrives.
+    """
 
-class _ReplayBackend:
     def __init__(self, cfg: BackendConfig):
         self.cfg = cfg
-        self.store = ReplayStore(cfg.fixture_path)
-
-    def complete(self, prompt: str) -> Completion:
-        digest = prompt_digest(prompt)
-        entry = self.store.get(digest)
-        if entry is None:
-            raise ReplayMissError(f"{self.cfg.fixture_path}: no recorded completion for digest {digest}")
-        meta = {"model_id": entry.get("model_id", ""), "source": "replay"}
-        return Completion(prompt_digest=digest, raw_text=entry["raw_text"], backend_meta=meta)
-
-
-class _HttpBackend:
-    def __init__(self, cfg: BackendConfig):
+        fields = LIVE_FIELDS if cfg.kind == "http" else ()
+        self._wanted = tuple(getattr(cfg, name) for name in fields)
+        # An http fixture that does not exist yet holds nothing.
+        self._store = (ReplayStore(cfg.fixture_path, fields)
+                       if not fields or os.path.exists(cfg.fixture_path) else None)
+        if not fields:
+            return  # replay sends nothing
+        self._lock = threading.Lock()  # one append to the fixture at a time
         # Imported here, on the one path that sends a request, so that no
         # other command pays for loading the HTTP client at start-up.
         import base64
@@ -183,11 +182,9 @@ class _HttpBackend:
         # urllib's opener.
         from urllib.request import _parse_proxy, getproxies, proxy_bypass
 
-        self.cfg = cfg
         key = os.environ.get(cfg.api_key_env, "")
         if not key:
             raise CredentialMissingError(f"environment variable {cfg.api_key_env} is not set")
-        self._recorder = _Recorder(cfg.record_path) if cfg.record_path else None
         self._url = cfg.endpoint.rstrip("/") + ("/chat/completions" if cfg.wire == "chat"
                                                  else "/completions")
         self._encode = json.JSONEncoder(allow_nan=False).encode
@@ -270,9 +267,24 @@ class _HttpBackend:
         return text
 
     def complete(self, prompt: str) -> Completion:
+        digest = prompt_digest(prompt)
+        entry = self._store.get(digest, *self._wanted) if self._store is not None else None
+        if entry is not None:
+            meta = {"model_id": entry.get("model_id", ""), "source": "replay"}
+            return Completion(prompt_digest=digest, raw_text=entry["raw_text"], backend_meta=meta)
+        if self.cfg.kind == "replay":
+            raise ReplayMissError(f"{self.cfg.fixture_path}: no recorded completion "
+                                  f"for digest {digest}")
+        completion = self._request(prompt, digest)
+        if self.cfg.fixture_path:
+            line = fixture_entry(prompt, completion.raw_text, **dict(zip(LIVE_FIELDS, self._wanted)))
+            with self._lock, open(self.cfg.fixture_path, "a", encoding="utf-8") as handle:
+                handle.write(line)
+        return completion
+
+    def _request(self, prompt: str, digest: str) -> Completion:
         url = self._url
         payload = self._encode(self._body(prompt)).encode("utf-8")
-        digest = prompt_digest(prompt)
         last_error: Optional[BackendError] = None
         retry_after = 0.0
         for attempt in range(self.cfg.max_retries + 1):
@@ -303,8 +315,6 @@ class _HttpBackend:
                                        "latency_s": round(time.monotonic() - started, 6)}
             if isinstance(data.get("usage"), dict):
                 meta["usage"] = data["usage"]
-            if self._recorder is not None:
-                self._recorder.append(digest, prompt, raw_text, self.cfg.model_id)
             return Completion(prompt_digest=digest, raw_text=raw_text, backend_meta=meta)
         assert last_error is not None
         raise last_error
@@ -319,15 +329,9 @@ def _retry_after_seconds(value: Optional[str]) -> float:
     return 0.0
 
 
-def make_backend(cfg: BackendConfig):
+def make_backend(cfg: BackendConfig) -> Backend:
     cfg.validate()
-    if cfg.kind == "replay":
-        return _ReplayBackend(cfg)
-    return _HttpBackend(cfg)
-
-
-def complete(cfg: BackendConfig, prompt: str) -> Completion:
-    return make_backend(cfg).complete(prompt)
+    return Backend(cfg)
 
 
 def batch_complete(cfg: BackendConfig,

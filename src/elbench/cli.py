@@ -19,14 +19,14 @@ from functools import partial
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Union
 
 # Every command reads its inputs through this module, so it is no extra cost.
-from .records import encode_json, read_records
+from .records import read_records
 
 # The names the commands use from each module.  Every import compiles its
 # module from source when there is no bytecode cache, so a command imports
 # only the modules it runs (see _bind) and start-up pays for nothing else.
 _NAMES = {
     "backends": ("DEFAULT_API_KEY_ENV", "BackendConfig", "BackendError", "batch_complete",
-                 "prompt_digest"),
+                 "fixture_entry"),
     "baseline": ("RESOLUTION_NOT_FOUND", "RESOLUTION_TITLE", "load_external_predictions"),
     "benchmark": ("benchmark_stats", "load_benchmark", "save_benchmark"),
     "kb": ("load_mapping", "title_to_qid"),
@@ -81,7 +81,9 @@ def load_config(path: str, actions: Mapping[str, argparse.Action]) -> Dict[str, 
     """
     values: Dict[str, object] = {}
     first_line: Dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as handle:
+    # Lines end at "\n" alone, as in records.read_records: a lone "\r" stays
+    # inside its line.
+    with open(path, "r", encoding="utf-8", newline="\n") as handle:
         for lineno, line in enumerate(handle, 1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -182,7 +184,6 @@ def cmd_link(args: argparse.Namespace) -> int:
         parallelism=opts.get("parallelism", 4),
         wire=opts.get("wire", "completions"),
         api_key_env=opts.get("api-key-env", DEFAULT_API_KEY_ENV),
-        record_path=opts.get("record", ""),
     )
     cfg.validate()
     prompts = [build_prompt(template, sentence.text) for sentence in benchmark.sentences]
@@ -203,13 +204,11 @@ def cmd_link(args: argparse.Namespace) -> int:
         status_counts[outcome.status] = status_counts.get(outcome.status, 0) + 1
     save_predictions(records, out)
     inputs = {"benchmark": benchmark_path}
-    model_id: Union[str, List[str]] = cfg.model_id
     if cfg.kind == "replay":
         inputs["fixture"] = cfg.fixture_path
-        model_id = _replayed_model_ids(results)
     manifest = build_run_manifest(inputs, template_text=template.text,
                                   template_version=template.version, backend_config=cfg,
-                                  backend_model=model_id)
+                                  backend_model=_answering_models(results))
     write_manifest(manifest, out + ".manifest.json")
     summary = ", ".join(f"{count} {name}" for name, count in sorted(status_counts.items()))
     print(f"linked {len(records)} sentence(s): {summary or 'nothing to do'}")
@@ -222,9 +221,9 @@ def cmd_link(args: argparse.Namespace) -> int:
     return 0
 
 
-def _replayed_model_ids(results: Sequence[object]) -> Union[str, List[str]]:
-    """The model that recorded the replayed answers: its ID, or the sorted
-    distinct IDs when the fixture mixes models ("" when none is recorded)."""
+def _answering_models(results: Sequence[object]) -> Union[str, List[str]]:
+    """The model that gave the answers, live or from the fixture: its ID, or
+    the sorted distinct IDs when several did ("" when none is known)."""
     ids = set()
     for result in results:
         if not isinstance(result, BackendError):
@@ -451,9 +450,7 @@ def cmd_record(args: argparse.Namespace) -> int:
                 skipped += 1
                 continue
             prompt = build_prompt(template, sentence.text)
-            fixture = {"digest": prompt_digest(prompt), "prompt": prompt,
-                       "raw_text": entry["raw_text"], "model_id": entry["model_id"]}
-            handle.write(encode_json(fixture) + "\n")
+            handle.write(fixture_entry(prompt, entry["raw_text"], entry["model_id"]))
             written += 1
     note = f", {skipped} sentence(s) had no completion" if skipped else ""
     print(f"recorded {written} completion(s){note}")
@@ -482,7 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
     link.add_argument("--backend", choices=("http", "replay"))
     link.add_argument("--endpoint")
     link.add_argument("--model")
-    link.add_argument("--fixture")
+    link.add_argument("--fixture", help="replay fixture; with --backend http, answers found "
+                      "there are not asked again and new ones are appended")
     link.add_argument("--temperature", type=float)
     link.add_argument("--max-output-tokens", type=int)
     link.add_argument("--timeout", type=float)
@@ -491,7 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     link.add_argument("--parallelism", type=int)
     link.add_argument("--wire", choices=("completions", "chat"))
     link.add_argument("--api-key-env")
-    link.add_argument("--record", help="also append live completions to this replay fixture")
     link.add_argument("--out")
     link.add_argument("--config")
     link.set_defaults(func=cmd_link)

@@ -75,21 +75,17 @@ def build_run_manifest(inputs: Mapping[str, str],
                        template_version: str = "",
                        backend_config: Optional[object] = None,
                        params: Optional[Mapping[str, object]] = None,
-                       backend_model: Optional[Union[str, Sequence[str]]] = None) -> RunManifest:
+                       backend_model: Union[str, Sequence[str]] = "") -> RunManifest:
     """Digest every named input file and assemble the manifest.
 
-    backend_model, when given, is the model that answered (one ID or
-    several) and replaces the backend config's model_id in the manifest.
+    backend_model is the model that answered, one ID or several.
     """
     stamped = tuple((name, path, file_sha256(path)) for name, path in inputs.items())
     backend_digest = backend_kind = ""
-    model: Union[str, Tuple[str, ...]] = ""
     if backend_config is not None:
         backend_digest = config_digest(backend_config)
         backend_kind = getattr(backend_config, "kind", "")
-        model = getattr(backend_config, "model_id", "")
-    if backend_model is not None:
-        model = backend_model if isinstance(backend_model, str) else tuple(backend_model)
+    model = backend_model if isinstance(backend_model, str) else tuple(backend_model)
     return RunManifest(
         timestamp=manifest_timestamp(),
         tool_version=__version__,

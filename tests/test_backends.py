@@ -13,15 +13,20 @@ import time
 import pytest
 
 from elbench import __version__, backends
-from elbench.backends import (BackendConfig, BackendError, Completion, CredentialMissingError,
-                              EndpointUnreachableError, HttpStatusError, ReplayMissError,
-                              ReplayStore, batch_complete, complete, make_backend, prompt_digest,
-                              record_fixture_entry)
+from elbench.backends import (LIVE_FIELDS, Backend, BackendConfig, BackendError, Completion,
+                              CredentialMissingError, EndpointUnreachableError, HttpStatusError,
+                              ReplayMissError, ReplayStore, batch_complete, fixture_entry,
+                              make_backend, prompt_digest)
 
 
 @pytest.fixture(autouse=True)
 def api_key(monkeypatch):
     monkeypatch.setenv("EL_API_KEY", "test-key-123")
+
+
+def ask(cfg, prompt):
+    """One prompt through a new backend, as batch_complete sends each."""
+    return make_backend(cfg).complete(prompt)
 
 
 def http_config(url, **overrides):
@@ -199,7 +204,7 @@ class TestReplayBackend:
         write_fixture(path, [{"digest": digest, "prompt": "the prompt",
                               "raw_text": "[{}]", "model_id": "m-1"}])
         cfg = BackendConfig(kind="replay", fixture_path=str(path))
-        result = complete(cfg, "the prompt")
+        result = ask(cfg, "the prompt")
         assert result == Completion(prompt_digest=digest, raw_text="[{}]",
                                     backend_meta={"model_id": "m-1", "source": "replay"})
 
@@ -208,7 +213,7 @@ class TestReplayBackend:
         write_fixture(path, [])
         cfg = BackendConfig(kind="replay", fixture_path=str(path))
         with pytest.raises(ReplayMissError, match="no recorded completion") as err:
-            complete(cfg, "never seen")
+            ask(cfg, "never seen")
         assert err.value.code == "replay-miss"
 
 
@@ -219,8 +224,8 @@ class TestHttpBackend:
                          "usage": {"total_tokens": 12}}
 
         server = stub_server(respond)
-        result = complete(http_config(server.url + "/v1", temperature=0.25,
-                                      max_output_tokens=77), "hello world")
+        result = ask(http_config(server.url + "/v1", temperature=0.25,
+                                 max_output_tokens=77), "hello world")
         assert result.raw_text == ' [{"Entities":{}}]'
         assert result.prompt_digest == prompt_digest("hello world")
         assert result.backend_meta["model_id"] == "test-model"
@@ -237,7 +242,7 @@ class TestHttpBackend:
     def test_chat_wire(self, stub_server):
         server = stub_server(lambda request: (200, {
             "choices": [{"message": {"role": "assistant", "content": "chat text"}}]}))
-        result = complete(http_config(server.url, wire="chat"), "ask me")
+        result = ask(http_config(server.url, wire="chat"), "ask me")
         assert result.raw_text == "chat text"
         (request,) = server.requests
         assert request["path"] == "/chat/completions"
@@ -254,14 +259,14 @@ class TestHttpBackend:
             return 200, {"choices": [{"text": "recovered"}]}
 
         server = stub_server(respond)
-        result = complete(http_config(server.url, max_retries=3), "p")
+        result = ask(http_config(server.url, max_retries=3), "p")
         assert result.raw_text == "recovered"
         assert len(server.requests) == 3
 
     def test_retries_exhausted(self, stub_server):
         server = stub_server(lambda request: (503, {"error": "down"}))
         with pytest.raises(HttpStatusError) as err:
-            complete(http_config(server.url, max_retries=2), "p")
+            ask(http_config(server.url, max_retries=2), "p")
         assert err.value.status == 503
         assert err.value.code == "http-status"
         assert len(server.requests) == 3
@@ -269,7 +274,7 @@ class TestHttpBackend:
     def test_client_error_not_retried(self, stub_server):
         server = stub_server(lambda request: (401, {"error": "bad key"}))
         with pytest.raises(HttpStatusError, match="HTTP 401") as err:
-            complete(http_config(server.url, max_retries=5), "p")
+            ask(http_config(server.url, max_retries=5), "p")
         assert err.value.status == 401
         assert 'HTTP 401: {"error": "bad key"}' in str(err.value)
         assert len(server.requests) == 1
@@ -286,7 +291,7 @@ class TestHttpBackend:
             (503, {"error": "busy"}, {"Retry-After": "86400"}),  # capped
         ])
         server = stub_server(lambda request: next(answers, (200, {"choices": [{"text": "ok"}]})))
-        result = complete(http_config(server.url, max_retries=5, retry_backoff=0.1), "p")
+        result = ask(http_config(server.url, max_retries=5, retry_backoff=0.1), "p")
         assert result.raw_text == "ok"
         assert delays == pytest.approx([3.0, 0.2, 0.4, 0.8, backends.MAX_RETRY_AFTER_S])
         assert len(server.requests) == 6
@@ -303,38 +308,38 @@ class TestHttpBackend:
         monkeypatch.setattr(backends.random, "uniform", uniform)
         server = stub_server(lambda request: (503, {"error": "down"}))
         with pytest.raises(HttpStatusError):
-            complete(http_config(server.url, max_retries=3, retry_backoff=0.1), "p")
+            ask(http_config(server.url, max_retries=3, retry_backoff=0.1), "p")
         assert draws == [(0.5, 1.0)] * 3
         assert delays == pytest.approx([0.05, 0.2, 0.3])
 
     def test_non_json_response(self, stub_server):
         server = stub_server(lambda request: (200, "plain text, not json"))
         with pytest.raises(HttpStatusError, match="not JSON"):
-            complete(http_config(server.url), "p")
+            ask(http_config(server.url), "p")
 
     def test_malformed_response_body(self, stub_server):
         server = stub_server(lambda request: (200, {"choices": []}))
         with pytest.raises(HttpStatusError, match="malformed completion response"):
-            complete(http_config(server.url), "p")
+            ask(http_config(server.url), "p")
 
     def test_missing_credential(self, monkeypatch, stub_server):
         monkeypatch.delenv("EL_API_KEY")
         server = stub_server(lambda request: (200, {}))
         with pytest.raises(CredentialMissingError, match="EL_API_KEY") as err:
-            complete(http_config(server.url), "p")
+            ask(http_config(server.url), "p")
         assert err.value.code == "credential-missing"
         assert not server.requests
 
     def test_custom_credential_env(self, monkeypatch, stub_server):
         monkeypatch.setenv("OTHER_KEY", "sk-other")
         server = stub_server(lambda request: (200, {"choices": [{"text": "ok"}]}))
-        complete(http_config(server.url, api_key_env="OTHER_KEY"), "p")
+        ask(http_config(server.url, api_key_env="OTHER_KEY"), "p")
         assert server.requests[0]["headers"]["Authorization"] == "Bearer sk-other"
 
     def test_unreachable_endpoint(self):
         cfg = http_config("http://127.0.0.1:9", request_timeout=0.2)
         with pytest.raises(EndpointUnreachableError) as err:
-            complete(cfg, "p")
+            ask(cfg, "p")
         assert err.value.code == "endpoint-unreachable"
 
     def test_https_uses_one_default_context(self, monkeypatch, stub_server, tls_certificate):
@@ -347,7 +352,7 @@ class TestHttpBackend:
         # The default context verifies against the system CA store, which
         # does not hold the test certificate.
         with pytest.raises(EndpointUnreachableError, match="CERTIFICATE_VERIFY_FAILED"):
-            complete(cfg, "p")
+            ask(cfg, "p")
 
         contexts = []
 
@@ -368,7 +373,7 @@ class TestHttpBackend:
         for name in ("no_proxy", "NO_PROXY", "HTTP_PROXY"):
             monkeypatch.delenv(name, raising=False)
         monkeypatch.setenv("http_proxy", proxy.url)
-        result = complete(http_config("http://model.invalid/v1"), "p")
+        result = ask(http_config("http://model.invalid/v1"), "p")
         assert result.raw_text == "via proxy"
         (request,) = proxy.requests
         assert request["path"] == "/v1/completions"
@@ -376,7 +381,7 @@ class TestHttpBackend:
 
     def test_request_headers(self, stub_server):
         server = stub_server(lambda request: (200, {"choices": [{"text": "ok"}]}))
-        complete(http_config(server.url), "p")
+        ask(http_config(server.url), "p")
         (request,) = server.requests
         headers = request["headers"]
         assert headers["Connection"] == "close"
@@ -389,7 +394,7 @@ class TestHttpBackend:
         server = stub_server(lambda request: (status, {"error": "moved"},
                                               {"Location": server.url + "/elsewhere"}))
         with pytest.raises(HttpStatusError, match=f"HTTP {status}") as err:
-            complete(http_config(server.url, max_retries=3), "p")
+            ask(http_config(server.url, max_retries=3), "p")
         assert err.value.status == status
         assert err.value.code == "http-status"
         assert [request["path"] for request in server.requests] == ["/completions"]
@@ -415,7 +420,7 @@ class TestHttpBackend:
 
         url, thread = serve_connections(answer, 1)
         proxy_env(http_proxy=proxy_value.format(url.split("://")[1]))
-        result = complete(http_config("http://model.invalid:8080/v1"), "p")
+        result = ask(http_config("http://model.invalid:8080/v1"), "p")
         thread.join(5)
         assert not thread.is_alive()
         assert result.raw_text == "via proxy"
@@ -431,7 +436,7 @@ class TestHttpBackend:
         server = stub_server(lambda request: (200, {"choices": [{"text": "direct"}]}))
         # A proxy that would refuse the connection, were it used.
         proxy_env(http_proxy="http://127.0.0.1:9", no_proxy=no_proxy)
-        assert complete(http_config(server.url), "p").raw_text == "direct"
+        assert ask(http_config(server.url), "p").raw_text == "direct"
         assert len(server.requests) == 1
 
     def test_proxy_of_another_scheme_rejected(self, proxy_env):
@@ -467,7 +472,7 @@ class TestHttpBackend:
             return context
 
         monkeypatch.setattr(ssl, "create_default_context", default_context_trusting_cert)
-        result = complete(http_config(server.url), "p")
+        result = ask(http_config(server.url), "p")
         thread.join(5)
         assert not thread.is_alive()
         assert result.raw_text == "tunnelled"
@@ -502,7 +507,7 @@ class TestHttpBackend:
             thread.start()
             url = "http://127.0.0.1:%d" % listener.getsockname()[1]
             with pytest.raises(EndpointUnreachableError) as err:
-                complete(http_config(url, max_retries=2), "p")
+                ask(http_config(url, max_retries=2), "p")
             thread.join(5)
         assert not thread.is_alive()
         assert err.value.code == "endpoint-unreachable"
@@ -518,34 +523,118 @@ class TestHttpBackend:
         server = stub_server(respond)
         try:
             with pytest.raises(EndpointUnreachableError, match="timed out") as err:
-                complete(http_config(server.url, request_timeout=0.2), "p")
+                ask(http_config(server.url, request_timeout=0.2), "p")
         finally:
             release.set()
         assert err.value.code == "endpoint-unreachable"
 
     def test_recording_round_trips_through_replay(self, tmp_path, stub_server):
-        server = stub_server(lambda request: (200, {
-            "choices": [{"text": "answer for " + request["body"]["prompt"]}]}))
+        server = stub_server(echo)
         record = tmp_path / "recorded.jsonl"
-        cfg = http_config(server.url, record_path=str(record))
-        complete(cfg, "first prompt")
-        complete(cfg, "second prompt")
+        cfg = http_config(server.url, fixture_path=str(record), wire="chat", temperature=0.5)
+        ask(cfg, "first prompt")
+        ask(cfg, "second prompt")
 
+        # Replay takes any entry by digest, whatever model or settings wrote it.
         replay_cfg = BackendConfig(kind="replay", fixture_path=str(record))
-        assert complete(replay_cfg, "first prompt").raw_text == "answer for first prompt"
-        assert complete(replay_cfg, "second prompt").raw_text == "answer for second prompt"
+        assert ask(replay_cfg, "first prompt").raw_text == "answer for first prompt"
+        assert ask(replay_cfg, "second prompt").raw_text == "answer for second prompt"
         entries = [json.loads(line) for line in record.read_text(encoding="utf-8").splitlines()]
         assert [e["prompt"] for e in entries] == ["first prompt", "second prompt"]
         assert all(e["digest"] == prompt_digest(e["prompt"]) for e in entries)
         assert all(e["model_id"] == "test-model" for e in entries)
 
 
-def test_record_fixture_entry_helper(tmp_path):
+def echo(request):
+    """A stub reply on either wire: the prompt, after "answer for "."""
+    body = request["body"]
+    text = "answer for " + (body["prompt"] if "prompt" in body else body["messages"][0]["content"])
+    return 200, {"choices": [{"text": text, "message": {"content": text}}]}
+
+
+def test_fixture_entry_round_trips_through_the_store(tmp_path):
     path = tmp_path / "fix.jsonl"
-    path.touch()
-    record_fixture_entry(str(path), "p", "out", model_id="m")
+    path.write_text(fixture_entry("p", "out", "m")
+                    + fixture_entry("q", "live", "m", wire="chat", temperature=0.5,
+                                    max_output_tokens=9), encoding="utf-8")
     store = ReplayStore(str(path))
-    assert store.get(prompt_digest("p"))["raw_text"] == "out"
+    assert store.get(prompt_digest("p")) == {"digest": prompt_digest("p"), "prompt": "p",
+                                             "raw_text": "out", "model_id": "m"}
+    assert store.get(prompt_digest("q"))["raw_text"] == "live"
+    live = ReplayStore(str(path), LIVE_FIELDS)
+    # An entry without the live fields answers no live config.
+    assert live.get(prompt_digest("p"), "m", "completions", 0.0, 512) is None
+    assert live.get(prompt_digest("q"), "m", "chat", 0.5, 9)["raw_text"] == "live"
+    assert live.get(prompt_digest("q"), "m", "chat", 0.5, 10) is None
+
+
+class TestCacheThrough:
+    """An http backend with a fixture: hits are answered from it, misses are
+    asked of the endpoint and appended."""
+
+    def test_missing_fixture_is_created(self, tmp_path, stub_server):
+        server = stub_server(echo)
+        fixture = tmp_path / "cache.jsonl"
+        result = ask(http_config(server.url, fixture_path=str(fixture)), "p")
+        assert result.raw_text == "answer for p"
+        assert fixture.read_text(encoding="utf-8") == fixture_entry(
+            "p", "answer for p", "test-model", wire="completions", temperature=0.0,
+            max_output_tokens=512)
+
+    def test_hit_sends_no_request(self, tmp_path, stub_server):
+        server = stub_server(echo)
+        fixture = tmp_path / "cache.jsonl"
+        cfg = http_config(server.url, fixture_path=str(fixture))
+        first = ask(cfg, "p")
+        second = ask(cfg, "p")
+        assert second.raw_text == first.raw_text
+        assert second.backend_meta == {"model_id": "test-model", "source": "replay"}
+        assert len(server.requests) == 1
+        assert len(fixture.read_text(encoding="utf-8").splitlines()) == 1
+
+    @pytest.mark.parametrize("field, value", [
+        ("model_id", "other-model"), ("wire", "chat"), ("temperature", 0.7),
+        ("max_output_tokens", 64)])
+    def test_mismatch_sends_a_request_and_appends(self, tmp_path, stub_server, field, value):
+        server = stub_server(echo)
+        fixture = tmp_path / "cache.jsonl"
+        cfg = http_config(server.url, fixture_path=str(fixture))
+        other = http_config(server.url, fixture_path=str(fixture), **{field: value})
+        ask(cfg, "p")
+        assert ask(other, "p").backend_meta["model_id"] == other.model_id
+        assert len(server.requests) == 2
+        entries = [json.loads(line) for line in fixture.read_text(encoding="utf-8").splitlines()]
+        assert [entry[field] for entry in entries] == [getattr(cfg, field), value]
+        # Each entry now answers its own config, and only that.
+        ask(cfg, "p")
+        ask(other, "p")
+        assert len(server.requests) == 2
+
+    def test_failed_request_appends_nothing(self, tmp_path, stub_server):
+        server = stub_server(lambda request: (503, {"error": "down"}))
+        fixture = tmp_path / "cache.jsonl"
+        with pytest.raises(HttpStatusError):
+            ask(http_config(server.url, fixture_path=str(fixture)), "p")
+        assert not fixture.exists()
+
+    def test_concurrent_answers_each_appended_once(self, tmp_path, stub_server):
+        server = stub_server(echo)
+        fixture = tmp_path / "cache.jsonl"
+        prompts = [f"prompt {i}" for i in range(30)]
+        batch_complete(http_config(server.url, fixture_path=str(fixture), parallelism=4), prompts)
+        entries = [json.loads(line) for line in fixture.read_text(encoding="utf-8").splitlines()]
+        assert sorted(entry["prompt"] for entry in entries) == sorted(prompts)
+        assert all(entry["raw_text"] == "answer for " + entry["prompt"] for entry in entries)
+
+    def test_live_field_of_the_wrong_type_rejected(self, tmp_path):
+        path = tmp_path / "fix.jsonl"
+        path.write_text('{"digest": "d1", "raw_text": "ok", "model_id": "m", '
+                        '"temperature": [0]}\n', encoding="utf-8")
+        assert ReplayStore(str(path)).get("d1")["raw_text"] == "ok"
+        with pytest.raises(ValueError, match=r"fix\.jsonl: 1 malformed record\(s\):\n"
+                                             r"line 1: model_id, wire, temperature, "
+                                             r"max_output_tokens must not be arrays"):
+            ReplayStore(str(path), LIVE_FIELDS)
 
 
 class TestBatchComplete:
@@ -611,7 +700,7 @@ class TestBatchComplete:
             time.sleep(0.001)  # the other thread waits, as on a request
             return Completion(prompt_digest=prompt_digest(prompt), raw_text=prompt)
 
-        monkeypatch.setattr(backends._HttpBackend, "complete", complete)
+        monkeypatch.setattr(Backend, "complete", complete)
         prompts = [f"p{i}" for i in range(50)]
         with pytest.raises(RuntimeError, match="not a backend failure"):
             batch_complete(http_config("http://127.0.0.1:9", parallelism=2), prompts)
@@ -627,7 +716,7 @@ class TestBatchComplete:
             taken.append(prompt)
             return Completion(prompt_digest=prompt, raw_text=prompt)
 
-        monkeypatch.setattr(backends._HttpBackend, "complete", complete)
+        monkeypatch.setattr(Backend, "complete", complete)
         prompts = [f"p{i}" for i in range(3000)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

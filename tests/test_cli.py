@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from datetime import datetime, timezone
 from importlib.metadata import EntryPoint
@@ -13,6 +14,7 @@ from test_kb import without_sqlite3
 
 from elbench import cli
 from elbench.backends import prompt_digest
+from elbench.benchmark import load_benchmark
 from elbench.kb import load_mapping, title_to_qid
 from elbench.manifest import manifest_timestamp
 from elbench.parsing import STATUS_CLEAN, STATUS_UNPARSEABLE, load_predictions, save_predictions
@@ -202,6 +204,88 @@ class TestLink:
         assert code == 2
         assert "error [credential-missing]" in err
         assert "EL_API_KEY" in err
+
+
+    def test_missing_replay_fixture_exits_2(self, capsys, tmp_path, e2e_paths):
+        missing, out = tmp_path / "none.jsonl", tmp_path / "p.jsonl"
+        code, _, err = run(capsys, ["link", "--backend", "replay", "--fixture", str(missing),
+                                    "--benchmark", e2e_paths["benchmark"], "--out", str(out)])
+        assert code == 2
+        assert err.startswith("error: ") and str(missing) in err
+        assert not missing.exists() and not out.exists()
+
+    def test_http_run_with_every_prompt_failed_names_no_model(self, capsys, tmp_path,
+                                                                e2e_paths, stub_server,
+                                                                monkeypatch):
+        """The manifest names the model that answered, and here none did."""
+        monkeypatch.setenv("EL_API_KEY", "test-key")
+        server = stub_server(lambda request: (503, {"error": "down"}))
+        out = tmp_path / "p.jsonl"
+        code, _, _ = run(capsys, ["link", "--backend", "http", "--endpoint", server.url,
+                                  "--model", "m", "--max-retries", "0",
+                                  "--benchmark", e2e_paths["benchmark"], "--out", str(out)])
+        assert code == 1
+        manifest = json.loads((tmp_path / "p.jsonl.manifest.json").read_text())
+        assert manifest["backend"]["kind"] == "http"
+        assert manifest["backend"]["model_id"] == ""
+        assert set(manifest["inputs"]) == {"benchmark"}
+
+    @pytest.mark.parametrize("parallelism", [1, 3])
+    def test_stopped_http_run_resumes(self, capsys, tmp_path, e2e_paths, stub_server,
+                                      monkeypatch, parallelism):
+        """A stub that stops answering after 7 of 20 prompts makes link exit 1;
+        the rerun with the same arguments asks for the 13 missing prompts only,
+        and writes the bytes of a run that was never stopped."""
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        monkeypatch.setenv("EL_API_KEY", "test-key")
+        template = default_template()
+        with open(e2e_paths["completions"], encoding="utf-8") as handle:
+            raw = {row["sentence_id"]: row["raw_text"] for row in map(json.loads, handle)}
+        answers = {build_prompt(template, sentence.text): raw[sentence.sentence_id]
+                   for sentence in load_benchmark(e2e_paths["benchmark"]).sentences}
+        left = [None]  # answers the stub gives before it stops; None for no limit
+        lock = threading.Lock()
+
+        def respond(request):
+            with lock:
+                if left[0] == 0:
+                    return 503, {"error": "stopped"}
+                if left[0] is not None:
+                    left[0] -= 1
+            return 200, {"choices": [{"text": answers[request["body"]["prompt"]]}]}
+
+        server = stub_server(respond)
+        # Relative paths, so both runs have one backend config digest.
+        argv = ["link", "--backend", "http", "--endpoint", server.url, "--model", "m",
+                "--max-retries", "0", "--parallelism", str(parallelism),
+                "--benchmark", "bench.jsonl", "--fixture", "fixture.jsonl",
+                "--out", "preds.jsonl"]
+        artifacts = {}
+        for name, stops_after in (("whole", None), ("stopped", 7)):
+            workdir = tmp_path / name
+            workdir.mkdir()
+            shutil.copy(e2e_paths["benchmark"], workdir / "bench.jsonl")
+            monkeypatch.chdir(workdir)
+            left[0] = stops_after
+            sent = len(server.requests)
+            code, _, err = run(capsys, argv)
+            assert len(server.requests) - sent == 20
+            if stops_after is not None:
+                assert code == 1
+                assert err.count("[http-status]") == 13
+                assert len((workdir / "fixture.jsonl").read_text().splitlines()) == 7
+                left[0] = None
+                sent = len(server.requests)
+                code, _, _ = run(capsys, argv)
+                assert len(server.requests) - sent == 13
+            assert code == 0
+            artifacts[name] = [(workdir / path).read_bytes()
+                               for path in ("preds.jsonl", "preds.jsonl.manifest.json")]
+            assert len((workdir / "fixture.jsonl").read_text().splitlines()) == 20
+        assert artifacts["stopped"] == artifacts["whole"]
+        manifest = json.loads(artifacts["whole"][1])
+        assert manifest["backend"]["model_id"] == "m"
+        assert set(manifest["inputs"]) == {"benchmark"}
 
 
 class TestResolve:
@@ -658,6 +742,37 @@ class TestConfigFile:
         code, _, err = run(capsys, ["ingest", "--config", str(cfg)])
         assert code == 2
         assert f"{cfg}:2: unknown key 'thetas'" in err
+
+    def test_record_is_no_link_key(self, capsys, tmp_path):
+        """A live http run with a fixture writes it; there is no --record."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("backend = http\nrecord = fixture.jsonl\n", encoding="utf-8")
+        code, _, err = run(capsys, ["link", "--config", str(cfg)])
+        assert code == 2
+        assert f"error: {cfg}:2: unknown key 'record'" in err
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["link", "--record", "fixture.jsonl"])
+        assert exit_.value.code == 2
+
+    def test_lone_cr_stays_inside_its_line(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_bytes(b"system = a\rb\nmode = qidd\n")
+        code, _, err = run(capsys, ["score", "--config", str(cfg)])
+        assert code == 2
+        assert f"error: {cfg}:2: mode: invalid choice: 'qidd'" in err
+
+    def test_crlf_config_loads_as_its_lf_twin(self, capsys, tmp_path):
+        actions = cli.build_parser().parse_args(["score"]).config_actions
+        text = "# defaults\nsystem = a b\n\nmode = qid\nper-sentence = yes\n"
+        lf, crlf = tmp_path / "lf.cfg", tmp_path / "crlf.cfg"
+        lf.write_bytes(text.encode())
+        crlf.write_bytes(text.replace("\n", "\r\n").encode())
+        assert cli.load_config(str(crlf), actions) == cli.load_config(str(lf), actions) == {
+            "system": "a b", "mode": "qid", "per-sentence": True}
+        crlf.write_bytes(b"system = x\r\nmode = qidd\r\n")
+        code, _, err = run(capsys, ["score", "--config", str(crlf)])
+        assert code == 2
+        assert f"error: {crlf}:2: mode: invalid choice: 'qidd'" in err
 
     @pytest.mark.parametrize("command, line, message", [
         ("link", "parallelism = four", "parallelism: invalid int value: 'four'"),
