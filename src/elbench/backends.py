@@ -127,10 +127,12 @@ class ReplayStore:
     entries with the rest of LIVE_FIELDS too.
 
     An entry is kept under its digest and its values of fields.  The file is
-    a journal, so of two entries under one key the later wins.
+    a journal, so of two entries under one key the later wins.  A store
+    without a path starts empty.
     """
 
-    def __init__(self, path: str, fields: Tuple[str, ...] = ()):
+    def __init__(self, path: Optional[str], fields: Tuple[str, ...] = ()):
+        self._fields = fields
         self._entries: Dict[tuple, Dict[str, object]] = {}
 
         def check(entry: Dict[str, object], lineno: int, errors: List[str]) -> None:
@@ -141,15 +143,19 @@ class ReplayStore:
             elif any(isinstance(entry.get(name), (list, dict)) for name in fields):
                 errors.append(f"line {lineno}: {', '.join(fields)} must not be arrays or objects")
             else:
-                self._entries[(entry["digest"], *map(entry.get, fields))] = entry
+                self.add(entry)
 
-        read_records(path, check)
+        if path is not None:
+            read_records(path, check)
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def get(self, digest: str, *values: object) -> Optional[Dict[str, object]]:
         return self._entries.get((digest, *values))
+
+    def add(self, entry: Dict[str, object]) -> None:
+        self._entries[(entry["digest"], *map(entry.get, self._fields))] = entry
 
 
 class Backend:
@@ -159,19 +165,25 @@ class Backend:
     The replay kind takes any entry with the prompt's digest.  The http kind
     takes only an entry whose LIVE_FIELDS equal the config's, so one model's
     answer is never served as another's; its fixture, which need not exist
-    yet, gets each answer from the endpoint appended as it arrives.
+    yet, gets each answer from the endpoint appended as it arrives, and the
+    store takes it too, so a prompt met again is not sent again.  With
+    parallelism above 1, two workers can still both miss one prompt at once;
+    each then sends it and appends its answer.
     """
 
     def __init__(self, cfg: BackendConfig):
         self.cfg = cfg
         fields = LIVE_FIELDS if cfg.kind == "http" else ()
         self._wanted = tuple(getattr(cfg, name) for name in fields)
-        # An http fixture that does not exist yet holds nothing.
-        self._store = (ReplayStore(cfg.fixture_path, fields)
-                       if not fields or os.path.exists(cfg.fixture_path) else None)
+        # A replay fixture must exist.  An http fixture that does not exist
+        # yet starts an empty store; an http backend without one keeps none.
+        self._store: Optional[ReplayStore] = None
+        if cfg.fixture_path:
+            missing = bool(fields) and not os.path.exists(cfg.fixture_path)
+            self._store = ReplayStore(None if missing else cfg.fixture_path, fields)
         if not fields:
             return  # replay sends nothing
-        self._lock = threading.Lock()  # one append to the fixture at a time
+        self._lock = threading.Lock()  # one append to the fixture and store at a time
         # Imported here, on the one path that sends a request, so that no
         # other command pays for loading the HTTP client at start-up.
         import base64
@@ -276,10 +288,12 @@ class Backend:
             raise ReplayMissError(f"{self.cfg.fixture_path}: no recorded completion "
                                   f"for digest {digest}")
         completion = self._request(prompt, digest)
-        if self.cfg.fixture_path:
+        if self._store is not None:
             line = fixture_entry(prompt, completion.raw_text, **dict(zip(LIVE_FIELDS, self._wanted)))
             with self._lock, open(self.cfg.fixture_path, "a", encoding="utf-8") as handle:
                 handle.write(line)
+                # The store holds the entry as a rerun reads it from the file.
+                self._store.add(json.loads(line))
         return completion
 
     def _request(self, prompt: str, digest: str) -> Completion:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .kb import is_qid
 from .records import encode_json, read_records
@@ -60,35 +60,31 @@ class StatsSummary:
     total_mentions: int
 
 
-def _check_mention(fields: Dict[str, object], text: str, where: str, errors: List[str]) -> Optional[GoldMention]:
+def _check_mention(fields: Dict[str, object], text: str) -> Union[GoldMention, str]:
+    """The mention the fields give, or what is wrong with them.  The caller,
+    which knows where the fields came from, labels the problem, so no label
+    is built for a valid mention."""
     surface = fields.get("surface")
     qid = fields.get("qid")
     entity_type = fields.get("type", "")
     if not isinstance(surface, str) or not surface.strip():
-        errors.append(f"{where}: mention surface must be a non-empty string")
-        return None
+        return "mention surface must be a non-empty string"
     if not isinstance(qid, str) or (qid != NIL and not is_qid(qid)):
-        errors.append(f"{where}: qid must be {NIL!r} or match Q[0-9]+, got {qid!r}")
-        return None
+        return f"qid must be {NIL!r} or match Q[0-9]+, got {qid!r}"
     if not isinstance(entity_type, str):
-        errors.append(f"{where}: type must be a string")
-        return None
+        return "type must be a string"
     start = fields.get("start")
     end = fields.get("end")
     if (start is None) != (end is None):
-        errors.append(f"{where}: start and end must be given together")
-        return None
+        return "start and end must be given together"
     if start is not None:
         # type(), not isinstance(): JSON true/false are ints to isinstance.
         if type(start) is not int or type(end) is not int:
-            errors.append(f"{where}: start/end must be integers")
-            return None
+            return "start/end must be integers"
         if not (0 <= start < end <= len(text)):
-            errors.append(f"{where}: offsets [{start},{end}) out of range for sentence of length {len(text)}")
-            return None
+            return f"offsets [{start},{end}) out of range for sentence of length {len(text)}"
         if text[start:end] != surface:
-            errors.append(f"{where}: text slice {text[start:end]!r} does not equal surface {surface!r}")
-            return None
+            return f"text slice {text[start:end]!r} does not equal surface {surface!r}"
     return GoldMention(surface, qid, entity_type, start, end)
 
 
@@ -118,8 +114,9 @@ def _load_jsonl(path: str) -> List[BenchmarkSentence]:
                 errors.append(f"line {lineno}: mention {i} must be a JSON object")
                 ok = False
                 continue
-            mention = _check_mention(fields, text, f"line {lineno}: mention {i}", errors)
-            if mention is None:
+            mention = _check_mention(fields, text)
+            if isinstance(mention, str):
+                errors.append(f"line {lineno}: mention {i}: {mention}")
                 ok = False
             else:
                 mentions.append(mention)
@@ -176,9 +173,10 @@ def _load_tsv(path: str) -> List[BenchmarkSentence]:
             return
         if not surface and not qid and not entity_type:
             return  # mention-less sentence marker
-        mention = _check_mention({"surface": surface, "qid": qid, "type": entity_type},
-                                 text, f"line {lineno}", errors)
-        if mention is not None:
+        mention = _check_mention({"surface": surface, "qid": qid, "type": entity_type}, text)
+        if isinstance(mention, str):
+            errors.append(f"line {lineno}: {mention}")
+        else:
             current_mentions.append(mention)
 
     read_records(path, check, tsv=True)

@@ -9,11 +9,17 @@ mentions stay in every slice so the scorer's NIL policy stays in charge of
 them.  `stratify` tags each matched item with the first slice that keeps it
 and leaves the counting to `scoring.count_slices`, the one counter, so a
 sweep over every distinct count costs little more than one `score`.
+
+A counts file of canonical rows only (Q<digits> TAB <digits>, LF or CRLF
+endings, each qid once) takes one regex match per block of rows and is read
+in C; `records.read_records` reads every other file, so what loads, and
+every error, is as it was.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -78,8 +84,54 @@ def counts_from_entities(entities: Mapping[str, Mapping], qids: Iterable[str]) -
     return PopularityIndex(counts=counts)
 
 
+# A block of canonical rows: "Q<digits>\t<digits>", each ending in "\n" or
+# "\r\n", except that the file's last row may have no line end.
+_CANONICAL_ROWS = re.compile(rb"(?:Q[0-9]+\t[0-9]+\r?\n)*(?:Q[0-9]+\t[0-9]+)?")
+# Reading in blocks bounds the text and tokens held at once, whatever the
+# size of the file.
+_BLOCK_BYTES = 1 << 20
+
+
+def _canonical_counts(path: str) -> Optional[Dict[str, int]]:
+    """The counts of a file of canonical rows, each qid once, else None.
+
+    Each block of whole lines (an unfinished last line is carried into the
+    next) takes one regex match and one split into qid and count tokens; a
+    repeated qid shows as a dict smaller than the number of rows.
+    """
+    counts: Dict[str, int] = {}
+    rows = 0
+    tail = b""
+    with open(path, "rb") as handle:
+        while True:
+            chunk = handle.read(_BLOCK_BYTES)
+            block = tail + chunk
+            if chunk:
+                cut = block.rfind(b"\n") + 1
+                block, tail = block[:cut], block[cut:]
+            if _CANONICAL_ROWS.fullmatch(block) is None:
+                return None
+            tokens = block.decode("ascii").split()
+            rows += len(tokens) // 2
+            counts.update(zip(tokens[::2], map(int, tokens[1::2])))
+            if len(counts) != rows:
+                return None
+            if not chunk:
+                return counts
+
+
 def load_counts(path: str) -> PopularityIndex:
-    """Load a counts TSV: qid <TAB> count.  Fails whole, listing bad lines."""
+    """Load a counts TSV: qid <TAB> count.  Fails whole, listing bad lines.
+
+    A canonical file (Q<digits> TAB <digits> rows, LF or CRLF endings, each
+    qid once) is read a block at a time with one regex check per block.  Any
+    other file goes through `records.read_records`, which also takes blank
+    lines and padded cells and names every bad line, so both paths give the
+    same index, and a rejected file its usual errors.
+    """
+    canonical = _canonical_counts(path)
+    if canonical is not None:
+        return PopularityIndex(counts=canonical)
     counts: Dict[str, int] = {}
     lines_seen: Dict[str, int] = {}
 

@@ -2,8 +2,10 @@ import os
 
 import pytest
 
+from elbench import popularity
 from elbench.benchmark import Benchmark, BenchmarkSentence, GoldMention
 from elbench.kb import KbRecord, MappingIndex
+from elbench.records import read_records
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -69,3 +71,17 @@ def stub_server():
     yield make
     for server in servers:
         server.close()
+
+
+@pytest.fixture
+def line_checked(monkeypatch):
+    """The paths `load_counts` hands to its line checker, `read_records`:
+    every counts file that is not canonical."""
+    paths = []
+
+    def spy(path, *args, **kwargs):
+        paths.append(path)
+        return read_records(path, *args, **kwargs)
+
+    monkeypatch.setattr(popularity, "read_records", spy)
+    return paths

@@ -6,7 +6,8 @@ loops as they were, as test oracles: `tests/test_records.py` requires the
 loaders built on the shared reader to return the same records, or raise
 the same error text, on random files.  The mapping's loader is kept in
 `tests/reference_kb.py`.  What did not change is called, not copied:
-`_check_mention`, the predictions' and external rows' checks past the
+`_check_mention` (whose problems each loop labels with its line, as it
+used to), the predictions' and external rows' checks past the
 JSON-object test, and the external rows' resolution.
 """
 
@@ -62,8 +63,9 @@ def _load_jsonl(path: str, errors: List[str]) -> List[BenchmarkSentence]:
                     errors.append(f"line {lineno}: mention {i} must be a JSON object")
                     ok = False
                     continue
-                mention = _check_mention(fields, text, f"line {lineno}: mention {i}", errors)
-                if mention is None:
+                mention = _check_mention(fields, text)
+                if isinstance(mention, str):
+                    errors.append(f"line {lineno}: mention {i}: {mention}")
                     ok = False
                 else:
                     mentions.append(mention)
@@ -118,9 +120,10 @@ def _load_tsv(path: str, errors: List[str]) -> List[BenchmarkSentence]:
                 continue
             if not surface and not qid and not entity_type:
                 continue  # mention-less sentence marker
-            mention = _check_mention({"surface": surface, "qid": qid, "type": entity_type},
-                                     text, f"line {lineno}", errors)
-            if mention is not None:
+            mention = _check_mention({"surface": surface, "qid": qid, "type": entity_type}, text)
+            if isinstance(mention, str):
+                errors.append(f"line {lineno}: {mention}")
+            else:
                 current_mentions.append(mention)
     flush()
     return sentences

@@ -287,6 +287,28 @@ class TestLink:
         assert manifest["backend"]["model_id"] == "m"
         assert set(manifest["inputs"]) == {"benchmark"}
 
+    def test_prompt_met_twice_is_sent_once(self, capsys, tmp_path, stub_server, monkeypatch):
+        """Two sentences with one text make one prompt: the second is answered
+        from the answer the first appended to the fixture."""
+        monkeypatch.setenv("EL_API_KEY", "test-key")
+        text = "Rossini finished The Barber of Seville in under three weeks."
+        bench = tmp_path / "bench.jsonl"
+        bench.write_text("".join(json.dumps({"id": sentence_id, "text": text}) + "\n"
+                                 for sentence_id in ("s1", "s2")), encoding="utf-8")
+        answer = '[{"Entities":{"Rossini":"Gioachino Rossini"}}]'
+        server = stub_server(lambda request: (200, {"choices": [{"text": answer}]}))
+        fixture, out = tmp_path / "fixture.jsonl", tmp_path / "preds.jsonl"
+        code, _, _ = run(capsys, ["link", "--backend", "http", "--endpoint", server.url,
+                                  "--model", "m", "--parallelism", "1",
+                                  "--benchmark", str(bench), "--fixture", str(fixture),
+                                  "--out", str(out)])
+        assert code == 0
+        assert len(server.requests) == 1
+        assert len(fixture.read_text(encoding="utf-8").splitlines()) == 1
+        first, second = load_predictions(str(out))
+        assert first.links == second.links
+        assert [link.title for link in first.links] == ["Gioachino Rossini"]
+
 
 class TestResolve:
     def test_predictions_path(self, capsys, tmp_path, e2e_paths, linked):
@@ -474,6 +496,33 @@ class TestStratify:
         manifest = json.loads((tmp_path / "strata.csv.manifest.json").read_text())
         assert manifest["params"]["thetas"] == "20,100,inf"
         assert manifest["params"]["strict"] == "True"
+
+    def test_canonical_and_loose_counts_write_the_same_bytes(self, capsys, tmp_path, e2e_paths,
+                                                             linked, monkeypatch, line_checked):
+        """The canonical counts file is read by the block check, a loose copy
+        of it (a blank line, padded cells, CRLF endings) by the line checker;
+        both write the same slices."""
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        with open(e2e_paths["counts"], encoding="utf-8") as handle:
+            rows = [line.rstrip("\n").split("\t") for line in handle]
+        loose = tmp_path / "loose.tsv"
+        loose.write_bytes("".join(f" {qid}\t{count} \r\n" + ("\r\n" if i == 3 else "")
+                                  for i, (qid, count) in enumerate(rows)).encode("utf-8"))
+        outputs = []
+        for counts in (e2e_paths["counts"], str(loose)):
+            out_dir = tmp_path / f"run{len(outputs)}"
+            out_dir.mkdir()
+            code, _, _ = run(capsys, [
+                "stratify", "--benchmark", e2e_paths["benchmark"], "--predictions", str(linked),
+                "--mode", "title", "--kb", e2e_paths["mapping"], "--counts", counts,
+                "--thetas", "all", "--system", "llm", "--out", str(out_dir / "strata.csv"),
+                "--json", str(out_dir / "strata.json")])
+            assert code == 0
+            payload = json.loads((out_dir / "strata.json").read_text(encoding="utf-8"))
+            del payload["manifest"]
+            outputs.append(((out_dir / "strata.csv").read_bytes(), json.dumps(payload)))
+        assert line_checked == [str(loose)]
+        assert outputs[0] == outputs[1]
 
     def test_strict_missing_count_fails(self, capsys, tmp_path, e2e_paths, linked):
         counts = tmp_path / "partial.tsv"

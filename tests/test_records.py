@@ -36,6 +36,7 @@ from elbench import cli
 from elbench.kb import KbRecord, MappingIndex, load_mapping, title_to_qid
 from elbench.parsing import load_predictions
 from elbench.prompting import build_prompt, default_template
+from elbench import popularity
 from elbench.popularity import load_counts
 from elbench.records import encode_json, read_records
 
@@ -100,12 +101,15 @@ BENCHMARK_TSV = tsv(
                         st.sampled_from(["Alpha", "zzz", ""]), st.sampled_from(["Q1", "q1", ""]),
                         st.sampled_from(["PER", ""])),
               st.lists(st.sampled_from(["a", "Alpha beta.", "Q1"]), min_size=1, max_size=6)))
-COUNTS_TSV = tsv(
-    st.tuples(st.sampled_from([f"Q{i}" for i in range(1, 30)] + [" Q1 "]),
-              st.sampled_from(["0", "1", "17", " 3 "])),
-    st.one_of(st.tuples(st.sampled_from(["Q1", "q1", "", "Q"]),
-                        st.sampled_from(["1", "-1", "x", "\u00b2", ""])),
-              st.lists(st.sampled_from(["Q1", "2", ""]), min_size=1, max_size=4)))
+# Counts files come with LF or CRLF endings, with or without a final one.
+COUNTS_TSV = st.tuples(
+    tsv(st.tuples(st.sampled_from([f"Q{i}" for i in range(1, 30)] + [" Q1 "]),
+                  st.sampled_from(["0", "1", "17", " 3 "])),
+        st.one_of(st.tuples(st.sampled_from(["Q1", "q1", "", "Q"]),
+                            st.sampled_from(["1", "-1", "x", "\u00b2", ""])),
+                  st.lists(st.sampled_from(["Q1", "2", ""]), min_size=1, max_size=4))),
+    st.sampled_from(["\n", "\r\n"]), st.booleans(),
+).map(lambda drawn: (drawn[0] if drawn[2] else drawn[0][:-1]).replace("\n", drawn[1]))
 PREDICTIONS = jsonl(
     st.one_of(objects(sentence_id=IDS, status=["clean", "repaired"],
                       links=[[], [{"surface": "Alpha", "title": "A"}],
@@ -320,6 +324,40 @@ class TestReadRecords:
         assert handle.closed
 
 
+class TestCountsBlocks:
+    """A counts file longer than one block of the canonical reader."""
+
+    ROWS = 120_000
+
+    def text(self):
+        text = "".join(f"Q{i}\t{i % 997}\n" for i in range(1, self.ROWS + 1))
+        assert len(text) > popularity._BLOCK_BYTES
+        return text
+
+    def test_canonical(self, tmp_path, line_checked):
+        path = tmp_path / "counts.tsv"
+        path.write_text(self.text(), encoding="utf-8")
+        counts = load_counts(str(path))
+        assert line_checked == []
+        assert counts == reference_load_counts(str(path))
+        assert len(counts.counts) == self.ROWS
+
+    def test_bad_rows_past_the_first_block(self, tmp_path, line_checked):
+        lines = self.text().splitlines(keepends=True)
+        bad, duplicate = 100_000, 110_000
+        assert sum(map(len, lines[:bad - 1])) > popularity._BLOCK_BYTES
+        lines[bad - 1] = f"Q{bad}\tx\n"
+        lines[duplicate - 1] = "Q5\t1\n"
+        path = tmp_path / "counts.tsv"
+        path.write_text("".join(lines), encoding="utf-8")
+        expected = [f"{path}: 2 malformed row(s):",
+                    f"line {bad}: count must be a nonnegative integer, got 'x'",
+                    f"line {duplicate}: duplicate qid Q5 (first seen on line 5)"]
+        assert outcome(load_counts, str(path)) == ("error", "\n".join(expected))
+        assert outcome(reference_load_counts, str(path)) == ("error", "\n".join(expected))
+        assert line_checked == [str(path)]
+
+
 class TestLineEndings:
     """Lines end at "\n" alone.  A lone "\r" stays inside its line, so every
     error names the line an editor shows, and a CRLF file loads as the same
@@ -330,7 +368,7 @@ class TestLineEndings:
             load(str(path))
         return str(err.value).splitlines()[1:]
 
-    def test_counts(self, tmp_path):
+    def test_counts(self, tmp_path, line_checked):
         path = tmp_path / "counts.tsv"
         path.write_bytes(b"Q1\t5\nQ2\r\t7\nQ3\tx\nQ4\t1\r2\n")
         assert self.load_error(load_counts, path) == [
@@ -338,6 +376,18 @@ class TestLineEndings:
             "line 4: count must be a nonnegative integer, got '1\\r2'"]
         path.write_bytes(b"Q1\t5\r\n\r\nQ2\t7\r\n")
         assert load_counts(str(path)).counts == {"Q1": 5, "Q2": 7}
+        # Canonical, so read without the line checker: CRLF endings, and a
+        # last row without a line end.
+        line_checked.clear()
+        for text in (b"Q1\t5\r\nQ2\t7\r\n", b"Q1\t5\nQ2\t7", b"Q1\t5\r\nQ2\t7"):
+            path.write_bytes(text)
+            assert load_counts(str(path)).counts == {"Q1": 5, "Q2": 7}
+        assert line_checked == []
+        # A row ending in "\r\r\n" is valid (one "\r" ends the line, the
+        # other pads the cell) but not canonical.
+        path.write_bytes(b"Q1\t5\r\r\nQ2\t7\n")
+        assert load_counts(str(path)).counts == {"Q1": 5, "Q2": 7}
+        assert line_checked == [str(path)]
 
     def test_benchmark_tsv(self, tmp_path):
         path = tmp_path / "benchmark.tsv"
