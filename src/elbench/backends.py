@@ -104,7 +104,7 @@ class BackendConfig:
             raise ValueError("replay backend requires a fixture path")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Completion:
     prompt_digest: str
     raw_text: str

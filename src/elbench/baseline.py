@@ -21,7 +21,7 @@ RESOLUTION_GIVEN_QID = "given-qid"
 RESOLUTION_NOT_FOUND = "not-found"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ExternalPrediction:
     sentence_id: str
     surface: str

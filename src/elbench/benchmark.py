@@ -37,7 +37,7 @@ class GoldMention(NamedTuple):
         return self.qid == NIL
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BenchmarkSentence:
     sentence_id: str
     text: str

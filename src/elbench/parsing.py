@@ -26,7 +26,7 @@ STATUS_UNPARSEABLE = "unparseable"
 STATUSES = (STATUS_CLEAN, STATUS_REPAIRED, STATUS_UNPARSEABLE)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PredictedLink:
     """One predicted link.  qid/resolution are attached by a resolve step."""
 
@@ -37,14 +37,14 @@ class PredictedLink:
     resolution: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ParseOutcome:
     links: Tuple[PredictedLink, ...]
     status: str
     diagnostics: Tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PredictionRecord:
     """One sentence's predictions, the interchange record consumed by the scorer."""
 
@@ -235,8 +235,21 @@ def save_predictions(records: List[PredictionRecord], path: str) -> None:
 
 
 def load_predictions(path: str) -> List[PredictionRecord]:
-    """Load interchange records; fails whole on malformed lines, listing them."""
-    return read_records(path, _check_record)
+    """Load interchange records; fails whole on malformed lines, listing them.
+    A sentence_id appears at most once."""
+    first_lines: Dict[str, int] = {}
+
+    def check(row: Dict[str, object], lineno: int, errors: List[str]) -> Optional[PredictionRecord]:
+        record = _check_record(row, lineno, errors)
+        if record is not None:
+            first = first_lines.setdefault(record.sentence_id, lineno)
+            if first != lineno:
+                errors.append(f"line {lineno}: duplicate sentence_id {record.sentence_id!r} "
+                              f"(first seen on line {first})")
+                return None
+        return record
+
+    return read_records(path, check)
 
 
 def _check_record(row: Dict[str, object], lineno: int, errors: List[str]) -> Optional[PredictionRecord]:

@@ -49,7 +49,7 @@ class MatchConfig:
             raise ValueError(f"nil_policy must be one of {NIL_POLICIES}, got {self.nil_policy!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SentenceScore:
     sentence_id: str
     tp: int

@@ -171,8 +171,11 @@ def reference_load_counts(path: str) -> PopularityIndex:
 
 
 def reference_load_predictions(path: str) -> List[PredictionRecord]:
+    """The old loop, with the rule added since: a sentence_id that a valid
+    record already took on an earlier line is an error."""
     errors: List[str] = []
     records: List[PredictionRecord] = []
+    seen: Dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, 1):
             if not line.strip():
@@ -186,8 +189,14 @@ def reference_load_predictions(path: str) -> List[PredictionRecord]:
                 errors.append(f"line {lineno}: record must be a JSON object")
                 continue
             record = _check_record(row, lineno, errors)
-            if record is not None:
-                records.append(record)
+            if record is None:
+                continue
+            if record.sentence_id in seen:
+                errors.append(f"line {lineno}: duplicate sentence_id {record.sentence_id!r} "
+                              f"(first seen on line {seen[record.sentence_id]})")
+                continue
+            seen[record.sentence_id] = lineno
+            records.append(record)
     if errors:
         raise ValueError(f"{path}: {len(errors)} malformed record(s):\n" + "\n".join(errors))
     return records

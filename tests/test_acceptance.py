@@ -329,11 +329,13 @@ PINNED_DIR = os.path.join(os.path.dirname(__file__), "data", "pinned")
 
 
 def test_replay_artifacts_match_pinned(tmp_path, e2e_paths, e2e_fixture, capsys, monkeypatch):
-    """link → score --per-sentence --csv → stratify --json --thetas all on the
-    packaged sample writes the artifacts pinned under tests/data/pinned: the
-    predictions and both CSVs byte for byte, both JSON reports without their
-    `manifest`, which names temporary paths.  A change that alters any of
-    them on purpose rewrites the pinned copy in the same commit."""
+    """link → score --per-sentence --csv → stratify --json --thetas all, and
+    resolve --predictions → score --mode qid --per-sentence on its output, on
+    the packaged sample write the artifacts pinned under tests/data/pinned:
+    both prediction files and both CSVs byte for byte, the three JSON reports
+    without their `manifest`, which names temporary paths.  A change that
+    alters any of them on purpose rewrites the pinned copy in the same
+    commit."""
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
     monkeypatch.chdir(tmp_path)
     bench, kb = e2e_paths["benchmark"], e2e_paths["mapping"]
@@ -346,15 +348,20 @@ def test_replay_artifacts_match_pinned(tmp_path, e2e_paths, e2e_fixture, capsys,
                      "--mode", "title", "--kb", kb, "--counts", e2e_paths["counts"],
                      "--thetas", "all", "--system", "llm",
                      "--out", "strata.csv", "--json", "strata.json"]) == 0
+    assert cli.main(["resolve", "--predictions", "preds.jsonl", "--kb", kb,
+                     "--out", "resolved.jsonl"]) == 0
+    assert cli.main(["score", "--benchmark", bench, "--predictions", "resolved.jsonl",
+                     "--mode", "qid", "--system", "llm", "--per-sentence",
+                     "--out", "score_qid.json"]) == 0
     capsys.readouterr()
 
     def pinned(name):
         with open(os.path.join(PINNED_DIR, name), "rb") as handle:
             return handle.read()
 
-    for name in ("preds.jsonl", "score.csv", "strata.csv"):
+    for name in ("preds.jsonl", "score.csv", "strata.csv", "resolved.jsonl"):
         assert (tmp_path / name).read_bytes() == pinned(name), name
-    for name in ("score.json", "strata.json"):
+    for name in ("score.json", "strata.json", "score_qid.json"):
         artifact = json.loads((tmp_path / name).read_text(encoding="utf-8"))
         del artifact["manifest"]
         text = json.dumps(artifact, ensure_ascii=False, indent=2) + "\n"

@@ -410,6 +410,22 @@ class TestResolve:
         assert code == 2
         assert "line 1: page_id must be a positive integer, got True" in err
 
+    def test_repeated_sentence_id_rejected(self, capsys, tmp_path, e2e_paths):
+        # Used to be written through, and only `score` then failed, naming
+        # neither the file nor a line.
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(
+            '{"sentence_id": "s1", "status": "clean", "links": []}\n'
+            '{"sentence_id": "s2", "status": "clean", "links": []}\n'
+            '{"sentence_id": "s1", "status": "clean", "links": []}\n', encoding="utf-8")
+        out = tmp_path / "resolved.jsonl"
+        code, _, err = run(capsys, ["resolve", "--kb", e2e_paths["mapping"],
+                                    "--predictions", str(preds), "--out", str(out)])
+        assert code == 2
+        assert str(preds) in err
+        assert "line 3: duplicate sentence_id 's1' (first seen on line 1)" in err
+        assert not out.exists()
+
     def test_exactly_one_source(self, capsys, tmp_path, e2e_paths, linked):
         base = ["resolve", "--kb", e2e_paths["mapping"], "--out", str(tmp_path / "o.jsonl")]
         code, _, err = run(capsys, base)

@@ -4,8 +4,8 @@ On random files that mix valid lines, blank lines, bad JSON, non-objects,
 wrong types, duplicates and, for TSV, non-consecutive sentence groups,
 each loader must return the same records as its reference in
 `tests/reference_loaders.py`, or raise a ValueError with the same text.
-Three texts differ on purpose, and one check was added since; each test
-says how:
+Three texts differ on purpose, and two checks were added since; each test
+or reference says how:
 
 - the benchmark TSV counts its errors as "row(s)", as the other TSV
   formats do, not "record(s)";
@@ -14,7 +14,9 @@ says how:
 - a completions line that is not a JSON object reads "record must be a
   JSON object", as in the other JSON Lines formats;
 - a completions line whose model_id is not a string is rejected, where it
-  used to be recorded into the replay fixture as it was.
+  used to be recorded into the replay fixture as it was;
+- a predictions file that repeats a sentence_id is rejected, where it used
+  to load; `reference_load_predictions` has the same rule.
 """
 
 import contextlib
