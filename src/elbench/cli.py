@@ -19,14 +19,13 @@ from functools import partial
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Union
 
 # Every command reads its inputs through this module, so it is no extra cost.
-from .records import read_records
+from .records import not_utf8, read_records
 
 # The names the commands use from each module.  Every import compiles its
 # module from source when there is no bytecode cache, so a command imports
 # only the modules it runs (see _bind) and start-up pays for nothing else.
 _NAMES = {
-    "backends": ("DEFAULT_API_KEY_ENV", "BackendConfig", "BackendError", "batch_complete",
-                 "fixture_entry"),
+    "backends": ("BackendConfig", "BackendError", "batch_complete", "fixture_entry"),
     "baseline": ("RESOLUTION_NOT_FOUND", "RESOLUTION_TITLE", "load_external_predictions"),
     "benchmark": ("benchmark_stats", "load_benchmark", "save_benchmark"),
     "kb": ("load_mapping", "title_to_qid"),
@@ -36,8 +35,8 @@ _NAMES = {
     "popularity": ("DEFAULT_THETAS", "STRATIFY_CSV_FIELDS", "load_counts", "stratify",
                    "stratify_csv_rows"),
     "prompting": ("build_prompt", "load_template"),
-    "scoring": ("CSV_FIELDS", "NIL_EXCLUDE_AND_IGNORE", "MatchConfig", "build_report",
-                "csv_fields", "report_to_dict", "score"),
+    "scoring": ("CSV_FIELDS", "MatchConfig", "build_report", "csv_fields", "report_to_dict",
+                "score"),
 }
 _MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}
 
@@ -84,25 +83,29 @@ def load_config(path: str, actions: Mapping[str, argparse.Action]) -> Dict[str, 
     # Lines end at "\n" alone, as in records.read_records: a lone "\r" stays
     # inside its line.
     with open(path, "r", encoding="utf-8", newline="\n") as handle:
-        for lineno, line in enumerate(handle, 1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            if key not in actions:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}; "
-                                 f"expected one of {', '.join(sorted(actions))}")
-            if key in first_line:
-                raise ValueError(f"{path}:{lineno}: duplicate key {key!r} "
-                                 f"(first set on line {first_line[key]})")
-            first_line[key] = lineno
-            try:
-                values[key] = _convert(actions[key], value.strip())
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
+        try:
+            lines = handle.readlines()
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
+    for lineno, line in enumerate(lines, 1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ValueError(f"{path}:{lineno}: expected key=value")
+        key, _, value = stripped.partition("=")
+        key = key.strip()
+        if key not in actions:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}; "
+                             f"expected one of {', '.join(sorted(actions))}")
+        if key in first_line:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r} "
+                             f"(first set on line {first_line[key]})")
+        first_line[key] = lineno
+        try:
+            values[key] = _convert(actions[key], value.strip())
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 
@@ -128,64 +131,37 @@ def _convert(action: argparse.Action, raw: str) -> object:
     return values if action.nargs == "+" else values[0]
 
 
-class _Options:
-    """Flag values with config-file fallback; explicit flags win."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.config = (load_config(args.config, args.config_actions)
-                       if getattr(args, "config", None) else {})
-
-    def get(self, key: str, default=None):
-        value = getattr(self.args, key.replace("-", "_"))
-        if value is not None:
-            return value
-        return self.config.get(key, default)
-
-    def require(self, key: str):
-        value = self.get(key)
-        if value is None:
-            raise ValueError(f"missing required option --{key}")
-        return value
+def _require(args: argparse.Namespace, *flags: str) -> None:
+    """Fail on the first of flags that no flag or config file has set."""
+    for flag in flags:
+        if getattr(args, flag.replace("-", "_")) is None:
+            raise ValueError(f"missing required option --{flag}")
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     _bind("benchmark")
-    opts = _Options(args)
-    path = opts.require("input")
-    benchmark = load_benchmark(path, opts.get("format", "jsonl"), name=opts.get("name"))
+    _require(args, "input")
+    benchmark = load_benchmark(args.input, args.format, name=args.name)
     stats = benchmark_stats(benchmark)
     for name in ("sentences", "tokens", "unique_qids", "types", "nil_mentions", "total_mentions"):
         print(f"{name}: {getattr(stats, name)}")
-    out = opts.get("out")
-    if out:
-        save_benchmark(benchmark, out, opts.get("out-format", "jsonl"))
-        print(f"wrote {out}")
+    if args.out:
+        save_benchmark(benchmark, args.out, args.out_format)
+        print(f"wrote {args.out}")
     return 0
 
 
 def cmd_link(args: argparse.Namespace) -> int:
+    from dataclasses import fields
     _bind("benchmark", "prompting", "backends", "parsing", "manifest")
-    opts = _Options(args)
-    benchmark_path = opts.require("benchmark")
-    out = opts.require("out")
-    benchmark = load_benchmark(benchmark_path, opts.get("format", "jsonl"))
-    template = load_template(opts.get("template"))
-    cfg = BackendConfig(
-        kind=opts.require("backend"),
-        endpoint=opts.get("endpoint", ""),
-        model_id=opts.get("model", ""),
-        fixture_path=opts.get("fixture", ""),
-        temperature=opts.get("temperature", 0.0),
-        max_output_tokens=opts.get("max-output-tokens", 512),
-        request_timeout=opts.get("timeout", 30.0),
-        max_retries=opts.get("max-retries", 3),
-        retry_backoff=opts.get("retry-backoff", 0.5),
-        parallelism=opts.get("parallelism", 4),
-        wire=opts.get("wire", "completions"),
-        api_key_env=opts.get("api-key-env", DEFAULT_API_KEY_ENV),
-    )
-    cfg.validate()
+    _require(args, "benchmark", "out", "backend")
+    benchmark = load_benchmark(args.benchmark, args.format)
+    template = load_template(args.template)
+    # The flags whose dest names a BackendConfig field set it; one left
+    # unset keeps the field's default.
+    cfg = BackendConfig(kind=args.backend, **{
+        field.name: getattr(args, field.name) for field in fields(BackendConfig)
+        if getattr(args, field.name, None) is not None})
     prompts = [build_prompt(template, sentence.text) for sentence in benchmark.sentences]
     results = batch_complete(cfg, prompts)
     records: List[PredictionRecord] = []
@@ -202,17 +178,17 @@ def cmd_link(args: argparse.Namespace) -> int:
         records.append(PredictionRecord(sentence_id=sentence.sentence_id,
                                         links=outcome.links, status=outcome.status))
         status_counts[outcome.status] = status_counts.get(outcome.status, 0) + 1
-    save_predictions(records, out)
-    inputs = {"benchmark": benchmark_path}
+    save_predictions(records, args.out)
+    inputs = {"benchmark": args.benchmark}
     if cfg.kind == "replay":
         inputs["fixture"] = cfg.fixture_path
     manifest = build_run_manifest(inputs, template_text=template.text,
                                   template_version=template.version, backend_config=cfg,
                                   backend_model=_answering_models(results))
-    write_manifest(manifest, out + ".manifest.json")
+    write_manifest(manifest, args.out + ".manifest.json")
     summary = ", ".join(f"{count} {name}" for name, count in sorted(status_counts.items()))
     print(f"linked {len(records)} sentence(s): {summary or 'nothing to do'}")
-    print(f"wrote {out}")
+    print(f"wrote {args.out}")
     if failures:
         print(f"{len(failures)} sentence(s) failed:", file=sys.stderr)
         for failure in failures:
@@ -246,11 +222,8 @@ def _titles(records: Sequence[PredictionRecord]) -> Set[str]:
 
 def cmd_resolve(args: argparse.Namespace) -> int:
     _bind("parsing", "kb", "baseline", "manifest")
-    opts = _Options(args)
-    kb_path = opts.require("kb")
-    out = opts.require("out")
-    external = opts.get("external")
-    predictions = opts.get("predictions")
+    _require(args, "kb", "out")
+    kb_path, out, external, predictions = args.kb, args.out, args.external, args.predictions
     if bool(external) == bool(predictions):
         raise ValueError("exactly one of --external and --predictions is required")
     if external:
@@ -286,30 +259,25 @@ def cmd_resolve(args: argparse.Namespace) -> int:
 
 def cmd_score(args: argparse.Namespace) -> int:
     _bind("benchmark", "parsing", "kb", "scoring", "manifest")
-    opts = _Options(args)
-    benchmark_path = opts.require("benchmark")
-    predictions_path = opts.require("predictions")
-    out = opts.require("out")
-    mode = opts.get("mode", "title")
-    benchmark = load_benchmark(benchmark_path, opts.get("format", "jsonl"))
-    preds = load_predictions(predictions_path)
-    kb_path = opts.get("kb")
+    _require(args, "benchmark", "predictions", "out")
+    out, mode, kb_path = args.out, args.mode, args.kb
+    benchmark = load_benchmark(args.benchmark, args.format)
+    preds = load_predictions(args.predictions)
     kb = load_mapping(kb_path, qids=_gold_qids(benchmark)) if kb_path else None
-    cfg = MatchConfig(mode=mode, nil_policy=opts.get("nil-policy", NIL_EXCLUDE_AND_IGNORE))
-    report = score(benchmark, preds, cfg, kb, system_id=opts.get("system", "system"),
-                   keep_per_sentence=bool(opts.get("per-sentence", False)))
-    inputs = {"benchmark": benchmark_path, "predictions": predictions_path}
+    cfg = MatchConfig(mode=mode, nil_policy=args.nil_policy)
+    report = score(benchmark, preds, cfg, kb, system_id=args.system,
+                   keep_per_sentence=args.per_sentence)
+    inputs = {"benchmark": args.benchmark, "predictions": args.predictions}
     if kb_path:
         inputs["kb"] = kb_path
     manifest = build_run_manifest(inputs, params={"mode": mode, "nil_policy": cfg.nil_policy})
     artifact = {"mode": mode, "nil_policy": cfg.nil_policy, **report_to_dict(report),
-                "manifest": manifest.to_dict()}
+                "manifest": manifest}
     with open(out, "w", encoding="utf-8") as handle:
         json.dump(artifact, handle, ensure_ascii=False, indent=2)
         handle.write("\n")
-    csv_path = opts.get("csv")
-    if csv_path:
-        with open(csv_path, "w", encoding="utf-8", newline="") as handle:
+    if args.csv:
+        with open(args.csv, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(CSV_FIELDS)
             writer.writerow(csv_fields(report))
@@ -321,44 +289,36 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 def cmd_stratify(args: argparse.Namespace) -> int:
     _bind("benchmark", "parsing", "kb", "scoring", "popularity", "manifest")
-    opts = _Options(args)
-    benchmark_path = opts.require("benchmark")
-    predictions_path = opts.require("predictions")
-    counts_path = opts.require("counts")
-    out = opts.require("out")
-    benchmark = load_benchmark(benchmark_path, opts.get("format", "jsonl"))
-    preds = load_predictions(predictions_path)
-    pop = load_counts(counts_path)
-    kb_path = opts.get("kb")
+    _require(args, "benchmark", "predictions", "counts", "out")
+    out, mode, kb_path, system_id = args.out, args.mode, args.kb, args.system
+    benchmark = load_benchmark(args.benchmark, args.format)
+    preds = load_predictions(args.predictions)
+    pop = load_counts(args.counts)
     kb = (load_mapping(kb_path, titles=_titles(preds), qids=_gold_qids(benchmark))
           if kb_path else None)
-    mode = opts.get("mode", "title")
-    cfg = MatchConfig(mode=mode, nil_policy=opts.get("nil-policy", NIL_EXCLUDE_AND_IGNORE))
-    raw_thetas = opts.get("thetas")
-    thetas = ([token for token in raw_thetas.split(",") if token.strip()]
-              if raw_thetas else DEFAULT_THETAS)
-    strict = not opts.get("lenient", False)
-    system_id = opts.get("system", "system")
+    cfg = MatchConfig(mode=mode, nil_policy=args.nil_policy)
+    thetas = ([token for token in args.thetas.split(",") if token.strip()]
+              if args.thetas else DEFAULT_THETAS)
+    strict = not args.lenient
     slices = stratify(benchmark, preds, cfg, kb, pop, thetas, strict=strict, system_id=system_id)
     rows = stratify_csv_rows(slices)
     with open(out, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(STRATIFY_CSV_FIELDS)
         writer.writerows(rows)
-    inputs = {"benchmark": benchmark_path, "predictions": predictions_path, "counts": counts_path}
+    inputs = {"benchmark": args.benchmark, "predictions": args.predictions, "counts": args.counts}
     if kb_path:
         inputs["kb"] = kb_path
     theta_param = ",".join(row[1] for row in rows)
     manifest = build_run_manifest(inputs, params={"mode": mode, "nil_policy": cfg.nil_policy,
                                                   "thetas": theta_param, "strict": strict})
     write_manifest(manifest, out + ".manifest.json")
-    json_path = opts.get("json")
-    if json_path:
+    if args.json:
         payload = {"system": system_id, "mode": mode, "nil_policy": cfg.nil_policy,
                    "slices": [{"theta": "inf" if math.isinf(item.theta) else int(item.theta),
                                **report_to_dict(item.report)} for item in slices],
-                   "manifest": manifest.to_dict()}
-        with open(json_path, "w", encoding="utf-8") as handle:
+                   "manifest": manifest}
+        with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, ensure_ascii=False, indent=2)
             handle.write("\n")
     print(f"wrote {out} ({len(slices)} slice(s))")
@@ -367,9 +327,8 @@ def cmd_stratify(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     _bind("scoring", "manifest")
-    opts = _Options(args)
-    input_paths = opts.require("inputs")
-    out = opts.require("out")
+    _require(args, "inputs", "out")
+    input_paths, out = args.inputs, args.out
     reports = []
     modes = set()
     for path in input_paths:
@@ -378,6 +337,8 @@ def cmd_report(args: argparse.Namespace) -> int:
                 data = json.load(handle)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: invalid JSON: {exc}") from None
+            except UnicodeDecodeError:
+                raise not_utf8(path) from None
         if not isinstance(data, dict):
             raise ValueError(f"{path}: a score report must be a JSON object")
         for field in ("system", "tp", "fp", "fn"):
@@ -392,7 +353,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                                  f"got {data[field]!r}")
         modes.add(data.get("mode", ""))
         reports.append(build_report(data["system"], "all", data["tp"], data["fp"], data["fn"], {}))
-    if len(modes) > 1 and not opts.get("force", False):
+    if len(modes) > 1 and not args.force:
         raise ValueError(f"refusing to merge reports with mixed match modes {sorted(modes)}; "
                          "pass --force to override")
     entries = sorted(((r.system_id, r.precision_pct(), r.recall_pct(), r.f1_pct())
@@ -413,12 +374,10 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_record(args: argparse.Namespace) -> int:
     _bind("benchmark", "prompting", "backends")
-    opts = _Options(args)
-    benchmark = load_benchmark(opts.require("benchmark"), opts.get("format", "jsonl"))
-    template = load_template(opts.get("template"))
-    completions_path = opts.require("completions")
-    default_model = opts.get("model", "")
-    out = opts.require("out")
+    _require(args, "benchmark", "completions", "out")
+    out, default_model = args.out, args.model
+    benchmark = load_benchmark(args.benchmark, args.format)
+    template = load_template(args.template)
     known = {sentence.sentence_id for sentence in benchmark.sentences}
     rows: Dict[str, Dict[str, str]] = {}
 
@@ -440,7 +399,7 @@ def cmd_record(args: argparse.Namespace) -> int:
             # Kept even then, so a later line for the sentence reads as a duplicate.
             rows[sentence_id] = {"raw_text": raw_text, "model_id": model_id}
 
-    read_records(completions_path, check)
+    read_records(args.completions, check)
     written = 0
     skipped = 0
     with open(out, "w", encoding="utf-8") as handle:
@@ -465,25 +424,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     ingest = sub.add_parser("ingest", help="validate a benchmark, print stats, optionally convert")
     ingest.add_argument("--input")
-    ingest.add_argument("--format", choices=("jsonl", "tsv"))
+    ingest.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl")
     ingest.add_argument("--name")
     ingest.add_argument("--out")
-    ingest.add_argument("--out-format", choices=("jsonl", "tsv"))
+    ingest.add_argument("--out-format", choices=("jsonl", "tsv"), default="jsonl")
     ingest.add_argument("--config")
     ingest.set_defaults(func=cmd_ingest)
 
     link = sub.add_parser("link", help="prompt a backend over every sentence")
     link.add_argument("--benchmark")
-    link.add_argument("--format", choices=("jsonl", "tsv"))
+    link.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl")
     link.add_argument("--template")
     link.add_argument("--backend", choices=("http", "replay"))
+    # From here to --api-key-env each flag sets the BackendConfig field of
+    # its dest and defaults to None: the field's default is the only one.
     link.add_argument("--endpoint")
-    link.add_argument("--model")
-    link.add_argument("--fixture", help="replay fixture; with --backend http, answers found "
-                      "there are not asked again and new ones are appended")
+    link.add_argument("--model", dest="model_id")
+    link.add_argument("--fixture", dest="fixture_path",
+                      help="replay fixture; with --backend http, answers found there are not "
+                      "asked again and new ones are appended")
     link.add_argument("--temperature", type=float)
     link.add_argument("--max-output-tokens", type=int)
-    link.add_argument("--timeout", type=float)
+    link.add_argument("--timeout", dest="request_timeout", type=float)
     link.add_argument("--max-retries", type=int)
     link.add_argument("--retry-backoff", type=float)
     link.add_argument("--parallelism", type=int)
@@ -503,13 +465,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     score_p = sub.add_parser("score", help="micro P/R/F1 for one system")
     score_p.add_argument("--benchmark")
-    score_p.add_argument("--format", choices=("jsonl", "tsv"))
+    score_p.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl")
     score_p.add_argument("--predictions")
-    score_p.add_argument("--mode", choices=("title", "qid"))
+    score_p.add_argument("--mode", choices=("title", "qid"), default="title")
     score_p.add_argument("--kb")
-    score_p.add_argument("--nil-policy", choices=_NIL_POLICIES)
-    score_p.add_argument("--system")
-    score_p.add_argument("--per-sentence", action="store_true", default=None)
+    score_p.add_argument("--nil-policy", choices=_NIL_POLICIES, default=_NIL_POLICIES[0])
+    score_p.add_argument("--system", default="system")
+    score_p.add_argument("--per-sentence", action="store_true")
     score_p.add_argument("--out")
     score_p.add_argument("--csv")
     score_p.add_argument("--config")
@@ -517,17 +479,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     stratify_p = sub.add_parser("stratify", help="θ-threshold metric series")
     stratify_p.add_argument("--benchmark")
-    stratify_p.add_argument("--format", choices=("jsonl", "tsv"))
+    stratify_p.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl")
     stratify_p.add_argument("--predictions")
-    stratify_p.add_argument("--mode", choices=("title", "qid"))
+    stratify_p.add_argument("--mode", choices=("title", "qid"), default="title")
     stratify_p.add_argument("--kb")
-    stratify_p.add_argument("--nil-policy", choices=_NIL_POLICIES)
+    stratify_p.add_argument("--nil-policy", choices=_NIL_POLICIES, default=_NIL_POLICIES[0])
     stratify_p.add_argument("--counts")
     stratify_p.add_argument("--thetas", help="comma-separated, e.g. 20,40,60,80,100,inf; "
                             "'all' for every distinct count of the run plus inf")
-    stratify_p.add_argument("--lenient", action="store_true", default=None,
+    stratify_p.add_argument("--lenient", action="store_true",
                             help="treat missing popularity counts as infinite instead of failing")
-    stratify_p.add_argument("--system")
+    stratify_p.add_argument("--system", default="system")
     stratify_p.add_argument("--out")
     stratify_p.add_argument("--json")
     stratify_p.add_argument("--config")
@@ -536,17 +498,18 @@ def build_parser() -> argparse.ArgumentParser:
     report_p = sub.add_parser("report", help="merge score reports into one table")
     report_p.add_argument("--inputs", nargs="+")
     report_p.add_argument("--out")
-    report_p.add_argument("--force", action="store_true", default=None,
+    report_p.add_argument("--force", action="store_true",
                           help="allow mixing title- and qid-mode reports")
     report_p.add_argument("--config")
     report_p.set_defaults(func=cmd_report)
 
     record_p = sub.add_parser("record", help="turn a completions log into a replay fixture")
     record_p.add_argument("--benchmark")
-    record_p.add_argument("--format", choices=("jsonl", "tsv"))
+    record_p.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl")
     record_p.add_argument("--template")
     record_p.add_argument("--completions", help="JSONL of {sentence_id, raw_text, model_id?}")
-    record_p.add_argument("--model", help="model_id recorded for rows that do not carry one")
+    record_p.add_argument("--model", default="",
+                          help="model_id recorded for rows that do not carry one")
     record_p.add_argument("--out")
     record_p.add_argument("--config")
     record_p.set_defaults(func=cmd_record)
@@ -563,6 +526,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config:
+            # The file's values become its subcommand's defaults, and the
+            # command line, parsed again, overrides them.
+            for key, value in load_config(args.config, args.config_actions).items():
+                args.config_actions[key].default = value
+            args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,8 +12,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Union
 
 from . import __version__
 
@@ -41,65 +40,36 @@ def manifest_timestamp() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(int(raw) if raw else None))
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    timestamp: str
-    tool_version: str
-    inputs: Tuple[Tuple[str, str, str], ...] = ()  # (name, path, sha256)
-    template_version: str = ""
-    template_sha256: str = ""
-    backend_digest: str = ""
-    backend_kind: str = ""
-    backend_model: Union[str, Tuple[str, ...]] = ""
-    params: Tuple[Tuple[str, str], ...] = ()
-
-    def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            "tool": {"name": "elbench", "version": self.tool_version},
-            "timestamp": self.timestamp,
-            "inputs": {name: {"path": path, "sha256": sha} for name, path, sha in self.inputs},
-        }
-        if self.template_version or self.template_sha256:
-            out["template"] = {"version": self.template_version, "sha256": self.template_sha256}
-        if self.backend_digest:
-            model = self.backend_model
-            out["backend"] = {"digest": self.backend_digest, "kind": self.backend_kind,
-                              "model_id": model if isinstance(model, str) else list(model)}
-        if self.params:
-            out["params"] = dict(self.params)
-        return out
-
-
 def build_run_manifest(inputs: Mapping[str, str],
                        template_text: Optional[str] = None,
                        template_version: str = "",
                        backend_config: Optional[object] = None,
                        params: Optional[Mapping[str, object]] = None,
-                       backend_model: Union[str, Sequence[str]] = "") -> RunManifest:
-    """Digest every named input file and assemble the manifest.
+                       backend_model: Union[str, Sequence[str]] = "") -> Dict[str, object]:
+    """Digest every named input file and assemble the manifest, as the JSON
+    object that write_manifest writes and reports embed.
 
     backend_model is the model that answered, one ID or several.
     """
-    stamped = tuple((name, path, file_sha256(path)) for name, path in inputs.items())
-    backend_digest = backend_kind = ""
+    manifest: Dict[str, object] = {
+        "tool": {"name": "elbench", "version": __version__},
+        "timestamp": manifest_timestamp(),
+        "inputs": {name: {"path": path, "sha256": file_sha256(path)}
+                   for name, path in inputs.items()},
+    }
+    if template_text is not None:
+        manifest["template"] = {"version": template_version, "sha256": text_sha256(template_text)}
     if backend_config is not None:
-        backend_digest = config_digest(backend_config)
-        backend_kind = getattr(backend_config, "kind", "")
-    model = backend_model if isinstance(backend_model, str) else tuple(backend_model)
-    return RunManifest(
-        timestamp=manifest_timestamp(),
-        tool_version=__version__,
-        inputs=stamped,
-        template_version=template_version,
-        template_sha256=text_sha256(template_text) if template_text is not None else "",
-        backend_digest=backend_digest,
-        backend_kind=backend_kind,
-        backend_model=model,
-        params=tuple((key, str(value)) for key, value in (params or {}).items()),
-    )
+        manifest["backend"] = {"digest": config_digest(backend_config),
+                               "kind": getattr(backend_config, "kind", ""),
+                               "model_id": backend_model if isinstance(backend_model, str)
+                               else list(backend_model)}
+    if params:
+        manifest["params"] = {key: str(value) for key, value in params.items()}
+    return manifest
 
 
-def write_manifest(manifest: RunManifest, path: str) -> None:
+def write_manifest(manifest: Mapping[str, object], path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(manifest.to_dict(), handle, ensure_ascii=False, sort_keys=True, indent=2)
+        json.dump(manifest, handle, ensure_ascii=False, sort_keys=True, indent=2)
         handle.write("\n")

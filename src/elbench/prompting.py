@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Tuple
 
+from .records import not_utf8
+
 SENTENCE_SLOT = "{{sentence}}"
 DEFAULT_TEMPLATE_VERSION = "el_one_shot_v1"
 
@@ -78,7 +80,10 @@ def load_template(path: Optional[str] = None) -> PromptTemplate:
     if not path:
         return parse_template(default_template_text(), version=DEFAULT_TEMPLATE_VERSION)
     with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+        try:
+            text = handle.read()
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
     return parse_template(text, version=os.path.splitext(os.path.basename(path))[0])
 
 

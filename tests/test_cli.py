@@ -13,10 +13,10 @@ import pytest
 from test_kb import without_sqlite3
 
 from elbench import cli
-from elbench.backends import prompt_digest
+from elbench.backends import BackendConfig, prompt_digest
 from elbench.benchmark import load_benchmark
 from elbench.kb import load_mapping, title_to_qid
-from elbench.manifest import manifest_timestamp
+from elbench.manifest import config_digest, manifest_timestamp
 from elbench.parsing import STATUS_CLEAN, STATUS_UNPARSEABLE, load_predictions, save_predictions
 from elbench.prompting import build_prompt, default_template
 from elbench.scoring import NIL_POLICIES
@@ -868,7 +868,8 @@ class TestConfigFile:
         assert exit_.value.code == 2
         assert "--nil-policy: invalid choice: 'bogus'" in capsys.readouterr().err
 
-    def test_values_converted_as_their_flags(self, capsys, tmp_path, e2e_paths, linked):
+    def test_values_converted_as_their_flags(self, capsys, tmp_path, e2e_paths, e2e_fixture,
+                                             linked, monkeypatch):
         out = tmp_path / "score.json"
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"benchmark = {e2e_paths['benchmark']}\n"
@@ -880,10 +881,16 @@ class TestConfigFile:
         assert code == 0
         assert len(json.loads(out.read_text(encoding="utf-8"))["per_sentence"]) == 20
         cfg.write_text("max-retries = 2\nparallelism = 3\ntemperature = 0.5\n", encoding="utf-8")
-        args = cli.build_parser().parse_args(["link", "--config", str(cfg)])
-        options = cli._Options(args)
-        assert [options.get(key) for key in ("max-retries", "parallelism", "temperature")] == \
-            [2, 3, 0.5]
+        configs = []
+        batch_complete = cli.batch_complete
+        monkeypatch.setattr(cli, "batch_complete",
+                            lambda config, prompts: configs.append(config)
+                            or batch_complete(config, prompts))
+        code, _, _ = run(capsys, ["link", "--config", str(cfg), "--backend", "replay",
+                                  "--fixture", e2e_fixture, "--benchmark", e2e_paths["benchmark"],
+                                  "--out", str(tmp_path / "preds.jsonl")])
+        assert code == 0
+        assert [(c.max_retries, c.parallelism, c.temperature) for c in configs] == [(2, 3, 0.5)]
 
     def test_report_inputs_from_config(self, capsys, tmp_path):
         score_path = tmp_path / "a.json"
@@ -895,6 +902,35 @@ class TestConfigFile:
         code, stdout, _ = run(capsys, ["report", "--config", str(cfg)])
         assert code == 0
         assert "sys  P=50.0 R=100.0 F1=66.7" in stdout
+
+
+@pytest.mark.parametrize("name", ["config", "benchmark", "mapping", "counts", "template",
+                                  "report"])
+def test_not_utf8_input_names_path_and_line(capsys, tmp_path, e2e_paths, e2e_fixture, linked,
+                                            name):
+    """An input file with a byte that is not UTF-8 on line 2 fails with its
+    path and that line, whichever command reads it."""
+    bad = tmp_path / f"bad-{name}"
+    if name in ("benchmark", "mapping", "counts"):
+        with open(e2e_paths[name], "rb") as handle:
+            first = handle.readline()
+    else:
+        first = {"config": b"# defaults\n", "template": b"Sentence:\n", "report": b"{\n"}[name]
+    bad.write_bytes(first + b"caf\xe9\n")
+    bench, out = e2e_paths["benchmark"], str(tmp_path / "out")
+    argv = {
+        "config": ["score", "--config", str(bad)],
+        "benchmark": ["ingest", "--input", str(bad)],
+        "mapping": ["resolve", "--predictions", str(linked), "--kb", str(bad), "--out", out],
+        "counts": ["stratify", "--benchmark", bench, "--predictions", str(linked),
+                   "--counts", str(bad), "--out", out],
+        "template": ["link", "--backend", "replay", "--fixture", e2e_fixture, "--benchmark",
+                     bench, "--template", str(bad), "--out", out],
+        "report": ["report", "--inputs", str(bad), "--out", out],
+    }[name]
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert err == f"error: {bad}: line 2: not valid UTF-8\n"
 
 
 class TestReproducibility:
@@ -931,7 +967,8 @@ class TestReproducibility:
     def test_cold_and_warm_kb_cache_give_identical_artifacts(self, capsys, tmp_path, e2e_paths,
                                                              e2e_fixture, monkeypatch):
         """The README pipeline writes the same bytes whether the KB index cache
-        is empty, warm, or unusable for want of sqlite3."""
+        is empty, warm, or unusable for want of sqlite3, and whether each
+        command takes its options as flags or from a config file."""
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
         bench, kb = e2e_paths["benchmark"], e2e_paths["mapping"]
@@ -944,8 +981,11 @@ class TestReproducibility:
         out = {name: str(tmp_path / name) for name in (
             "preds.jsonl", "resolved.jsonl", "external_resolved.jsonl", "score.json",
             "score.csv", "score_qid.json", "strata.csv", "strata.json", "table.csv")}
+        # link sets non-default values of flags whose dest differs from their
+        # name, so a config key applied to the wrong dest changes the digest.
         commands = [
             ["link", "--backend", "replay", "--fixture", e2e_fixture, "--benchmark", bench,
+             "--model", "llama-3", "--timeout", "5", "--temperature", "0.25",
              "--out", out["preds.jsonl"]],
             ["resolve", "--predictions", out["preds.jsonl"], "--kb", kb,
              "--out", out["resolved.jsonl"]],
@@ -962,12 +1002,21 @@ class TestReproducibility:
             ["report", "--inputs", out["score.json"], "--out", out["table.csv"]],
         ]
 
-        def pipeline():
+        def pipeline(commands=commands):
             for argv in commands:
                 assert cli.main(argv) == 0, argv
             capsys.readouterr()
             return {name: (tmp_path / name).read_bytes()
                     for name in os.listdir(tmp_path) if name.endswith((".jsonl", ".json", ".csv"))}
+
+        def from_config(index, argv):
+            """argv with every option moved into a config file."""
+            config = tmp_path / f"{index}.cfg"
+            options = argv[1:]
+            config.write_text("".join(f"{flag[2:]} = {value}\n"
+                                      for flag, value in zip(options[::2], options[1::2])),
+                              encoding="utf-8")
+            return [argv[0], "--config", str(config)]
 
         cold = pipeline()
         assert len(os.listdir(tmp_path / "cache" / "elbench")) == 1
@@ -975,7 +1024,15 @@ class TestReproducibility:
         with monkeypatch.context() as patch:
             without_sqlite3(patch)
             assert pipeline() == cold
+        assert pipeline([from_config(*item) for item in enumerate(commands)]) == cold
         assert set(out) <= set(cold)
+
+        # A link given no optional flag runs with BackendConfig's own defaults.
+        assert cli.main(["link", "--backend", "replay", "--fixture", e2e_fixture,
+                         "--benchmark", bench, "--out", out["preds.jsonl"]]) == 0
+        manifest = json.loads((tmp_path / "preds.jsonl.manifest.json").read_text(encoding="utf-8"))
+        assert manifest["backend"]["digest"] == config_digest(
+            BackendConfig(kind="replay", fixture_path=e2e_fixture))
 
 
 # Runs elbench commands through cli.main in a fresh interpreter, then prints

@@ -325,6 +325,16 @@ class TestReadRecords:
         assert seen == [(1, ["a", "b"]), (4, ["c"])]
         assert handle.closed
 
+    @pytest.mark.parametrize("tsv", [False, True])
+    def test_not_utf8_lists_every_undecodable_line(self, tmp_path, tsv):
+        path = tmp_path / "in.txt"
+        # A lone "\r" ends no line, here as in the text reader.
+        path.write_bytes(b'{"k": 1}\r\n{"k": "\xff"}\n{"k": "\r"}\n\xe9\n')
+        with pytest.raises(ValueError) as err:
+            read_records(str(path), lambda value, lineno, errors: value, tsv=tsv)
+        assert str(err.value).splitlines() == [f"{path}: line 2: not valid UTF-8",
+                                               f"{path}: line 4: not valid UTF-8"]
+
 
 class TestCountsBlocks:
     """A counts file longer than one block of the canonical reader."""
