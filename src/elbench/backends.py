@@ -132,7 +132,6 @@ class ReplayStore:
     """
 
     def __init__(self, path: Optional[str], fields: Tuple[str, ...] = ()):
-        self._fields = fields
         self._entries: Dict[tuple, Dict[str, object]] = {}
 
         def check(entry: Dict[str, object], lineno: int, errors: List[str]) -> None:
@@ -143,7 +142,7 @@ class ReplayStore:
             elif any(isinstance(entry.get(name), (list, dict)) for name in fields):
                 errors.append(f"line {lineno}: {', '.join(fields)} must not be arrays or objects")
             else:
-                self.add(entry)
+                self._entries[(entry["digest"], *map(entry.get, fields))] = entry
 
         if path is not None:
             read_records(path, check)
@@ -154,9 +153,6 @@ class ReplayStore:
     def get(self, digest: str, *values: object) -> Optional[Dict[str, object]]:
         return self._entries.get((digest, *values))
 
-    def add(self, entry: Dict[str, object]) -> None:
-        self._entries[(entry["digest"], *map(entry.get, self._fields))] = entry
-
 
 class Backend:
     """Answers a prompt from the fixture when it holds the answer, else, for
@@ -165,10 +161,8 @@ class Backend:
     The replay kind takes any entry with the prompt's digest.  The http kind
     takes only an entry whose LIVE_FIELDS equal the config's, so one model's
     answer is never served as another's; its fixture, which need not exist
-    yet, gets each answer from the endpoint appended as it arrives, and the
-    store takes it too, so a prompt met again is not sent again.  With
-    parallelism above 1, two workers can still both miss one prompt at once;
-    each then sends it and appends its answer.
+    yet, gets each answer from the endpoint appended as it arrives.  The
+    store is read once, when the backend is made, and never changes.
     """
 
     def __init__(self, cfg: BackendConfig):
@@ -183,7 +177,7 @@ class Backend:
             self._store = ReplayStore(None if missing else cfg.fixture_path, fields)
         if not fields:
             return  # replay sends nothing
-        self._lock = threading.Lock()  # one append to the fixture and store at a time
+        self._lock = threading.Lock()  # one append to the fixture at a time
         # Imported here, on the one path that sends a request, so that no
         # other command pays for loading the HTTP client at start-up.
         import base64
@@ -292,8 +286,6 @@ class Backend:
             line = fixture_entry(prompt, completion.raw_text, **dict(zip(LIVE_FIELDS, self._wanted)))
             with self._lock, open(self.cfg.fixture_path, "a", encoding="utf-8") as handle:
                 handle.write(line)
-                # The store holds the entry as a rerun reads it from the file.
-                self._store.add(json.loads(line))
         return completion
 
     def _request(self, prompt: str, digest: str) -> Completion:
@@ -352,50 +344,51 @@ def batch_complete(cfg: BackendConfig,
                    prompts: Sequence[str]) -> List[Union[Completion, BackendError]]:
     """Complete many prompts; results align with input order.
 
-    Per-prompt failures are recorded in place as BackendError values and
-    never abort the batch; only fatal configuration errors raise.  At most
-    cfg.parallelism requests are in flight at once.  Replay answers from
-    memory, with nothing to wait for, so it runs inline without threads.
+    Each distinct prompt is completed once, and every slot that holds it
+    gets that one Completion or BackendError, so a run never pays twice for
+    a prompt.  Per-prompt failures are recorded in place as BackendError
+    values and never abort the batch; only fatal configuration errors
+    raise.  At most cfg.parallelism requests are in flight at once.  Replay
+    answers from memory, with nothing to wait for, so it runs inline
+    without threads.
     """
     backend = make_backend(cfg)
-
-    def outcome(prompt: str) -> Union[Completion, BackendError]:
-        try:
-            return backend.complete(prompt)
-        except BackendError as exc:
-            return exc
-
-    if cfg.kind == "replay" or cfg.parallelism == 1:
-        return list(map(outcome, prompts))
-    # cfg.parallelism plain threads take the prompts from one deque and put
-    # each result in its slot.  A thread pool would cost its import (about
-    # 12 ms, most of it logging) and, per prompt, a future and a wake-up of
-    # the waiting caller.
-    results: list = [None] * len(prompts)
-    pending = deque(enumerate(prompts))
+    distinct = list(dict.fromkeys(prompts))
+    results: Dict[str, Union[Completion, BackendError]] = {}
+    pending = deque(distinct)
     raised: List[BaseException] = []
 
     def work() -> None:
         try:
             while True:
                 try:
-                    index, prompt = pending.popleft()
+                    prompt = pending.popleft()
                 except IndexError:
                     return  # every prompt is taken
-                results[index] = outcome(prompt)
+                try:
+                    results[prompt] = backend.complete(prompt)
+                except BackendError as exc:
+                    results[prompt] = exc
         except BaseException as exc:
             pending.clear()
             raised.append(exc)
 
-    threads = [threading.Thread(target=work) for _ in range(min(cfg.parallelism, len(prompts)))]
-    for thread in threads:
-        thread.start()
-    try:
+    if cfg.kind == "replay" or cfg.parallelism == 1:
+        work()
+    else:
+        # cfg.parallelism plain threads take the prompts from one deque.  A
+        # thread pool would cost its import (about 12 ms, most of it logging)
+        # and, per prompt, a future and a wake-up of the waiting caller.
+        threads = [threading.Thread(target=work)
+                   for _ in range(min(cfg.parallelism, len(distinct)))]
         for thread in threads:
-            thread.join()
-    finally:
-        # An interrupt lets the requests in flight finish and starts no more.
-        pending.clear()
+            thread.start()
+        try:
+            for thread in threads:
+                thread.join()
+        finally:
+            # An interrupt lets the requests in flight finish and starts no more.
+            pending.clear()
     if raised:
         raise raised[0]
-    return results
+    return [results[prompt] for prompt in prompts]

@@ -184,7 +184,7 @@ def _load_tsv(path: str) -> List[BenchmarkSentence]:
     return sentences
 
 
-def load_benchmark(path: str, format: str = "jsonl", name: Optional[str] = None) -> Benchmark:
+def load_benchmark(path: str, format: str = "jsonl") -> Benchmark:
     """Load and validate a benchmark file.
 
     Any malformed record fails the whole load, listing every offending line;
@@ -193,8 +193,7 @@ def load_benchmark(path: str, format: str = "jsonl", name: Optional[str] = None)
     if format not in FORMATS:
         raise ValueError(f"unknown benchmark format {format!r}; expected one of {FORMATS}")
     sentences = _load_jsonl(path) if format == "jsonl" else _load_tsv(path)
-    if name is None:
-        name = os.path.splitext(os.path.basename(path))[0]
+    name = os.path.splitext(os.path.basename(path))[0]
     return Benchmark(name=name, sentences=tuple(sentences))
 
 

@@ -27,7 +27,7 @@ from .records import not_utf8, read_records
 _NAMES = {
     "backends": ("BackendConfig", "BackendError", "batch_complete", "fixture_entry"),
     "baseline": ("RESOLUTION_NOT_FOUND", "RESOLUTION_TITLE", "load_external_predictions"),
-    "benchmark": ("benchmark_stats", "load_benchmark", "save_benchmark"),
+    "benchmark": ("Benchmark", "benchmark_stats", "load_benchmark", "save_benchmark"),
     "kb": ("load_mapping", "title_to_qid"),
     "manifest": ("build_run_manifest", "write_manifest"),
     "parsing": ("STATUS_UNPARSEABLE", "PredictedLink", "PredictionRecord", "load_predictions",
@@ -141,7 +141,7 @@ def _require(args: argparse.Namespace, *flags: str) -> None:
 def cmd_ingest(args: argparse.Namespace) -> int:
     _bind("benchmark")
     _require(args, "input")
-    benchmark = load_benchmark(args.input, args.format, name=args.name)
+    benchmark = load_benchmark(args.input, args.format)
     stats = benchmark_stats(benchmark)
     for name in ("sentences", "tokens", "unique_qids", "types", "nil_mentions", "total_mentions"):
         print(f"{name}: {getattr(stats, name)}")
@@ -298,7 +298,7 @@ def cmd_stratify(args: argparse.Namespace) -> int:
           if kb_path else None)
     cfg = MatchConfig(mode=mode, nil_policy=args.nil_policy)
     thetas = ([token for token in args.thetas.split(",") if token.strip()]
-              if args.thetas else DEFAULT_THETAS)
+              if args.thetas is not None else DEFAULT_THETAS)
     strict = not args.lenient
     slices = stratify(benchmark, preds, cfg, kb, pop, thetas, strict=strict, system_id=system_id)
     rows = stratify_csv_rows(slices)
@@ -425,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     ingest = sub.add_parser("ingest", help="validate a benchmark, print stats, optionally convert")
     ingest.add_argument("--input")
     ingest.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl")
-    ingest.add_argument("--name")
     ingest.add_argument("--out")
     ingest.add_argument("--out-format", choices=("jsonl", "tsv"), default="jsonl")
     ingest.add_argument("--config")

@@ -650,11 +650,13 @@ class TestBatchComplete:
             {"digest": prompt_digest("c"), "prompt": "c", "raw_text": "rc", "model_id": "m"},
         ])
         cfg = BackendConfig(kind="replay", fixture_path=str(path), parallelism=3)
-        results = batch_complete(cfg, ["a", "b", "c"])
-        assert [type(r) for r in results] == [Completion, ReplayMissError, Completion]
+        results = batch_complete(cfg, ["a", "b", "c", "b"])
+        assert [type(r) for r in results] == [Completion, ReplayMissError, Completion,
+                                              ReplayMissError]
         assert results[0].raw_text == "ra"
         assert results[2].raw_text == "rc"
         assert isinstance(results[1], BackendError)
+        assert results[3] is results[1]  # a repeated prompt shares its one error
 
     def test_empty(self, tmp_path):
         path = tmp_path / "fix.jsonl"
@@ -685,10 +687,13 @@ class TestBatchComplete:
 
 
     def test_threads_keep_input_order(self, stub_server):
+        """Repeats interleaved with the rest are answered in place, and each
+        distinct prompt is sent once."""
         server = stub_server(lambda request: (200, {"choices": [{"text": request["body"]["prompt"]}]}))
-        prompts = [f"prompt {i}" for i in range(20)]
+        prompts = [f"prompt {i % 8}" for i in range(20)]
         results = batch_complete(http_config(server.url, parallelism=3), prompts)
         assert [result.raw_text for result in results] == prompts
+        assert sorted(request["body"]["prompt"] for request in server.requests) == sorted(set(prompts))
 
     def test_unexpected_error_raised_and_no_more_prompts_started(self, monkeypatch):
         started = []
@@ -717,12 +722,12 @@ class TestBatchComplete:
             return Completion(prompt_digest=prompt, raw_text=prompt)
 
         monkeypatch.setattr(Backend, "complete", complete)
-        prompts = [f"p{i}" for i in range(3000)]
+        prompts = [f"p{i % 2000}" for i in range(3000)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             results = batch_complete(http_config("http://127.0.0.1:9", parallelism=8), prompts)
         finally:
             sys.setswitchinterval(interval)
-        assert sorted(taken) == sorted(prompts)
+        assert sorted(taken) == sorted(set(prompts))
         assert [result.raw_text for result in results] == prompts

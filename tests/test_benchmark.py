@@ -95,11 +95,6 @@ class TestJsonlLoading:
         path.write_text('\n{"id": "s1", "text": "One.", "mentions": []}\n\n', encoding="utf-8")
         assert len(load_benchmark(str(path)).sentences) == 1
 
-    def test_explicit_name_wins(self, tmp_path):
-        path = tmp_path / "b.jsonl"
-        write_lines(path, [json.dumps({"id": "s1", "text": "One.", "mentions": []})])
-        assert load_benchmark(str(path), name="custom").name == "custom"
-
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown benchmark format"):
             load_benchmark(str(tmp_path / "x"), format="csv")
@@ -151,9 +146,9 @@ class TestSaving:
                  ("Moore", "Q3", "PERSON", 10, 15)),
             sent("s2", "Nothing happened."),
         )
-        path = tmp_path / "out.jsonl"
+        path = tmp_path / "test.jsonl"
         save_benchmark(bench, str(path))
-        reloaded = load_benchmark(str(path), name="test")
+        reloaded = load_benchmark(str(path))
         assert reloaded == bench
 
     def test_tsv_round_trip_drops_offsets(self, tmp_path):
@@ -163,7 +158,7 @@ class TestSaving:
         )
         path = tmp_path / "out.tsv"
         save_benchmark(bench, str(path), format="tsv")
-        reloaded = load_benchmark(str(path), format="tsv", name="test")
+        reloaded = load_benchmark(str(path), format="tsv")
         mention = reloaded.sentences[0].mentions[0]
         assert (mention.surface, mention.qid, mention.entity_type) == ("Verdi", "Q1", "PERSON")
         assert mention.char_start is None
@@ -176,9 +171,9 @@ class TestSaving:
 
     def test_mentionless_sentence_survives_tsv(self, tmp_path):
         bench = make_benchmark(sent("only", "No entities at all."))
-        path = tmp_path / "out.tsv"
+        path = tmp_path / "test.tsv"
         save_benchmark(bench, str(path), format="tsv")
-        reloaded = load_benchmark(str(path), format="tsv", name="test")
+        reloaded = load_benchmark(str(path), format="tsv")
         assert reloaded == bench
 
 
@@ -228,6 +223,6 @@ def benchmarks(draw):
 @settings(max_examples=50, deadline=None)
 @given(bench=benchmarks())
 def test_jsonl_round_trip_property(tmp_path_factory, bench):
-    path = tmp_path_factory.mktemp("rt") / "b.jsonl"
+    path = tmp_path_factory.mktemp("rt") / "gen.jsonl"
     save_benchmark(bench, str(path))
-    assert load_benchmark(str(path), name="gen") == bench
+    assert load_benchmark(str(path)) == bench

@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import replace
 from datetime import datetime, timezone
 from importlib.metadata import EntryPoint
@@ -287,27 +288,37 @@ class TestLink:
         assert manifest["backend"]["model_id"] == "m"
         assert set(manifest["inputs"]) == {"benchmark"}
 
-    def test_prompt_met_twice_is_sent_once(self, capsys, tmp_path, stub_server, monkeypatch):
-        """Two sentences with one text make one prompt: the second is answered
-        from the answer the first appended to the fixture."""
+    @pytest.mark.parametrize("fixture", [True, False], ids=["fixture", "no-fixture"])
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_prompt_met_twice_is_sent_once(self, capsys, tmp_path, stub_server, monkeypatch,
+                                           parallelism, fixture):
+        """Sentences with one text make one prompt, sent once at any
+        parallelism, with or without a fixture; every sentence gets its answer."""
         monkeypatch.setenv("EL_API_KEY", "test-key")
         text = "Rossini finished The Barber of Seville in under three weeks."
         bench = tmp_path / "bench.jsonl"
-        bench.write_text("".join(json.dumps({"id": sentence_id, "text": text}) + "\n"
-                                 for sentence_id in ("s1", "s2")), encoding="utf-8")
+        bench.write_text("".join(json.dumps({"id": f"s{i}", "text": text}) + "\n"
+                                 for i in range(4)), encoding="utf-8")
         answer = '[{"Entities":{"Rossini":"Gioachino Rossini"}}]'
-        server = stub_server(lambda request: (200, {"choices": [{"text": answer}]}))
-        fixture, out = tmp_path / "fixture.jsonl", tmp_path / "preds.jsonl"
+
+        def respond(request):
+            time.sleep(0.02)  # long enough for the workers to overlap
+            return 200, {"choices": [{"text": answer}]}
+
+        server = stub_server(respond)
+        path, out = tmp_path / "fixture.jsonl", tmp_path / "preds.jsonl"
         code, _, _ = run(capsys, ["link", "--backend", "http", "--endpoint", server.url,
-                                  "--model", "m", "--parallelism", "1",
-                                  "--benchmark", str(bench), "--fixture", str(fixture),
-                                  "--out", str(out)])
+                                  "--model", "m", "--parallelism", str(parallelism),
+                                  "--benchmark", str(bench), "--out", str(out),
+                                  *(["--fixture", str(path)] if fixture else [])])
         assert code == 0
         assert len(server.requests) == 1
-        assert len(fixture.read_text(encoding="utf-8").splitlines()) == 1
-        first, second = load_predictions(str(out))
-        assert first.links == second.links
-        assert [link.title for link in first.links] == ["Gioachino Rossini"]
+        if fixture:
+            assert len(path.read_text(encoding="utf-8").splitlines()) == 1
+        records = load_predictions(str(out))
+        assert len(records) == 4
+        assert all(record.links == records[0].links for record in records)
+        assert [link.title for link in records[0].links] == ["Gioachino Rossini"]
 
 
 class TestResolve:
@@ -563,6 +574,19 @@ class TestStratify:
             "--thetas", "0", "--out", str(tmp_path / "s.csv")])
         assert code == 2
         assert "invalid theta '0'" in err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_theta_list(self, capsys, tmp_path, e2e_paths, linked, source):
+        """An empty theta list is an error, not a request for the default grid."""
+        config = tmp_path / "stratify.cfg"
+        config.write_text("thetas =\n", encoding="utf-8")
+        code, _, err = run(capsys, [
+            "stratify", "--benchmark", e2e_paths["benchmark"], "--predictions", str(linked),
+            "--mode", "title", "--kb", e2e_paths["mapping"], "--counts", e2e_paths["counts"],
+            *(["--thetas", ""] if source == "flag" else ["--config", str(config)]),
+            "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert "empty theta list" in err
 
 
     def test_thetas_all(self, capsys, tmp_path, e2e_paths, linked):
@@ -1104,6 +1128,27 @@ def test_http_client_imported_only_for_http(tmp_path, e2e_paths, e2e_fixture, li
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == IMPORTED[case]
+
+
+ANNOTATION_PROBE = """
+import inspect, typing
+from elbench import cli
+cli._bind(*cli._NAMES)
+for name, value in vars(cli).items():
+    if inspect.isfunction(value) and value.__module__ == cli.__name__:
+        typing.get_type_hints(value)
+print("ok")
+"""
+
+
+def test_annotations_resolve_once_bound():
+    """Every name an annotation in elbench.cli uses is bound by _bind."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-c", ANNOTATION_PROBE],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "ok"
 
 
 # The names perfbench/traced.py reads from elbench.cli and replaces with
