@@ -106,7 +106,6 @@ class BackendConfig:
 
 @dataclass(slots=True)
 class Completion:
-    prompt_digest: str
     raw_text: str
     backend_meta: Dict[str, object] = field(default_factory=dict)
 
@@ -277,18 +276,18 @@ class Backend:
         entry = self._store.get(digest, *self._wanted) if self._store is not None else None
         if entry is not None:
             meta = {"model_id": entry.get("model_id", ""), "source": "replay"}
-            return Completion(prompt_digest=digest, raw_text=entry["raw_text"], backend_meta=meta)
+            return Completion(raw_text=entry["raw_text"], backend_meta=meta)
         if self.cfg.kind == "replay":
             raise ReplayMissError(f"{self.cfg.fixture_path}: no recorded completion "
                                   f"for digest {digest}")
-        completion = self._request(prompt, digest)
+        completion = self._request(prompt)
         if self._store is not None:
             line = fixture_entry(prompt, completion.raw_text, **dict(zip(LIVE_FIELDS, self._wanted)))
             with self._lock, open(self.cfg.fixture_path, "a", encoding="utf-8") as handle:
                 handle.write(line)
         return completion
 
-    def _request(self, prompt: str, digest: str) -> Completion:
+    def _request(self, prompt: str) -> Completion:
         url = self._url
         payload = self._encode(self._body(prompt)).encode("utf-8")
         last_error: Optional[BackendError] = None
@@ -321,7 +320,7 @@ class Backend:
                                        "latency_s": round(time.monotonic() - started, 6)}
             if isinstance(data.get("usage"), dict):
                 meta["usage"] = data["usage"]
-            return Completion(prompt_digest=digest, raw_text=raw_text, backend_meta=meta)
+            return Completion(raw_text=raw_text, backend_meta=meta)
         assert last_error is not None
         raise last_error
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .kb import KbIndex, is_qid, pageid_to_qid, title_to_qid
-from .parsing import ORIGIN_CLEAN, STATUS_CLEAN, PredictedLink, PredictionRecord
+from .parsing import STATUS_CLEAN, PredictedLink, PredictionRecord
 from .records import read_records
 
 RESOLUTION_PAGE_ID = "page-id"
@@ -66,8 +66,7 @@ def load_external_predictions(path: str, idx: Union[KbIndex, Callable[..., KbInd
     for row in rows:
         qid, resolution = _resolve(row, idx)
         tally[resolution] += 1
-        link = PredictedLink(surface=row.surface, title=row.title, origin=ORIGIN_CLEAN,
-                             qid=qid, resolution=resolution)
+        link = PredictedLink(surface=row.surface, title=row.title, qid=qid, resolution=resolution)
         grouped.setdefault(row.sentence_id, []).append(link)
     records = [PredictionRecord(sentence_id=sentence_id, links=tuple(links), status=STATUS_CLEAN)
                for sentence_id, links in grouped.items()]

@@ -7,7 +7,6 @@ kept in the data model; excluding them is the scorer's job.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
@@ -46,7 +45,6 @@ class BenchmarkSentence:
 
 @dataclass(frozen=True)
 class Benchmark:
-    name: str
     sentences: Tuple[BenchmarkSentence, ...] = ()
 
 
@@ -193,8 +191,7 @@ def load_benchmark(path: str, format: str = "jsonl") -> Benchmark:
     if format not in FORMATS:
         raise ValueError(f"unknown benchmark format {format!r}; expected one of {FORMATS}")
     sentences = _load_jsonl(path) if format == "jsonl" else _load_tsv(path)
-    name = os.path.splitext(os.path.basename(path))[0]
-    return Benchmark(name=name, sentences=tuple(sentences))
+    return Benchmark(sentences=tuple(sentences))
 
 
 def save_benchmark(benchmark: Benchmark, path: str, format: str = "jsonl") -> None:

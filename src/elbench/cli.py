@@ -16,7 +16,7 @@ import json
 import math
 import sys
 from functools import partial
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 # Every command reads its inputs through this module, so it is no extra cost.
 from .records import not_utf8, read_records
@@ -27,7 +27,7 @@ from .records import not_utf8, read_records
 _NAMES = {
     "backends": ("BackendConfig", "BackendError", "batch_complete", "fixture_entry"),
     "baseline": ("RESOLUTION_NOT_FOUND", "RESOLUTION_TITLE", "load_external_predictions"),
-    "benchmark": ("Benchmark", "benchmark_stats", "load_benchmark", "save_benchmark"),
+    "benchmark": ("benchmark_stats", "load_benchmark", "save_benchmark"),
     "kb": ("load_mapping", "title_to_qid"),
     "manifest": ("build_run_manifest", "write_manifest"),
     "parsing": ("STATUS_UNPARSEABLE", "PredictedLink", "PredictionRecord", "load_predictions",
@@ -64,6 +64,16 @@ def __getattr__(name: str):
 # scoring.NIL_POLICIES, spelt out so that building the parser imports no
 # elbench module.
 _NIL_POLICIES = ("exclude-gold-and-ignore-matching-preds", "exclude-gold-only")
+
+# The options several subcommands take, each declared once with its choices
+# and default, if any.
+_SHARED = {
+    "format": {"choices": ("jsonl", "tsv"), "default": "jsonl"},
+    "mode": {"choices": ("title", "qid"), "default": "title"},
+    "nil-policy": {"choices": _NIL_POLICIES, "default": _NIL_POLICIES[0]},
+    "system": {"default": "system"},
+    **{flag: {} for flag in ("benchmark", "template", "predictions", "kb", "out", "config")},
+}
 
 # The words a config file may give a store_true flag.
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
@@ -210,10 +220,6 @@ def _answering_models(results: Sequence[object]) -> Union[str, List[str]]:
     return ordered[0] if len(ordered) == 1 else ordered or ""
 
 
-def _gold_qids(benchmark: Benchmark) -> Set[str]:
-    return {m.qid for sentence in benchmark.sentences for m in sentence.mentions if not m.is_nil}
-
-
 def _titles(records: Sequence[PredictionRecord]) -> Set[str]:
     """The distinct non-blank raw titles of the records' links."""
     return {link.title for record in records for link in record.links
@@ -243,7 +249,7 @@ def cmd_resolve(args: argparse.Namespace) -> int:
                 qid = qids.get(link.title)
                 resolution = RESOLUTION_TITLE if qid is not None else RESOLUTION_NOT_FOUND
                 tally[resolution] += 1
-                links.append(PredictedLink(link.surface, link.title, link.origin, qid, resolution))
+                links.append(PredictedLink(link.surface, link.title, qid, resolution))
             records.append(PredictionRecord(record.sentence_id, tuple(links), record.status,
                                             record.error))
         source = predictions
@@ -257,71 +263,82 @@ def cmd_resolve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _scoring_inputs(args: argparse.Namespace,
+                    stratifying: bool = False) -> Tuple[tuple, Dict[str, str]]:
+    """Read the inputs of score, or of stratify, in the order benchmark,
+    predictions, counts, KB.  Returns that function's leading positional
+    arguments, (benchmark, predictions, MatchConfig, KB) and for stratify the
+    counts, with the manifest inputs naming the files read.  The KB, None
+    without --kb, is keyed by the gold QIDs and, for stratify, the titles."""
+    inputs = {"benchmark": args.benchmark, "predictions": args.predictions}
+    benchmark = load_benchmark(args.benchmark, args.format)
+    preds = load_predictions(args.predictions)
+    counts = ()
+    if stratifying:
+        inputs["counts"] = args.counts
+        counts = (load_counts(args.counts),)
+    kb = None
+    if args.kb:
+        inputs["kb"] = args.kb
+        kb = load_mapping(args.kb, titles=_titles(preds) if stratifying else None,
+                          qids={m.qid for sentence in benchmark.sentences
+                                for m in sentence.mentions if not m.is_nil})
+    cfg = MatchConfig(mode=args.mode, nil_policy=args.nil_policy)
+    return (benchmark, preds, cfg, kb, *counts), inputs
+
+
+def _write_json(path: str, payload: Mapping[str, object]) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(payload, ensure_ascii=False, indent=2) + "\n")
+
+
+def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle).writerows([header, *rows])
+
+
 def cmd_score(args: argparse.Namespace) -> int:
     _bind("benchmark", "parsing", "kb", "scoring", "manifest")
     _require(args, "benchmark", "predictions", "out")
-    out, mode, kb_path = args.out, args.mode, args.kb
-    benchmark = load_benchmark(args.benchmark, args.format)
-    preds = load_predictions(args.predictions)
-    kb = load_mapping(kb_path, qids=_gold_qids(benchmark)) if kb_path else None
-    cfg = MatchConfig(mode=mode, nil_policy=args.nil_policy)
-    report = score(benchmark, preds, cfg, kb, system_id=args.system,
-                   keep_per_sentence=args.per_sentence)
-    inputs = {"benchmark": args.benchmark, "predictions": args.predictions}
-    if kb_path:
-        inputs["kb"] = kb_path
-    manifest = build_run_manifest(inputs, params={"mode": mode, "nil_policy": cfg.nil_policy})
-    artifact = {"mode": mode, "nil_policy": cfg.nil_policy, **report_to_dict(report),
-                "manifest": manifest}
-    with open(out, "w", encoding="utf-8") as handle:
-        json.dump(artifact, handle, ensure_ascii=False, indent=2)
-        handle.write("\n")
+    loaded, inputs = _scoring_inputs(args)
+    report = score(*loaded, system_id=args.system, keep_per_sentence=args.per_sentence)
+    params = {"mode": args.mode, "nil_policy": args.nil_policy}
+    manifest = build_run_manifest(inputs, params=params)
+    _write_json(args.out, {**params, **report_to_dict(report), "manifest": manifest})
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(CSV_FIELDS)
-            writer.writerow(csv_fields(report))
+        _write_csv(args.csv, CSV_FIELDS, [csv_fields(report)])
     print(f"{report.system_id}: P={report.precision_pct()} R={report.recall_pct()} "
           f"F1={report.f1_pct()} (tp={report.tp} fp={report.fp} fn={report.fn})")
-    print(f"wrote {out}")
+    print(f"wrote {args.out}")
     return 0
 
 
 def cmd_stratify(args: argparse.Namespace) -> int:
     _bind("benchmark", "parsing", "kb", "scoring", "popularity", "manifest")
     _require(args, "benchmark", "predictions", "counts", "out")
-    out, mode, kb_path, system_id = args.out, args.mode, args.kb, args.system
-    benchmark = load_benchmark(args.benchmark, args.format)
-    preds = load_predictions(args.predictions)
-    pop = load_counts(args.counts)
-    kb = (load_mapping(kb_path, titles=_titles(preds), qids=_gold_qids(benchmark))
-          if kb_path else None)
-    cfg = MatchConfig(mode=mode, nil_policy=args.nil_policy)
-    thetas = ([token for token in args.thetas.split(",") if token.strip()]
-              if args.thetas is not None else DEFAULT_THETAS)
+    loaded, inputs = _scoring_inputs(args, stratifying=True)
+    thetas = DEFAULT_THETAS
+    if args.thetas is not None:
+        thetas = args.thetas.split(",")
+        blank = [number for number, item in enumerate(thetas, 1) if not item.strip()]
+        if blank:
+            raise ValueError("empty theta list" if len(blank) == len(thetas) else
+                             f"empty item {blank[0]} in theta list {args.thetas!r}")
     strict = not args.lenient
-    slices = stratify(benchmark, preds, cfg, kb, pop, thetas, strict=strict, system_id=system_id)
+    slices = stratify(*loaded, thetas, strict=strict, system_id=args.system)
     rows = stratify_csv_rows(slices)
-    with open(out, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(STRATIFY_CSV_FIELDS)
-        writer.writerows(rows)
-    inputs = {"benchmark": args.benchmark, "predictions": args.predictions, "counts": args.counts}
-    if kb_path:
-        inputs["kb"] = kb_path
-    theta_param = ",".join(row[1] for row in rows)
-    manifest = build_run_manifest(inputs, params={"mode": mode, "nil_policy": cfg.nil_policy,
-                                                  "thetas": theta_param, "strict": strict})
-    write_manifest(manifest, out + ".manifest.json")
+    _write_csv(args.out, STRATIFY_CSV_FIELDS, rows)
+    params = {"mode": args.mode, "nil_policy": args.nil_policy}
+    manifest = build_run_manifest(inputs, params={
+        **params, "thetas": ",".join(row[1] for row in rows), "strict": strict})
+    write_manifest(manifest, args.out + ".manifest.json")
     if args.json:
-        payload = {"system": system_id, "mode": mode, "nil_policy": cfg.nil_policy,
-                   "slices": [{"theta": "inf" if math.isinf(item.theta) else int(item.theta),
-                               **report_to_dict(item.report)} for item in slices],
-                   "manifest": manifest}
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, ensure_ascii=False, indent=2)
-            handle.write("\n")
-    print(f"wrote {out} ({len(slices)} slice(s))")
+        _write_json(args.json, {
+            "system": args.system, **params,
+            "slices": [{"theta": "inf" if math.isinf(item.theta) else int(item.theta),
+                        **report_to_dict(item.report)} for item in slices],
+            "manifest": manifest})
+    print(f"wrote {args.out} ({len(slices)} slice(s))")
     return 0
 
 
@@ -344,25 +361,23 @@ def cmd_report(args: argparse.Namespace) -> int:
         for field in ("system", "tp", "fp", "fn"):
             if field not in data:
                 raise ValueError(f"{path}: missing field {field!r}")
-        if not isinstance(data["system"], str):
-            raise ValueError(f"{path}: system must be a string, got {data['system']!r}")
+        data.setdefault("mode", "")
+        for field in ("system", "mode"):
+            if not isinstance(data[field], str):
+                raise ValueError(f"{path}: {field} must be a string, got {data[field]!r}")
         for field in ("tp", "fp", "fn"):
             # type(), not isinstance(): JSON true/false are ints to isinstance.
             if type(data[field]) is not int or data[field] < 0:
                 raise ValueError(f"{path}: {field} must be a nonnegative integer, "
                                  f"got {data[field]!r}")
-        modes.add(data.get("mode", ""))
+        modes.add(data["mode"])
         reports.append(build_report(data["system"], "all", data["tp"], data["fp"], data["fn"], {}))
     if len(modes) > 1 and not args.force:
         raise ValueError(f"refusing to merge reports with mixed match modes {sorted(modes)}; "
                          "pass --force to override")
     entries = sorted(((r.system_id, r.precision_pct(), r.recall_pct(), r.f1_pct())
                       for r in reports), key=lambda entry: (-entry[3], entry[0]))
-    with open(out, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("system", "precision", "recall", "f1"))
-        for system, p, r, f in entries:
-            writer.writerow((system, str(p), str(r), str(f)))
+    _write_csv(out, ("system", "precision", "recall", "f1"), entries)
     manifest = build_run_manifest({f"report{i}": path for i, path in enumerate(input_paths)})
     write_manifest(manifest, out + ".manifest.json")
     width = max(len(entry[0]) for entry in entries)
@@ -422,18 +437,23 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Entity linking benchmark harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    ingest = sub.add_parser("ingest", help="validate a benchmark, print stats, optionally convert")
-    ingest.add_argument("--input")
-    ingest.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl")
-    ingest.add_argument("--out")
-    ingest.add_argument("--out-format", choices=("jsonl", "tsv"), default="jsonl")
-    ingest.add_argument("--config")
-    ingest.set_defaults(func=cmd_ingest)
+    def command(name: str, func, summary: str, shared: str = "",
+                **help_of: str) -> argparse.ArgumentParser:
+        """A subcommand that runs func and takes the _SHARED options named in
+        shared, with the help text help_of gives one, plus --out and --config."""
+        subparser = sub.add_parser(name, help=summary)
+        for flag in (*shared.split(), "out", "config"):
+            subparser.add_argument(f"--{flag}", help=help_of.get(flag), **_SHARED[flag])
+        subparser.set_defaults(func=func)
+        return subparser
 
-    link = sub.add_parser("link", help="prompt a backend over every sentence")
-    link.add_argument("--benchmark")
-    link.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl")
-    link.add_argument("--template")
+    ingest = command("ingest", cmd_ingest,
+                     "validate a benchmark, print stats, optionally convert", "format")
+    ingest.add_argument("--input")
+    ingest.add_argument("--out-format", **_SHARED["format"])
+
+    link = command("link", cmd_link, "prompt a backend over every sentence",
+                   "benchmark format template")
     link.add_argument("--backend", choices=("http", "replay"))
     # From here to --api-key-env each flag sets the BackendConfig field of
     # its dest and defaults to None: the field's default is the only one.
@@ -450,68 +470,34 @@ def build_parser() -> argparse.ArgumentParser:
     link.add_argument("--parallelism", type=int)
     link.add_argument("--wire", choices=("completions", "chat"))
     link.add_argument("--api-key-env")
-    link.add_argument("--out")
-    link.add_argument("--config")
-    link.set_defaults(func=cmd_link)
 
-    resolve = sub.add_parser("resolve", help="attach QIDs to predictions")
-    resolve.add_argument("--kb")
+    resolve = command("resolve", cmd_resolve, "attach QIDs to predictions", "kb predictions",
+                      predictions="linker output whose titles need QIDs")
     resolve.add_argument("--external", help="external system rows (page_id/title/qid)")
-    resolve.add_argument("--predictions", help="linker output whose titles need QIDs")
-    resolve.add_argument("--out")
-    resolve.add_argument("--config")
-    resolve.set_defaults(func=cmd_resolve)
 
-    score_p = sub.add_parser("score", help="micro P/R/F1 for one system")
-    score_p.add_argument("--benchmark")
-    score_p.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl")
-    score_p.add_argument("--predictions")
-    score_p.add_argument("--mode", choices=("title", "qid"), default="title")
-    score_p.add_argument("--kb")
-    score_p.add_argument("--nil-policy", choices=_NIL_POLICIES, default=_NIL_POLICIES[0])
-    score_p.add_argument("--system", default="system")
+    scoring_options = "benchmark format predictions mode kb nil-policy system"
+    score_p = command("score", cmd_score, "micro P/R/F1 for one system", scoring_options)
     score_p.add_argument("--per-sentence", action="store_true")
-    score_p.add_argument("--out")
     score_p.add_argument("--csv")
-    score_p.add_argument("--config")
-    score_p.set_defaults(func=cmd_score)
 
-    stratify_p = sub.add_parser("stratify", help="θ-threshold metric series")
-    stratify_p.add_argument("--benchmark")
-    stratify_p.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl")
-    stratify_p.add_argument("--predictions")
-    stratify_p.add_argument("--mode", choices=("title", "qid"), default="title")
-    stratify_p.add_argument("--kb")
-    stratify_p.add_argument("--nil-policy", choices=_NIL_POLICIES, default=_NIL_POLICIES[0])
+    stratify_p = command("stratify", cmd_stratify, "θ-threshold metric series", scoring_options)
     stratify_p.add_argument("--counts")
     stratify_p.add_argument("--thetas", help="comma-separated, e.g. 20,40,60,80,100,inf; "
                             "'all' for every distinct count of the run plus inf")
     stratify_p.add_argument("--lenient", action="store_true",
                             help="treat missing popularity counts as infinite instead of failing")
-    stratify_p.add_argument("--system", default="system")
-    stratify_p.add_argument("--out")
     stratify_p.add_argument("--json")
-    stratify_p.add_argument("--config")
-    stratify_p.set_defaults(func=cmd_stratify)
 
-    report_p = sub.add_parser("report", help="merge score reports into one table")
+    report_p = command("report", cmd_report, "merge score reports into one table")
     report_p.add_argument("--inputs", nargs="+")
-    report_p.add_argument("--out")
     report_p.add_argument("--force", action="store_true",
                           help="allow mixing title- and qid-mode reports")
-    report_p.add_argument("--config")
-    report_p.set_defaults(func=cmd_report)
 
-    record_p = sub.add_parser("record", help="turn a completions log into a replay fixture")
-    record_p.add_argument("--benchmark")
-    record_p.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl")
-    record_p.add_argument("--template")
+    record_p = command("record", cmd_record, "turn a completions log into a replay fixture",
+                       "benchmark format template")
     record_p.add_argument("--completions", help="JSONL of {sentence_id, raw_text, model_id?}")
     record_p.add_argument("--model", default="",
                           help="model_id recorded for rows that do not carry one")
-    record_p.add_argument("--out")
-    record_p.add_argument("--config")
-    record_p.set_defaults(func=cmd_record)
 
     # A config file may set any long flag of its subcommand but --config and --help.
     for subparser in sub.choices.values():

@@ -16,9 +16,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from .kb import is_qid
 from .records import encode_json, read_records
 
-ORIGIN_CLEAN = "parsed-clean"
-ORIGIN_REPAIRED = "parsed-repaired"
-
 STATUS_CLEAN = "clean"
 STATUS_REPAIRED = "repaired"
 STATUS_UNPARSEABLE = "unparseable"
@@ -32,7 +29,6 @@ class PredictedLink:
 
     surface: str
     title: Optional[str]
-    origin: str = ORIGIN_CLEAN
     qid: Optional[str] = None
     resolution: Optional[str] = None
 
@@ -128,7 +124,7 @@ _REPAIRS = (
 )
 
 
-def _extract_links(value: object, origin: str, diagnostics: List[str]) -> Optional[List[PredictedLink]]:
+def _extract_links(value: object, diagnostics: List[str]) -> Optional[List[PredictedLink]]:
     """Collect pairs from every {"Entities": {...}} object, merged in order.
 
     Duplicate surfaces keep the last title at the first position (plain dict
@@ -160,7 +156,7 @@ def _extract_links(value: object, origin: str, diagnostics: List[str]) -> Option
             merged[key] = val
     if not found_map:
         return None
-    return [PredictedLink(surface=k, title=v, origin=origin) for k, v in merged.items()]
+    return [PredictedLink(surface=k, title=v) for k, v in merged.items()]
 
 
 def _candidates(raw: str) -> Iterator[Tuple[str, Tuple[str, ...]]]:
@@ -201,8 +197,7 @@ def parse_predictions(raw: str) -> ParseOutcome:
     if isinstance(value, dict):
         diagnostics.append("repair:wrapped-bare-object")
         repaired = True
-    origin = ORIGIN_REPAIRED if repaired else ORIGIN_CLEAN
-    links = _extract_links(value, origin, diagnostics)
+    links = _extract_links(value, diagnostics)
     if links is None:
         diagnostics.append("no-entities-map")
         return ParseOutcome(links=(), status=STATUS_UNPARSEABLE, diagnostics=tuple(diagnostics))
@@ -272,7 +267,6 @@ def _check_record(row: Dict[str, object], lineno: int, errors: List[str]) -> Opt
     if status == STATUS_UNPARSEABLE and raw_links:
         errors.append(f"line {lineno}: unparseable records cannot carry links")
         return None
-    origin = ORIGIN_REPAIRED if status == STATUS_REPAIRED else ORIGIN_CLEAN
     links: List[PredictedLink] = []
     ok = True
     for i, fields in enumerate(raw_links):
@@ -300,8 +294,7 @@ def _check_record(row: Dict[str, object], lineno: int, errors: List[str]) -> Opt
             errors.append(f"line {lineno}: link {i}: resolution must be a string or null")
             ok = False
             continue
-        links.append(PredictedLink(surface=surface, title=title, origin=origin,
-                                   qid=qid, resolution=resolution))
+        links.append(PredictedLink(surface=surface, title=title, qid=qid, resolution=resolution))
     if not ok:
         return None
     return PredictionRecord(sentence_id=sentence_id, links=tuple(links), status=status, error=error)

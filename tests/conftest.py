@@ -38,7 +38,7 @@ def e2e_fixture(e2e_paths, tmp_path_factory):
 
 
 def make_benchmark(*sentences):
-    return Benchmark(name="test", sentences=tuple(sentences))
+    return Benchmark(sentences=tuple(sentences))
 
 
 def sent(sentence_id, text, *mentions):

@@ -14,15 +14,13 @@ JSON-object test, and the external rows' resolution.
 from __future__ import annotations
 
 import json
-import os
 from typing import Dict, List, Optional, Tuple
 
 from elbench.baseline import (RESOLUTION_GIVEN_QID, RESOLUTION_NOT_FOUND, RESOLUTION_PAGE_ID,
                               RESOLUTION_TITLE, ExternalPrediction, _check_row, _resolve)
 from elbench.benchmark import Benchmark, BenchmarkSentence, GoldMention, _check_mention
 from elbench.kb import KbIndex, is_qid
-from elbench.parsing import (ORIGIN_CLEAN, STATUS_CLEAN, PredictedLink, PredictionRecord,
-                             _check_record)
+from elbench.parsing import STATUS_CLEAN, PredictedLink, PredictionRecord, _check_record
 from elbench.popularity import PopularityIndex
 
 
@@ -137,7 +135,7 @@ def reference_load_benchmark(path: str, format: str = "jsonl") -> Benchmark:
         sentences = _load_tsv(path, errors)
     if errors:
         raise ValueError(f"{path}: {len(errors)} malformed record(s):\n" + "\n".join(errors))
-    return Benchmark(name=os.path.splitext(os.path.basename(path))[0], sentences=tuple(sentences))
+    return Benchmark(sentences=tuple(sentences))
 
 
 def reference_load_counts(path: str) -> PopularityIndex:
@@ -229,8 +227,7 @@ def reference_load_external_predictions(path: str, idx: KbIndex
     for row in rows:
         qid, resolution = _resolve(row, idx)
         tally[resolution] += 1
-        link = PredictedLink(surface=row.surface, title=row.title, origin=ORIGIN_CLEAN,
-                             qid=qid, resolution=resolution)
+        link = PredictedLink(surface=row.surface, title=row.title, qid=qid, resolution=resolution)
         grouped.setdefault(row.sentence_id, []).append(link)
     records = [PredictionRecord(sentence_id=sentence_id, links=tuple(links), status=STATUS_CLEAN)
                for sentence_id, links in grouped.items()]

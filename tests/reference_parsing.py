@@ -13,9 +13,8 @@ from __future__ import annotations
 import json
 from typing import List, Optional, Tuple
 
-from elbench.parsing import (ORIGIN_CLEAN, ORIGIN_REPAIRED, STATUS_CLEAN, STATUS_REPAIRED,
-                             STATUS_UNPARSEABLE, ParseOutcome, _balance_brackets, _extract_links,
-                             _strip_prose)
+from elbench.parsing import (STATUS_CLEAN, STATUS_REPAIRED, STATUS_UNPARSEABLE, ParseOutcome,
+                             _balance_brackets, _extract_links, _strip_prose)
 
 
 def reference_drop_trailing_commas(text: str) -> str:
@@ -89,8 +88,7 @@ def reference_parse_predictions(raw: str) -> ParseOutcome:
     if isinstance(value, dict):
         diagnostics.append("repair:wrapped-bare-object")
         repaired = True
-    origin = ORIGIN_REPAIRED if repaired else ORIGIN_CLEAN
-    links = _extract_links(value, origin, diagnostics)
+    links = _extract_links(value, diagnostics)
     if links is None:
         diagnostics.append("no-entities-map")
         return ParseOutcome(links=(), status=STATUS_UNPARSEABLE, diagnostics=tuple(diagnostics))

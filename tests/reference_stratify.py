@@ -92,7 +92,7 @@ def reference_stratify(gold: Benchmark,
             kept = tuple(m for m in sentence.mentions
                          if m.is_nil or count_of(m.qid) <= theta)
             filtered_sentences.append(replace(sentence, mentions=kept))
-        filtered_gold = Benchmark(name=gold.name, sentences=tuple(filtered_sentences))
+        filtered_gold = Benchmark(sentences=tuple(filtered_sentences))
         filtered_preds: List[PredictionRecord] = []
         for record in preds:
             kept_links = tuple(

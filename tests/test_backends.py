@@ -205,7 +205,7 @@ class TestReplayBackend:
                               "raw_text": "[{}]", "model_id": "m-1"}])
         cfg = BackendConfig(kind="replay", fixture_path=str(path))
         result = ask(cfg, "the prompt")
-        assert result == Completion(prompt_digest=digest, raw_text="[{}]",
+        assert result == Completion(raw_text="[{}]",
                                     backend_meta={"model_id": "m-1", "source": "replay"})
 
     def test_miss(self, tmp_path):
@@ -227,7 +227,6 @@ class TestHttpBackend:
         result = ask(http_config(server.url + "/v1", temperature=0.25,
                                  max_output_tokens=77), "hello world")
         assert result.raw_text == ' [{"Entities":{}}]'
-        assert result.prompt_digest == prompt_digest("hello world")
         assert result.backend_meta["model_id"] == "test-model"
         assert result.backend_meta["usage"] == {"total_tokens": 12}
         assert result.backend_meta["latency_s"] >= 0
@@ -703,7 +702,7 @@ class TestBatchComplete:
             if prompt == "p0":
                 raise RuntimeError("not a backend failure")
             time.sleep(0.001)  # the other thread waits, as on a request
-            return Completion(prompt_digest=prompt_digest(prompt), raw_text=prompt)
+            return Completion(raw_text=prompt)
 
         monkeypatch.setattr(Backend, "complete", complete)
         prompts = [f"p{i}" for i in range(50)]
@@ -719,7 +718,7 @@ class TestBatchComplete:
 
         def complete(self, prompt):
             taken.append(prompt)
-            return Completion(prompt_digest=prompt, raw_text=prompt)
+            return Completion(raw_text=prompt)
 
         monkeypatch.setattr(Backend, "complete", complete)
         prompts = [f"p{i % 2000}" for i in range(3000)]

@@ -20,7 +20,6 @@ class TestJsonlLoading:
         write_lines(path, [json.dumps({"id": "s1", "text": "Verdi wrote operas.",
                                        "mentions": [{"surface": "Verdi", "qid": "Q1", "type": "PERSON"}]})])
         bench = load_benchmark(str(path))
-        assert bench.name == "b"
         assert len(bench.sentences) == 1
         mention = bench.sentences[0].mentions[0]
         assert mention.surface == "Verdi"
@@ -217,7 +216,7 @@ def benchmarks(draw):
             GoldMention(surface=draw(words), qid=draw(qids), entity_type=draw(st.sampled_from(["", "PERSON", "WORK"])))
             for _ in range(n_mentions))
         sentences.append(BenchmarkSentence(sentence_id=f"s{i}", text=draw(words), mentions=mentions))
-    return Benchmark(name="gen", sentences=tuple(sentences))
+    return Benchmark(sentences=tuple(sentences))
 
 
 @settings(max_examples=50, deadline=None)

@@ -349,7 +349,7 @@ class TestResolve:
                                                            monkeypatch):
         """Each resolved record is the input record with only qid and
         resolution set on its links, as dataclasses.replace would give:
-        origin, status and error come through unchanged."""
+        status and error come through unchanged."""
         preds = tmp_path / "preds.jsonl"
         rows = [
             {"sentence_id": "s1", "status": "repaired",
@@ -382,7 +382,6 @@ class TestResolve:
                                      resolution="title" if qid is not None else "not-found"))
             expected.append(replace(record, links=tuple(links)))
         assert saved == expected
-        assert [link.origin for link in saved[0].links] == ["parsed-repaired"] * 3
         assert [link.qid for link in saved[0].links] == ["Q90012", None, None]
         assert [(r.status, r.error) for r in saved] == [
             ("repaired", None), ("unparseable", "replay-miss"), ("unparseable", None),
@@ -577,16 +576,21 @@ class TestStratify:
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_empty_theta_list(self, capsys, tmp_path, e2e_paths, linked, source):
-        """An empty theta list is an error, not a request for the default grid."""
+        """An empty theta list is an error, not a request for the default grid,
+        and so is an empty item among real ones, named by its place."""
         config = tmp_path / "stratify.cfg"
-        config.write_text("thetas =\n", encoding="utf-8")
-        code, _, err = run(capsys, [
-            "stratify", "--benchmark", e2e_paths["benchmark"], "--predictions", str(linked),
-            "--mode", "title", "--kb", e2e_paths["mapping"], "--counts", e2e_paths["counts"],
-            *(["--thetas", ""] if source == "flag" else ["--config", str(config)]),
-            "--out", str(tmp_path / "s.csv")])
-        assert code == 2
-        assert "empty theta list" in err
+        for thetas, message in [("", "empty theta list"), (",", "empty theta list"),
+                                ("20,,inf", "empty item 2 in theta list '20,,inf'"),
+                                ("20,", "empty item 2 in theta list '20,'")]:
+            config.write_text(f"thetas = {thetas}\n", encoding="utf-8")
+            code, _, err = run(capsys, [
+                "stratify", "--benchmark", e2e_paths["benchmark"], "--predictions", str(linked),
+                "--mode", "title", "--kb", e2e_paths["mapping"], "--counts", e2e_paths["counts"],
+                *(["--thetas", thetas] if source == "flag" else ["--config", str(config)]),
+                "--out", str(tmp_path / "s.csv")])
+            assert code == 2, thetas
+            assert f"error: {message}" in err
+            assert not (tmp_path / "s.csv").exists()
 
 
     def test_thetas_all(self, capsys, tmp_path, e2e_paths, linked):
@@ -683,6 +687,8 @@ class TestReport:
         ('{"system": "x", "tp": true, "fp": 1, "fn": 2}', "tp must be a nonnegative integer, got True"),
         ('{"system": "x", "tp": 1, "fp": 1.5, "fn": 2}', "fp must be a nonnegative integer, got 1.5"),
         ('{"system": "x", "tp": "3", "fp": 1, "fn": 2}', "tp must be a nonnegative integer, got '3'"),
+        ('{"system": "x", "mode": [], "tp": 1, "fp": 0, "fn": 0}', "mode must be a string, got []"),
+        ('{"system": "x", "mode": 5, "tp": 1, "fp": 0, "fn": 0}', "mode must be a string, got 5"),
     ])
     def test_malformed_report_rejected(self, capsys, tmp_path, content, message):
         bad = tmp_path / "bad.json"
@@ -926,6 +932,72 @@ class TestConfigFile:
         code, stdout, _ = run(capsys, ["report", "--config", str(cfg)])
         assert code == 0
         assert "sys  P=50.0 R=100.0 F1=66.7" in stdout
+
+
+def opt(dest, default=None, choices=None, nargs=None, action="_StoreAction", type=None,
+        help=False):
+    """One long flag as OPTION_SURFACE pins it."""
+    return dest, default, choices, nargs, action, type, help
+
+
+FLAG = dict(default=False, nargs=0, action="_StoreTrueAction")
+FORMAT = opt("format", "jsonl", ("jsonl", "tsv"))
+MATCHING = {"--mode": opt("mode", "title", ("title", "qid")),
+            "--nil-policy": opt("nil_policy", NIL_POLICIES[0], NIL_POLICIES),
+            "--system": opt("system", "system")}
+
+# Every subcommand's long flags: dest, default, choices, nargs, action
+# class, type and whether it has help.  --out and --config are on every one.
+OPTION_SURFACE = {
+    "ingest": {"--input": opt("input"), "--format": FORMAT,
+               "--out-format": opt("out_format", "jsonl", ("jsonl", "tsv"))},
+    "link": {"--benchmark": opt("benchmark"), "--format": FORMAT, "--template": opt("template"),
+             "--backend": opt("backend", choices=("http", "replay")),
+             "--endpoint": opt("endpoint"), "--model": opt("model_id"),
+             "--fixture": opt("fixture_path", help=True),
+             "--temperature": opt("temperature", type="float"),
+             "--max-output-tokens": opt("max_output_tokens", type="int"),
+             "--timeout": opt("request_timeout", type="float"),
+             "--max-retries": opt("max_retries", type="int"),
+             "--retry-backoff": opt("retry_backoff", type="float"),
+             "--parallelism": opt("parallelism", type="int"),
+             "--wire": opt("wire", choices=("completions", "chat")),
+             "--api-key-env": opt("api_key_env")},
+    "resolve": {"--kb": opt("kb"), "--external": opt("external", help=True),
+                "--predictions": opt("predictions", help=True)},
+    "score": {"--benchmark": opt("benchmark"), "--format": FORMAT,
+              "--predictions": opt("predictions"), "--kb": opt("kb"), **MATCHING,
+              "--per-sentence": opt("per_sentence", **FLAG), "--csv": opt("csv")},
+    "stratify": {"--benchmark": opt("benchmark"), "--format": FORMAT,
+                 "--predictions": opt("predictions"), "--kb": opt("kb"), **MATCHING,
+                 "--counts": opt("counts"), "--thetas": opt("thetas", help=True),
+                 "--lenient": opt("lenient", **FLAG, help=True), "--json": opt("json")},
+    "report": {"--inputs": opt("inputs", nargs="+"),
+               "--force": opt("force", **FLAG, help=True)},
+    "record": {"--benchmark": opt("benchmark"), "--format": FORMAT, "--template": opt("template"),
+               "--completions": opt("completions", help=True),
+               "--model": opt("model", "", help=True)},
+}
+
+
+@pytest.mark.parametrize("command", list(OPTION_SURFACE))
+def test_option_surface(command):
+    """Each subcommand takes exactly these long flags, and its config file
+    may set the same keys but config."""
+    args = cli.build_parser().parse_args([command])
+    subparser = args.config_actions["out"].container
+    surface = {}
+    for action in subparser._actions:
+        for flag in action.option_strings:
+            if flag.startswith("--") and flag != "--help":
+                surface[flag] = opt(action.dest, action.default,
+                                    tuple(action.choices) if action.choices else None,
+                                    action.nargs, type(action).__name__,
+                                    action.type.__name__ if action.type else None,
+                                    action.help is not None)
+    expected = {**OPTION_SURFACE[command], "--out": opt("out"), "--config": opt("config")}
+    assert surface == expected
+    assert set(args.config_actions) == {flag[2:] for flag in expected} - {"config"}
 
 
 @pytest.mark.parametrize("name", ["config", "benchmark", "mapping", "counts", "template",

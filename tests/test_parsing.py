@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from reference_parsing import reference_drop_trailing_commas, reference_parse_predictions
 
 from elbench import parsing
-from elbench.parsing import (ORIGIN_CLEAN, ORIGIN_REPAIRED, STATUS_CLEAN, STATUS_REPAIRED,
-                             STATUS_UNPARSEABLE, STATUSES, PredictedLink, PredictionRecord,
-                             canonical_serialization, load_predictions, parse_predictions,
-                             save_predictions)
+from elbench.parsing import (STATUS_CLEAN, STATUS_REPAIRED, STATUS_UNPARSEABLE, STATUSES,
+                             PredictedLink, PredictionRecord, canonical_serialization,
+                             load_predictions, parse_predictions, save_predictions)
 
 CORPUS_PATH = os.path.join(os.path.dirname(__file__), "data", "parser_corpus.json")
 with open(CORPUS_PATH, encoding="utf-8") as _handle:
@@ -57,13 +56,6 @@ class TestCorpus:
         assert again.status == STATUS_CLEAN
         assert [(l.surface, l.title) for l in again.links] == \
                [(l.surface, l.title) for l in outcome.links]
-
-    def test_origin_marks_repaired_links(self):
-        clean = parse_predictions('[{"Entities":{"A":"B"}}]')
-        assert all(link.origin == ORIGIN_CLEAN for link in clean.links)
-        repaired = parse_predictions('[{"Entities":{"A":"B"}]')
-        assert repaired.status == STATUS_REPAIRED
-        assert all(link.origin == ORIGIN_REPAIRED for link in repaired.links)
 
     def test_diagnostics_name_the_rungs(self):
         outcome = parse_predictions('so: [{"Entities":{"A":"B",}}]')
@@ -170,7 +162,7 @@ def test_drop_trailing_commas_equals_reference(text):
 @settings(max_examples=1000, deadline=None)
 @given(raw=model_text)
 def test_parse_predictions_equals_reference(raw):
-    """Same links, status, origin and diagnostics as the eager ladder."""
+    """Same links, status and diagnostics as the eager ladder."""
     assert parse_predictions(raw) == reference_parse_predictions(raw)
 
 
@@ -201,7 +193,7 @@ class TestPersistence:
             PredictionRecord("s1", (PredictedLink("Verdi", "Giuseppe Verdi", qid="Q1",
                                                   resolution="title"),), STATUS_CLEAN),
             PredictionRecord("s2", (), STATUS_UNPARSEABLE, error="http-status"),
-            PredictionRecord("s3", (PredictedLink("a", "B", origin=ORIGIN_REPAIRED),),
+            PredictionRecord("s3", (PredictedLink("a", "B"),),
                              STATUS_REPAIRED),
         ]
 
