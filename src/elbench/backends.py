@@ -121,36 +121,27 @@ def fixture_entry(prompt: str, raw_text: str, model_id: str, **live: object) -> 
                         "raw_text": raw_text, "model_id": model_id, **live}) + "\n"
 
 
-class ReplayStore:
-    """Replay fixture: JSONL of {digest, prompt, raw_text, model_id}, live
-    entries with the rest of LIVE_FIELDS too.
+def load_fixture(path: str, fields: Tuple[str, ...] = ()) -> Dict[tuple, Dict[str, object]]:
+    """A replay fixture's entries, each under (digest, *its values of fields).
 
-    An entry is kept under its digest and its values of fields.  The file is
-    a journal, so of two entries under one key the later wins.  A store
-    without a path starts empty.
+    The fixture is JSONL of {digest, prompt, raw_text, model_id}, live
+    entries with the rest of LIVE_FIELDS too.  The file is a journal, so of
+    two entries under one key the later wins.
     """
+    entries: Dict[tuple, Dict[str, object]] = {}
 
-    def __init__(self, path: Optional[str], fields: Tuple[str, ...] = ()):
-        self._entries: Dict[tuple, Dict[str, object]] = {}
+    def check(entry: Dict[str, object], lineno: int, errors: List[str]) -> None:
+        if not (isinstance(entry.get("digest"), str) and isinstance(entry.get("raw_text"), str)):
+            errors.append(f"line {lineno}: digest and raw_text must be strings")
+        elif not isinstance(entry.get("model_id", ""), str):
+            errors.append(f"line {lineno}: model_id must be a string")
+        elif any(isinstance(entry.get(name), (list, dict)) for name in fields):
+            errors.append(f"line {lineno}: {', '.join(fields)} must not be arrays or objects")
+        else:
+            entries[(entry["digest"], *map(entry.get, fields))] = entry
 
-        def check(entry: Dict[str, object], lineno: int, errors: List[str]) -> None:
-            if not (isinstance(entry.get("digest"), str) and isinstance(entry.get("raw_text"), str)):
-                errors.append(f"line {lineno}: digest and raw_text must be strings")
-            elif not isinstance(entry.get("model_id", ""), str):
-                errors.append(f"line {lineno}: model_id must be a string")
-            elif any(isinstance(entry.get(name), (list, dict)) for name in fields):
-                errors.append(f"line {lineno}: {', '.join(fields)} must not be arrays or objects")
-            else:
-                self._entries[(entry["digest"], *map(entry.get, fields))] = entry
-
-        if path is not None:
-            read_records(path, check)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, digest: str, *values: object) -> Optional[Dict[str, object]]:
-        return self._entries.get((digest, *values))
+    read_records(path, check)
+    return entries
 
 
 class Backend:
@@ -161,7 +152,7 @@ class Backend:
     takes only an entry whose LIVE_FIELDS equal the config's, so one model's
     answer is never served as another's; its fixture, which need not exist
     yet, gets each answer from the endpoint appended as it arrives.  The
-    store is read once, when the backend is made, and never changes.
+    fixture is read once, when the backend is made, and never changes.
     """
 
     def __init__(self, cfg: BackendConfig):
@@ -169,11 +160,10 @@ class Backend:
         fields = LIVE_FIELDS if cfg.kind == "http" else ()
         self._wanted = tuple(getattr(cfg, name) for name in fields)
         # A replay fixture must exist.  An http fixture that does not exist
-        # yet starts an empty store; an http backend without one keeps none.
-        self._store: Optional[ReplayStore] = None
-        if cfg.fixture_path:
-            missing = bool(fields) and not os.path.exists(cfg.fixture_path)
-            self._store = ReplayStore(None if missing else cfg.fixture_path, fields)
+        # yet, or no fixture at all, holds no answers.
+        self._fixture: Dict[tuple, Dict[str, object]] = {}
+        if cfg.fixture_path and (not fields or os.path.exists(cfg.fixture_path)):
+            self._fixture = load_fixture(cfg.fixture_path, fields)
         if not fields:
             return  # replay sends nothing
         self._lock = threading.Lock()  # one append to the fixture at a time
@@ -273,7 +263,7 @@ class Backend:
 
     def complete(self, prompt: str) -> Completion:
         digest = prompt_digest(prompt)
-        entry = self._store.get(digest, *self._wanted) if self._store is not None else None
+        entry = self._fixture.get((digest, *self._wanted))
         if entry is not None:
             meta = {"model_id": entry.get("model_id", ""), "source": "replay"}
             return Completion(raw_text=entry["raw_text"], backend_meta=meta)
@@ -281,7 +271,7 @@ class Backend:
             raise ReplayMissError(f"{self.cfg.fixture_path}: no recorded completion "
                                   f"for digest {digest}")
         completion = self._request(prompt)
-        if self._store is not None:
+        if self.cfg.fixture_path:
             line = fixture_entry(prompt, completion.raw_text, **dict(zip(LIVE_FIELDS, self._wanted)))
             with self._lock, open(self.cfg.fixture_path, "a", encoding="utf-8") as handle:
                 handle.write(line)
@@ -313,7 +303,7 @@ class Backend:
                 raise HttpStatusError(f"{url}: HTTP {status}: {text[:200]}", status=status)
             try:
                 data = json.loads(raw)
-            except ValueError:
+            except (ValueError, RecursionError):
                 raise HttpStatusError("completion response is not JSON", status=200)
             raw_text = self._extract_text(data)
             meta: Dict[str, object] = {"model_id": self.cfg.model_id,

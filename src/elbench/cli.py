@@ -35,7 +35,7 @@ _NAMES = {
     "popularity": ("DEFAULT_THETAS", "STRATIFY_CSV_FIELDS", "load_counts", "stratify",
                    "stratify_csv_rows"),
     "prompting": ("build_prompt", "load_template"),
-    "scoring": ("CSV_FIELDS", "MatchConfig", "build_report", "csv_fields", "report_to_dict",
+    "scoring": ("CSV_FIELDS", "MatchConfig", "ScoreReport", "csv_fields", "report_to_dict",
                 "score"),
 }
 _MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}
@@ -352,7 +352,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         with open(path, "r", encoding="utf-8") as handle:
             try:
                 data = json.load(handle)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise ValueError(f"{path}: invalid JSON: {exc}") from None
             except UnicodeDecodeError:
                 raise not_utf8(path) from None
@@ -371,7 +371,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                 raise ValueError(f"{path}: {field} must be a nonnegative integer, "
                                  f"got {data[field]!r}")
         modes.add(data["mode"])
-        reports.append(build_report(data["system"], "all", data["tp"], data["fp"], data["fn"], {}))
+        reports.append(ScoreReport(data["system"], "all", data["tp"], data["fp"], data["fn"]))
     if len(modes) > 1 and not args.force:
         raise ValueError(f"refusing to merge reports with mixed match modes {sorted(modes)}; "
                          "pass --force to override")

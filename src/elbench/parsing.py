@@ -153,6 +153,13 @@ def _extract_links(value: object, diagnostics: List[str]) -> Optional[List[Predi
             if not key.strip() or not val.strip():
                 diagnostics.append(f"skipped-empty-pair: {key!r}")
                 continue
+            # A lone surrogate, such as half of a \ud83d\ude00 escape cut off
+            # by the token limit, cannot be written out as UTF-8.
+            try:
+                key.encode("utf-8"), val.encode("utf-8")
+            except UnicodeEncodeError:
+                diagnostics.append(f"skipped-unencodable-pair: {key!r}")
+                continue
             merged[key] = val
     if not found_map:
         return None
@@ -186,7 +193,7 @@ def parse_predictions(raw: str) -> ParseOutcome:
     for candidate, rungs in _candidates(raw):
         try:
             value = json.loads(candidate)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             continue
         break
     else:

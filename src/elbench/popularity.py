@@ -41,11 +41,6 @@ ALL_THETAS = "all"
 
 
 @dataclass(frozen=True)
-class PopularityIndex:
-    counts: Dict[str, int]
-
-
-@dataclass(frozen=True)
 class ThresholdSlice:
     theta: float
     report: ScoreReport
@@ -64,7 +59,7 @@ def triple_count(entity_document: Mapping) -> int:
     return total
 
 
-def counts_from_entities(entities: Mapping[str, Mapping], qids: Iterable[str]) -> PopularityIndex:
+def counts_from_entities(entities: Mapping[str, Mapping], qids: Iterable[str]) -> Dict[str, int]:
     """Statement counts for qids from Wikidata entity documents already on disk.
 
     `entities` is the `entities` map of a saved `wbgetentities` response or
@@ -81,7 +76,7 @@ def counts_from_entities(entities: Mapping[str, Mapping], qids: Iterable[str]) -
         if entity is None or "missing" in entity:
             raise ValueError(f"entity {qid} not found in the entity documents")
         counts[qid] = triple_count(entity)
-    return PopularityIndex(counts=counts)
+    return counts
 
 
 # A block of canonical rows: "Q<digits>\t<digits>", each ending in "\n" or
@@ -120,18 +115,18 @@ def _canonical_counts(path: str) -> Optional[Dict[str, int]]:
                 return counts
 
 
-def load_counts(path: str) -> PopularityIndex:
+def load_counts(path: str) -> Dict[str, int]:
     """Load a counts TSV: qid <TAB> count.  Fails whole, listing bad lines.
 
     A canonical file (Q<digits> TAB <digits> rows, LF or CRLF endings, each
     qid once) is read a block at a time with one regex check per block.  Any
     other file goes through `records.read_records`, which also takes blank
     lines and padded cells and names every bad line, so both paths give the
-    same index, and a rejected file its usual errors.
+    same counts, and a rejected file its usual errors.
     """
     canonical = _canonical_counts(path)
     if canonical is not None:
-        return PopularityIndex(counts=canonical)
+        return canonical
     counts: Dict[str, int] = {}
     lines_seen: Dict[str, int] = {}
 
@@ -153,15 +148,14 @@ def load_counts(path: str) -> PopularityIndex:
         counts[qid] = int(raw_count)
 
     read_records(path, check, tsv=True)
-    return PopularityIndex(counts=counts)
+    return counts
 
 
-def save_counts(index: PopularityIndex, path: str) -> None:
+def save_counts(counts: Mapping[str, int], path: str) -> None:
     """Write a counts TSV that `load_counts` reads back, in numeric qid order."""
-    ordered = sorted(index.counts, key=lambda q: int(q[1:]))
     with open(path, "w", encoding="utf-8") as handle:
-        for qid in ordered:
-            handle.write(f"{qid}\t{index.counts[qid]}\n")
+        for qid in sorted(counts, key=lambda q: int(q[1:])):
+            handle.write(f"{qid}\t{counts[qid]}\n")
 
 
 def format_theta(theta: float) -> str:
@@ -190,10 +184,12 @@ def _thresholds(thetas: Sequence[Union[float, str]]) -> Tuple[List[float], bool]
             if token.isascii() and token.isdigit() and int(token) >= 1:
                 values.append(float(int(token)))
                 continue
+        elif isinstance(theta, bool):
+            pass  # True is not the threshold 1
         elif math.isinf(theta) and theta > 0:
             values.append(INF)
             continue
-        elif theta == int(theta) and theta >= 1:
+        elif math.isfinite(theta) and theta == int(theta) and theta >= 1:
             values.append(float(int(theta)))
             continue
         raise ValueError(f"invalid theta {str(theta)!r}: expected a positive integer or inf")
@@ -204,7 +200,7 @@ def stratify(gold: Benchmark,
              preds: Sequence[PredictionRecord],
              cfg: MatchConfig,
              kb: Optional[KbIndex],
-             pop: PopularityIndex,
+             pop: Mapping[str, int],
              thetas: Sequence[Union[float, str]] = DEFAULT_THETAS,
              strict: bool = True,
              system_id: str = "system",
@@ -212,9 +208,10 @@ def stratify(gold: Benchmark,
     """One score report per threshold θ, ascending, from a single scoring pass.
 
     The slice at θ scores the gold mentions and predictions whose entity has
-    at most θ statements.  A θ is a positive integer or inf, as a number or
-    as the CLI's token ("20", "inf", "∞"); the token "all" stands for every
-    distinct count of at least 1 among the run's entities, plus inf.
+    at most θ statements; pop maps a qid to its count.  A θ is a positive
+    integer or inf, as a number or as the CLI's token ("20", "inf", "∞");
+    the token "all" stands for every distinct count of at least 1 among the
+    run's entities, plus inf.
 
     A gold mention's entity is its gold QID.  A prediction's entity is its
     attached QID, else its title resolved through the mapping (redirects
@@ -245,13 +242,13 @@ def stratify(gold: Benchmark,
                                           else None)
     pred_qids.update(title_qids.values())
     pred_qids.discard(None)
-    missing_gold = {qid for qid in gold_qids if qid not in pop.counts}
-    missing_pred = {qid for qid in pred_qids if qid not in pop.counts}
+    missing_gold = {qid for qid in gold_qids if qid not in pop}
+    missing_pred = {qid for qid in pred_qids if qid not in pop}
     if strict and (missing_gold or missing_pred):
         sample = sorted(missing_gold | missing_pred)
         raise ValueError(f"{len(sample)} entity(ies) lack popularity counts: " + ", ".join(sample))
 
-    counts = {qid: pop.counts.get(qid, INF) for qid in gold_qids | pred_qids}
+    counts = {qid: pop.get(qid, INF) for qid in gold_qids | pred_qids}
     if every_count:
         values.extend(float(count) for count in set(counts.values()) if 1 <= count < INF)
         values.append(INF)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from importlib import resources
-from typing import Optional, Tuple
+from typing import Optional
 
 from .records import not_utf8
 
@@ -22,18 +22,16 @@ _OUTPUT_PREFIX = "Output:"
 
 @dataclass(frozen=True)
 class PromptTemplate:
-    """Instruction block, worked shot examples, and the target block.
+    """A template split at the {{sentence}} slot of its target block.
 
-    shot_examples holds (sentence, output payload) pairs; the payload is
-    everything after the shot's "Output:" marker, leading whitespace
-    included, so a template round-trips byte-for-byte.  sentence_slot is
-    the target block and must contain {{sentence}} exactly once.  text is
-    the text the template was parsed from, which run manifests digest.
+    head and tail are the template text before and after that slot, the
+    text's final newline left out, so a prompt is every byte of the file as
+    written with the sentence in place of the slot.  text is the text the
+    template was parsed from, which run manifests digest.
     """
 
-    instruction: str
-    shot_examples: Tuple[Tuple[str, str], ...]
-    sentence_slot: str
+    head: str
+    tail: str
     version: str = "custom"
     text: str = ""
 
@@ -47,19 +45,17 @@ def parse_template(text: str, version: str = "custom") -> PromptTemplate:
         Sentence:"<example sentence>"
         Output:<example output>
     """
+    body = text[:-1] if text.endswith("\n") else text
     blocks: list[list[str]] = [[]]
-    for line in (text[:-1] if text.endswith("\n") else text).split("\n"):
+    for line in body.split("\n"):
         if line == "#":
             blocks.append([])
         else:
             blocks[-1].append(line)
     if len(blocks) < 2:
         raise ValueError("template must contain at least an instruction block and a target block")
-    instruction = "\n".join(blocks[0])
-    target = "\n".join(blocks[-1])
-    if target.count(SENTENCE_SLOT) != 1:
+    if "\n".join(blocks[-1]).count(SENTENCE_SLOT) != 1:
         raise ValueError(f"target block must contain {SENTENCE_SLOT} exactly once")
-    shots = []
     for i, block in enumerate(blocks[1:-1], 1):
         if len(block) != 2:
             raise ValueError(f"shot block {i}: expected exactly 2 lines, got {len(block)}")
@@ -69,9 +65,9 @@ def parse_template(text: str, version: str = "custom") -> PromptTemplate:
             raise ValueError(f'shot block {i}: first line must look like Sentence:"..."')
         if not output_line.startswith(_OUTPUT_PREFIX):
             raise ValueError(f"shot block {i}: second line must start with {_OUTPUT_PREFIX!r}")
-        shots.append((sentence_line[len(_SENTENCE_PREFIX):-1], output_line[len(_OUTPUT_PREFIX):]))
-    return PromptTemplate(instruction=instruction, shot_examples=tuple(shots),
-                          sentence_slot=target, version=version, text=text)
+    # The target block is the last, so its slot is the text's last one.
+    head, _, tail = body.rpartition(SENTENCE_SLOT)
+    return PromptTemplate(head=head, tail=tail, version=version, text=text)
 
 
 def load_template(path: Optional[str] = None) -> PromptTemplate:
@@ -97,14 +93,10 @@ def default_template() -> PromptTemplate:
 
 
 def build_prompt(template: PromptTemplate, sentence: str) -> str:
-    """Render the prompt for one sentence.
+    """The prompt for one sentence: the template with the sentence in its slot.
 
     Deterministic; the sentence is injected verbatim (quotes unescaped, the
     parser downstream must tolerate the model echoing them).  Injective in
     the sentence for a fixed template because the slot occurs exactly once.
     """
-    blocks = [template.instruction]
-    for shot_sentence, shot_output in template.shot_examples:
-        blocks.append(f'{_SENTENCE_PREFIX}{shot_sentence}"\n{_OUTPUT_PREFIX}{shot_output}')
-    blocks.append(template.sentence_slot.replace(SENTENCE_SLOT, sentence))
-    return "\n#\n".join(blocks)
+    return template.head + sentence + template.tail

@@ -39,9 +39,11 @@ def read_records(path: str, check: Callable[[Any, int, List[str]], Optional[T]],
                 if tsv:
                     value: Any = line.rstrip("\n").removesuffix("\r").split("\t")
                 else:
+                    # Nesting deeper than the decoder's recursion limit
+                    # raises RecursionError.
                     try:
                         value = json.loads(line)
-                    except json.JSONDecodeError as exc:
+                    except (json.JSONDecodeError, RecursionError) as exc:
                         errors.append(f"line {lineno}: invalid JSON: {exc}")
                         continue
                     if not isinstance(value, dict):

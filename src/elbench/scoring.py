@@ -64,12 +64,28 @@ class ScoreReport:
     tp: int
     fp: int
     fn: int
-    precision: float
-    recall: float
-    f1: float
-    flags: Tuple[str, ...] = ()
     tallies: Dict[str, int] = field(default_factory=dict)
     per_sentence: Optional[Tuple[SentenceScore, ...]] = None
+
+    # The metrics and flags are read off the counts, never stored beside them.
+    @property
+    def precision(self) -> float:
+        return f1_from_counts(self.tp, self.fp, self.fn)[0]
+
+    @property
+    def recall(self) -> float:
+        return f1_from_counts(self.tp, self.fp, self.fn)[1]
+
+    @property
+    def f1(self) -> float:
+        return f1_from_counts(self.tp, self.fp, self.fn)[2]
+
+    @property
+    def flags(self) -> Tuple[str, ...]:
+        """The metrics whose denominator is zero, which are defined as 0."""
+        return tuple(flag for flag, denominator in ((FLAG_PRECISION_UNDEFINED, self.tp + self.fp),
+                                                    (FLAG_RECALL_UNDEFINED, self.tp + self.fn))
+                     if not denominator)
 
     # Presentation values are computed from the integer counts with decimal
     # arithmetic, so they never inherit binary-float rounding error.
@@ -187,22 +203,6 @@ def _sentence_items(sentence: BenchmarkSentence, record: Optional[PredictionReco
                          gold_ids, preds, pred_ids, discarded)
 
 
-def build_report(system_id: str, slice_id: str, tp: int, fp: int, fn: int,
-                 tallies: Dict[str, int],
-                 per_sentence: Optional[Sequence[SentenceScore]] = None) -> ScoreReport:
-    """A ScoreReport from integer counts: metrics and undefined-metric flags."""
-    precision, recall, f1 = f1_from_counts(tp, fp, fn)
-    flags: List[str] = []
-    if tp + fp == 0:
-        flags.append(FLAG_PRECISION_UNDEFINED)
-    if tp + fn == 0:
-        flags.append(FLAG_RECALL_UNDEFINED)
-    return ScoreReport(system_id=system_id, slice_id=slice_id, tp=tp, fp=fp, fn=fn,
-                       precision=precision, recall=recall, f1=f1, flags=tuple(flags),
-                       tallies=tallies,
-                       per_sentence=None if per_sentence is None else tuple(per_sentence))
-
-
 # A sentence's tags of its gold mentions, predictions and discarded predictions.
 SliceTags = Tuple[List[int], List[int], List[int]]
 
@@ -266,8 +266,8 @@ def count_slices(sentences: Iterable[SentenceItems],
         tallies = {"nil_gold_excluded": nil_gold,
                    "gold_title_unresolved": unresolved,
                    "predictions_discarded_nil": discarded}
-        reports.append(build_report(system_id, slice_id, tp, preds - tp, gold - unresolved - tp,
-                                    tallies, rows[k] if keep_per_sentence else None))
+        reports.append(ScoreReport(system_id, slice_id, tp, preds - tp, gold - unresolved - tp,
+                                   tallies, tuple(rows[k]) if keep_per_sentence else None))
     return reports
 
 

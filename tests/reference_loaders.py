@@ -21,7 +21,6 @@ from elbench.baseline import (RESOLUTION_GIVEN_QID, RESOLUTION_NOT_FOUND, RESOLU
 from elbench.benchmark import Benchmark, BenchmarkSentence, GoldMention, _check_mention
 from elbench.kb import KbIndex, is_qid
 from elbench.parsing import STATUS_CLEAN, PredictedLink, PredictionRecord, _check_record
-from elbench.popularity import PopularityIndex
 
 
 def _load_jsonl(path: str, errors: List[str]) -> List[BenchmarkSentence]:
@@ -138,7 +137,7 @@ def reference_load_benchmark(path: str, format: str = "jsonl") -> Benchmark:
     return Benchmark(sentences=tuple(sentences))
 
 
-def reference_load_counts(path: str) -> PopularityIndex:
+def reference_load_counts(path: str) -> Dict[str, int]:
     errors: List[str] = []
     counts: Dict[str, int] = {}
     lines_seen: Dict[str, int] = {}
@@ -165,7 +164,7 @@ def reference_load_counts(path: str) -> PopularityIndex:
             counts[qid] = int(raw_count)
     if errors:
         raise ValueError(f"{path}: {len(errors)} malformed row(s):\n" + "\n".join(errors))
-    return PopularityIndex(counts=counts)
+    return counts
 
 
 def reference_load_predictions(path: str) -> List[PredictionRecord]:
@@ -270,7 +269,7 @@ def reference_read_completions(path: str, known: set,
 
 
 def reference_replay_entries(path: str) -> Dict[str, Dict[str, str]]:
-    """`ReplayStore`'s entries by digest; fails on the first bad line."""
+    """`backends.load_fixture`'s entries by digest; fails on the first bad line."""
     by_digest: Dict[str, Dict[str, str]] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, 1):

@@ -4,8 +4,7 @@
 also computes every slice of `popularity.stratify`.  This loop counts one
 slice on its own, with a dict of unmatched predictions per sentence, so the
 tests that check the shared counter do not run it to build their
-expectations.  Matching is `scoring.match_items`' and the report is built by
-`scoring.build_report`, as before.
+expectations.  Matching is `scoring.match_items`', as before.
 """
 
 from __future__ import annotations
@@ -15,8 +14,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from elbench.benchmark import Benchmark
 from elbench.kb import KbIndex
 from elbench.parsing import PredictionRecord
-from elbench.scoring import (MatchConfig, ScoreReport, SentenceItems, SentenceScore, build_report,
-                             match_items)
+from elbench.scoring import MatchConfig, ScoreReport, SentenceItems, SentenceScore, match_items
 
 
 def reference_score(gold: Benchmark,
@@ -66,5 +64,5 @@ def reference_count(sentences: Iterable[SentenceItems], system_id: str = "system
     tallies = {"nil_gold_excluded": nil_gold_excluded,
                "gold_title_unresolved": gold_title_unresolved,
                "predictions_discarded_nil": predictions_discarded_nil}
-    return build_report(system_id, slice_id, tp, fp, fn, tallies,
-                        rows if keep_per_sentence else None)
+    return ScoreReport(system_id, slice_id, tp, fp, fn, tallies,
+                       tuple(rows) if keep_per_sentence else None)

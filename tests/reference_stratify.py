@@ -21,8 +21,7 @@ from reference_scoring import reference_score
 from elbench.benchmark import Benchmark, BenchmarkSentence
 from elbench.kb import MappingIndex, title_to_qid
 from elbench.parsing import PredictedLink, PredictionRecord
-from elbench.popularity import (DEFAULT_THETAS, INF, PopularityIndex, ThresholdSlice,
-                                slice_label)
+from elbench.popularity import DEFAULT_THETAS, INF, ThresholdSlice, slice_label
 from elbench.scoring import MatchConfig
 
 
@@ -41,7 +40,7 @@ def reference_stratify(gold: Benchmark,
                        preds: Sequence[PredictionRecord],
                        cfg: MatchConfig,
                        kb: Optional[MappingIndex],
-                       pop: PopularityIndex,
+                       pop: Dict[str, int],
                        thetas: Sequence[float] = DEFAULT_THETAS,
                        strict: bool = True,
                        system_id: str = "system",
@@ -67,7 +66,7 @@ def reference_stratify(gold: Benchmark,
     missing_gold = set()
     for sentence in gold.sentences:
         for mention in sentence.mentions:
-            if not mention.is_nil and mention.qid not in pop.counts:
+            if not mention.is_nil and mention.qid not in pop:
                 missing_gold.add(mention.qid)
     resolved: Dict[Tuple[str, int], Optional[str]] = {}
     missing_pred = set()
@@ -75,14 +74,14 @@ def reference_stratify(gold: Benchmark,
         for i, link in enumerate(record.links):
             qid = _link_qid(link, kb)
             resolved[(record.sentence_id, i)] = qid
-            if qid is not None and qid not in pop.counts:
+            if qid is not None and qid not in pop:
                 missing_pred.add(qid)
     if strict and (missing_gold or missing_pred):
         sample = sorted(missing_gold | missing_pred)
         raise ValueError(f"{len(sample)} entity(ies) lack popularity counts: " + ", ".join(sample))
 
     def count_of(qid: str) -> float:
-        value = pop.counts.get(qid)
+        value = pop.get(qid)
         return INF if value is None else value
 
     slices: List[ThresholdSlice] = []

@@ -21,7 +21,7 @@ from elbench import cli
 from elbench.benchmark import benchmark_stats, load_benchmark
 from elbench.kb import load_mapping, normalize_title, qid_to_title, title_to_qid
 from elbench.parsing import STATUS_CLEAN, PredictedLink, PredictionRecord, parse_predictions
-from elbench.popularity import INF, PopularityIndex, slice_label, stratify
+from elbench.popularity import INF, slice_label, stratify
 from elbench.scoring import MODE_QID, MatchConfig, f1_from_counts, score
 
 QID_CFG = MatchConfig(mode=MODE_QID)
@@ -191,8 +191,7 @@ def test_stratification_invariants():
     """On a 50-entity fixture: retained gold grows monotonically with θ,
     the θ=∞ slice equals the unstratified report field-by-field, and a
     hand-computed interior slice matches exactly."""
-    counts = {f"Q{i}": 10 * i for i in range(1, 51)}
-    pop = PopularityIndex(counts=counts)
+    pop = {f"Q{i}": 10 * i for i in range(1, 51)}
     sentences = []
     records = []
     for k in range(10):
@@ -329,10 +328,11 @@ PINNED_DIR = os.path.join(os.path.dirname(__file__), "data", "pinned")
 
 
 def test_replay_artifacts_match_pinned(tmp_path, e2e_paths, e2e_fixture, capsys, monkeypatch):
-    """link → score --per-sentence --csv → stratify --json --thetas all, and
-    resolve --predictions → score --mode qid --per-sentence on its output, on
-    the packaged sample write the artifacts pinned under tests/data/pinned:
-    both prediction files and both CSVs byte for byte, the three JSON reports
+    """record → link → score --per-sentence --csv → stratify --json --thetas
+    all, and resolve --predictions → score --mode qid --per-sentence on its
+    output, on the packaged sample write the artifacts pinned under
+    tests/data/pinned: the replay fixture (each prompt and its digest), both
+    prediction files and both CSVs byte for byte, the three JSON reports
     without their `manifest`, which names temporary paths.  A change that
     alters any of them on purpose rewrites the pinned copy in the same
     commit."""
@@ -359,6 +359,8 @@ def test_replay_artifacts_match_pinned(tmp_path, e2e_paths, e2e_fixture, capsys,
         with open(os.path.join(PINNED_DIR, name), "rb") as handle:
             return handle.read()
 
+    with open(e2e_fixture, "rb") as handle:
+        assert handle.read() == pinned("fixture.jsonl")
     for name in ("preds.jsonl", "score.csv", "strata.csv", "resolved.jsonl"):
         assert (tmp_path / name).read_bytes() == pinned(name), name
     for name in ("score.json", "strata.json", "score_qid.json"):

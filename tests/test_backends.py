@@ -15,7 +15,7 @@ import pytest
 from elbench import __version__, backends
 from elbench.backends import (LIVE_FIELDS, Backend, BackendConfig, BackendError, Completion,
                               CredentialMissingError, EndpointUnreachableError, HttpStatusError,
-                              ReplayMissError, ReplayStore, batch_complete, fixture_entry,
+                              ReplayMissError, batch_complete, fixture_entry, load_fixture,
                               make_backend, prompt_digest)
 
 
@@ -160,30 +160,30 @@ class TestReplayStore:
             {"digest": "d2", "prompt": "p2", "raw_text": "other", "model_id": "m"},
             {"digest": "d1", "prompt": "p1", "raw_text": "second", "model_id": "m"},
         ])
-        store = ReplayStore(str(path))
-        assert len(store) == 2
-        assert store.get("d1")["raw_text"] == "second"
-        assert store.get("missing") is None
+        entries = load_fixture(str(path))
+        assert len(entries) == 2
+        assert entries[("d1",)]["raw_text"] == "second"
+        assert ("missing",) not in entries
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "fix.jsonl"
         path.write_text('{"digest": "d1", "raw_text": "ok"}\nnot json\n', encoding="utf-8")
         with pytest.raises(ValueError,
                            match=r"fix\.jsonl: 1 malformed record\(s\):\nline 2: invalid JSON"):
-            ReplayStore(str(path))
+            load_fixture(str(path))
 
     def test_missing_key(self, tmp_path):
         path = tmp_path / "fix.jsonl"
         path.write_text('{"digest": "d1"}\n', encoding="utf-8")
         with pytest.raises(ValueError,
                            match=r"fix\.jsonl: 1 malformed record\(s\):\nline 1: digest and raw_text"):
-            ReplayStore(str(path))
+            load_fixture(str(path))
 
     def test_non_string_fields(self, tmp_path):
         path = tmp_path / "fix.jsonl"
         path.write_text('{"digest": 7, "raw_text": "ok"}\n', encoding="utf-8")
         with pytest.raises(ValueError, match="must be strings"):
-            ReplayStore(str(path))
+            load_fixture(str(path))
 
     def test_non_string_model_id(self, tmp_path):
         path = tmp_path / "fix.jsonl"
@@ -194,7 +194,7 @@ class TestReplayStore:
         with pytest.raises(ValueError, match=r"fix\.jsonl: 2 malformed record\(s\):\n"
                                              r"line 2: model_id must be a string\n"
                                              r"line 4: model_id must be a string$"):
-            ReplayStore(str(path))
+            load_fixture(str(path))
 
 
 class TestReplayBackend:
@@ -313,6 +313,12 @@ class TestHttpBackend:
 
     def test_non_json_response(self, stub_server):
         server = stub_server(lambda request: (200, "plain text, not json"))
+        with pytest.raises(HttpStatusError, match="not JSON"):
+            ask(http_config(server.url), "p")
+
+    def test_deeply_nested_response_is_not_json(self, stub_server):
+        # Nesting past the decoder's recursion limit raises RecursionError.
+        server = stub_server(lambda request: (200, "[" * 100_000 + "]" * 100_000))
         with pytest.raises(HttpStatusError, match="not JSON"):
             ask(http_config(server.url), "p")
 
@@ -556,15 +562,15 @@ def test_fixture_entry_round_trips_through_the_store(tmp_path):
     path.write_text(fixture_entry("p", "out", "m")
                     + fixture_entry("q", "live", "m", wire="chat", temperature=0.5,
                                     max_output_tokens=9), encoding="utf-8")
-    store = ReplayStore(str(path))
-    assert store.get(prompt_digest("p")) == {"digest": prompt_digest("p"), "prompt": "p",
-                                             "raw_text": "out", "model_id": "m"}
-    assert store.get(prompt_digest("q"))["raw_text"] == "live"
-    live = ReplayStore(str(path), LIVE_FIELDS)
+    entries = load_fixture(str(path))
+    assert entries[(prompt_digest("p"),)] == {"digest": prompt_digest("p"), "prompt": "p",
+                                              "raw_text": "out", "model_id": "m"}
+    assert entries[(prompt_digest("q"),)]["raw_text"] == "live"
+    live = load_fixture(str(path), LIVE_FIELDS)
     # An entry without the live fields answers no live config.
-    assert live.get(prompt_digest("p"), "m", "completions", 0.0, 512) is None
-    assert live.get(prompt_digest("q"), "m", "chat", 0.5, 9)["raw_text"] == "live"
-    assert live.get(prompt_digest("q"), "m", "chat", 0.5, 10) is None
+    assert (prompt_digest("p"), "m", "completions", 0.0, 512) not in live
+    assert live[(prompt_digest("q"), "m", "chat", 0.5, 9)]["raw_text"] == "live"
+    assert (prompt_digest("q"), "m", "chat", 0.5, 10) not in live
 
 
 class TestCacheThrough:
@@ -629,11 +635,11 @@ class TestCacheThrough:
         path = tmp_path / "fix.jsonl"
         path.write_text('{"digest": "d1", "raw_text": "ok", "model_id": "m", '
                         '"temperature": [0]}\n', encoding="utf-8")
-        assert ReplayStore(str(path)).get("d1")["raw_text"] == "ok"
+        assert load_fixture(str(path))[("d1",)]["raw_text"] == "ok"
         with pytest.raises(ValueError, match=r"fix\.jsonl: 1 malformed record\(s\):\n"
                                              r"line 1: model_id, wire, temperature, "
                                              r"max_output_tokens must not be arrays"):
-            ReplayStore(str(path), LIVE_FIELDS)
+            load_fixture(str(path), LIVE_FIELDS)
 
 
 class TestBatchComplete:

@@ -54,6 +54,16 @@ class TestIngest:
         assert list(stats) == ["sentences", "tokens", "unique_qids", "types",
                                "nil_mentions", "total_mentions"]
 
+    def test_deeply_nested_line_is_invalid_json(self, capsys, tmp_path):
+        # Nesting past the decoder's recursion limit raises RecursionError.
+        bench = tmp_path / "bench.jsonl"
+        bench.write_text('{"id": "a", "text": "A.", "mentions": []}\n' + "[" * 100_000 + "\n",
+                         encoding="utf-8")
+        code, out, err = run(capsys, ["ingest", "--input", str(bench)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {bench}: 1 malformed record(s):\nline 2: invalid JSON: ")
+
     def test_convert_to_tsv(self, capsys, tmp_path, e2e_paths):
         out = tmp_path / "bench.tsv"
         code, stdout, _ = run(capsys, ["ingest", "--input", e2e_paths["benchmark"],
@@ -196,6 +206,28 @@ class TestLink:
         assert by_id["gone"].status == STATUS_UNPARSEABLE
         assert by_id["gone"].error == "replay-miss"
         assert by_id["gone"].links == ()
+
+    def test_lone_surrogate_in_answer_is_skipped(self, capsys, tmp_path):
+        # The answer was cut off by the token limit after the first half of a
+        # surrogate pair escape; its link cannot be written as UTF-8.
+        bench = tmp_path / "bench.jsonl"
+        bench.write_text('{"id": "s1", "text": "Mozart met Bach.", "mentions": []}\n',
+                         encoding="utf-8")
+        prompt = build_prompt(default_template(), "Mozart met Bach.")
+        raw_text = '[{"Entities":{"Bach":"J. S. Bach","Mozart":"W. A. Mozart \\ud83d'
+        fixture = tmp_path / "fix.jsonl"
+        fixture.write_text(json.dumps({"digest": prompt_digest(prompt), "prompt": prompt,
+                                       "raw_text": raw_text, "model_id": "m"}) + "\n",
+                           encoding="utf-8")
+        out = tmp_path / "preds.jsonl"
+        for _ in range(2):  # a replay rerun gives the same result
+            code, stdout, _ = run(capsys, [
+                "link", "--backend", "replay", "--fixture", str(fixture),
+                "--benchmark", str(bench), "--out", str(out)])
+            assert code == 0
+            assert "linked 1 sentence(s): 1 repaired" in stdout
+            (record,) = load_predictions(str(out))
+            assert [(link.surface, link.title) for link in record.links] == [("Bach", "J. S. Bach")]
 
     def test_missing_credential_is_usage_error(self, capsys, tmp_path, e2e_paths, monkeypatch):
         monkeypatch.delenv("EL_API_KEY", raising=False)
@@ -598,7 +630,7 @@ class TestStratify:
         from elbench.kb import load_mapping, title_to_qid
         from elbench.popularity import load_counts
 
-        counts = load_counts(e2e_paths["counts"]).counts
+        counts = load_counts(e2e_paths["counts"])
         kb = load_mapping(e2e_paths["mapping"])
         qids = {m.qid for s in load_benchmark(e2e_paths["benchmark"]).sentences
                 for m in s.mentions if not m.is_nil}
@@ -670,6 +702,15 @@ class TestReport:
         code, _, _ = run(capsys, ["report", "--inputs", str(a), str(b),
                                   "--out", str(out), "--force"])
         assert code == 0
+
+    def test_deeply_nested_report_is_invalid_json(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[" * 100_000 + "]" * 100_000 + "\n", encoding="utf-8")
+        code, stdout, err = run(capsys, ["report", "--inputs", str(bad),
+                                         "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert err.startswith(f"error: {bad}: invalid JSON: ")
+        assert stdout == ""
 
     def test_missing_field(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -1261,14 +1302,29 @@ def test_traced_names_readable_and_replaceable_before_any_command(tmp_path, e2e_
 
 @pytest.mark.skipif(shutil.which("elbench") is None,
                     reason="console script 'elbench' is not on PATH; "
-                           "install it with `pip install -e . --no-build-isolation`")
-def test_console_script_installed(e2e_paths):
+                           "install it with `pip install . --no-build-isolation`")
+def test_console_script_installed(tmp_path, data_dir, e2e_paths):
+    """The installed script, importing the installed package (PYTHONPATH is
+    dropped), records the sample's fixture and links from it with the
+    packaged default template: both files equal their pinned copies, so a
+    package without templates/*.txt fails here."""
     exe = shutil.which("elbench")
-    assert exe, "console script should be installed"
-    proc = subprocess.run([exe, "ingest", "--input", e2e_paths["benchmark"]],
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0
-    assert "sentences: 20" in proc.stdout
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+
+    def elbench(*args):
+        proc = subprocess.run([exe, *args], capture_output=True, text=True, timeout=60,
+                              env=env, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    assert "sentences: 20" in elbench("ingest", "--input", e2e_paths["benchmark"])
+    elbench("record", "--benchmark", e2e_paths["benchmark"],
+            "--completions", e2e_paths["completions"], "--out", "fixture.jsonl")
+    elbench("link", "--backend", "replay", "--fixture", "fixture.jsonl",
+            "--benchmark", e2e_paths["benchmark"], "--out", "preds.jsonl")
+    for name in ("fixture.jsonl", "preds.jsonl"):
+        with open(os.path.join(data_dir, "pinned", name), "rb") as handle:
+            assert (tmp_path / name).read_bytes() == handle.read(), name
 
 
 def test_console_script_entry_point(capsys, e2e_paths):

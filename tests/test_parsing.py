@@ -67,6 +67,18 @@ class TestCorpus:
         assert parse_predictions("hello").diagnostics == ("unrecoverable-json",)
         assert "no-entities-map" in parse_predictions("[]").diagnostics
 
+    def test_nesting_past_the_recursion_limit_is_unparseable(self):
+        outcome = parse_predictions("[" * 100_000)
+        assert outcome.status == STATUS_UNPARSEABLE
+        assert outcome.diagnostics == ("unrecoverable-json",)
+
+    def test_lone_surrogate_pair_skipped(self):
+        # A surrogate pair escape cut off after its first half by the token limit.
+        outcome = parse_predictions('[{"Entities":{"Bach":"J. S. Bach",'
+                                    '"Mozart":"W. A. Mozart \\ud83d')
+        assert [(link.surface, link.title) for link in outcome.links] == [("Bach", "J. S. Bach")]
+        assert "skipped-unencodable-pair: 'Mozart'" in outcome.diagnostics
+
 
 def test_canonical_serialization_exact():
     links = (PredictedLink("Rameau", "Jean-Philippe Rameau"),

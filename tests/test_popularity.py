@@ -9,7 +9,7 @@ from reference_stratify import _link_qid, reference_stratify
 
 from elbench.kb import KbRecord, MappingIndex
 from elbench.parsing import STATUS_CLEAN, PredictedLink, PredictionRecord
-from elbench.popularity import (DEFAULT_THETAS, INF, STRATIFY_CSV_FIELDS, PopularityIndex,
+from elbench.popularity import (DEFAULT_THETAS, INF, STRATIFY_CSV_FIELDS,
                                 counts_from_entities, format_theta, load_counts, save_counts,
                                 slice_label, stratify, stratify_csv_rows, triple_count)
 from elbench.scoring import MODE_QID, MODE_TITLE, MODES, NIL_POLICIES, MatchConfig, score
@@ -51,10 +51,10 @@ class TestFetchCounts:
     def test_counts_from_documents(self, tmp_path):
         entities = {"Q1": self.entity("Q1", 5), "Q2": self.entity("Q2", 40),
                     "Q3": self.entity("Q3", 7)}
-        index = counts_from_entities(entities, ["Q2", "Q1", "Q2"])
-        assert index.counts == {"Q2": 40, "Q1": 5}
+        counts = counts_from_entities(entities, ["Q2", "Q1", "Q2"])
+        assert counts == {"Q2": 40, "Q1": 5}
         path = tmp_path / "counts.tsv"
-        save_counts(index, str(path))
+        save_counts(counts, str(path))
         assert path.read_text(encoding="utf-8") == "Q1\t5\nQ2\t40\n"
 
     def test_missing_entity_rejected(self):
@@ -80,13 +80,12 @@ class TestFetchCounts:
 
 class TestCountsFile:
     def test_round_trip(self, tmp_path):
-        index = PopularityIndex(counts={"Q10": 5, "Q2": 100, "Q1": 0})
+        counts = {"Q10": 5, "Q2": 100, "Q1": 0}
         path = tmp_path / "counts.tsv"
-        save_counts(index, str(path))
+        save_counts(counts, str(path))
         # rows come out in numeric qid order
         assert path.read_text(encoding="utf-8") == "Q1\t0\nQ2\t100\nQ10\t5\n"
-        loaded = load_counts(str(path))
-        assert loaded.counts == index.counts
+        assert load_counts(str(path)) == counts
 
     def test_errors_collected(self, tmp_path):
         path = tmp_path / "counts.tsv"
@@ -116,7 +115,7 @@ class TestCountsFile:
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "counts.tsv"
         path.write_text("\nQ1\t5\n\n", encoding="utf-8")
-        assert load_counts(str(path)).counts == {"Q1": 5}
+        assert load_counts(str(path)) == {"Q1": 5}
 
 
 class TestThetaLabels:
@@ -137,7 +136,7 @@ class TestStratify:
         sent("s1", "t", ("Rare", "Q1", ""), ("Mid", "Q2", "")),
         sent("s2", "t", ("Famous", "Q3", ""), ("Unknown Person", "NIL", "")),
     )
-    POP = PopularityIndex(counts={"Q1": 5, "Q2": 40, "Q3": 900, "Q9": 10})
+    POP = {"Q1": 5, "Q2": 40, "Q3": 900, "Q9": 10}
     PREDS = [
         pred("s1", ("Rare", "TR", "Q1"), ("Stray", "TS", "Q9")),
         pred("s2", ("Famous", "TF", "Q3"), ("Ghost", "No Entity", None)),
@@ -179,24 +178,24 @@ class TestStratify:
             stratify(self.BENCH, self.PREDS, QID_CFG, None, self.POP, thetas=[2.5])
         with pytest.raises(ValueError, match="positive integer or inf"):
             stratify(self.BENCH, self.PREDS, QID_CFG, None, self.POP, thetas=[0])
-        for token in ("\u00b2", "\u0661"):
+        for token in ("\u00b2", "\u0661", -INF, math.nan, True):
             with pytest.raises(ValueError, match=f"invalid theta '{token}': expected"):
                 stratify(self.BENCH, self.PREDS, QID_CFG, None, self.POP, thetas=[token])
         with pytest.raises(ValueError, match="empty theta list"):
             stratify(self.BENCH, self.PREDS, QID_CFG, None, self.POP, thetas=[])
 
     def test_strict_missing_counts(self):
-        pop = PopularityIndex(counts={"Q1": 5, "Q3": 900, "Q9": 10})
+        pop = {"Q1": 5, "Q3": 900, "Q9": 10}
         with pytest.raises(ValueError, match=r"1 entity\(ies\) lack popularity counts: Q2"):
             stratify(self.BENCH, self.PREDS, QID_CFG, None, pop, thetas=[20])
 
     def test_strict_lists_missing_sorted(self):
-        pop = PopularityIndex(counts={"Q3": 900, "Q9": 10})
+        pop = {"Q3": 900, "Q9": 10}
         with pytest.raises(ValueError, match="Q1, Q2"):
             stratify(self.BENCH, self.PREDS, QID_CFG, None, pop, thetas=[20])
 
     def test_lenient_treats_missing_as_infinite(self):
-        pop = PopularityIndex(counts={"Q1": 5, "Q3": 900, "Q9": 10})
+        pop = {"Q1": 5, "Q3": 900, "Q9": 10}
         (low, full) = stratify(self.BENCH, self.PREDS, QID_CFG, None, pop,
                                thetas=[50, INF], strict=False)
         # Q2 gold is missing a count: excluded from the finite slice,
@@ -208,7 +207,7 @@ class TestStratify:
         assert full.report.fn == 1
 
     def test_lenient_missing_pred_excluded_from_finite_slices(self):
-        pop = PopularityIndex(counts={"Q1": 5, "Q2": 40, "Q3": 900})
+        pop = {"Q1": 5, "Q2": 40, "Q3": 900}
         (low, full) = stratify(self.BENCH, self.PREDS, QID_CFG, None, pop,
                                thetas=[50, INF], strict=False)
         # Q9 pred has no count: it leaves finite slices (unknown ≠ unresolvable)
@@ -223,7 +222,7 @@ class TestStratify:
         ])
         bench = make_benchmark(sent("s1", "t", ("Famous", "Q3", "")))
         preds = [pred("s1", ("Famous", "Famous", None))]
-        pop = PopularityIndex(counts={"Q3": 900})
+        pop = {"Q3": 900}
         (low,) = stratify(bench, preds, QID_CFG, kb, pop, thetas=[100])
         # the redirect-resolved pred is recognized as popular and filtered
         assert (low.report.tp, low.report.fp, low.report.fn) == (0, 0, 0)
@@ -270,7 +269,7 @@ def every_count(bench, preds, kb, pop):
     """The thetas "all" stands for, computed from the filter-and-rescore side."""
     qids = {m.qid for s in bench.sentences for m in s.mentions if not m.is_nil}
     qids |= {_link_qid(link, kb) for record in preds for link in record.links}
-    return sorted({pop.counts[q] for q in qids if q in pop.counts and pop.counts[q] >= 1}) + [INF]
+    return sorted({pop[q] for q in qids if q in pop and pop[q] >= 1}) + [INF]
 
 
 @st.composite
@@ -303,7 +302,7 @@ def stratify_instances(draw):
                                      for i, mentions in enumerate(golds))),
             "preds": records, "cfg": cfg,
             "kb": draw(st.sampled_from([ORACLE_KB, ORACLE_KB, ORACLE_KB, None])),
-            "pop": PopularityIndex(counts=counts),
+            "pop": counts,
             "thetas": draw(st.lists(st.sampled_from(ORACLE_THETAS), min_size=1, max_size=5)),
             "strict": draw(st.booleans()), "system_id": "sys",
             "keep_per_sentence": draw(st.booleans())}
@@ -316,7 +315,7 @@ class TestStratifyAgainstFullScore:
                                   for qid in ORACLE_QIDS}))
     def test_infinite_slice_field_by_field(self, case, counts):
         """With a count for every entity, the θ=∞ slice is the unstratified score."""
-        case = {**case, "pop": PopularityIndex(counts=counts), "thetas": case["thetas"] + [INF]}
+        case = {**case, "pop": counts, "thetas": case["thetas"] + [INF]}
         expected = report_outcome(score, case["gold"], case["preds"], case["cfg"], case["kb"],
                                   system_id="sys", slice_id="θ≤∞",
                                   keep_per_sentence=case["keep_per_sentence"])
@@ -352,7 +351,7 @@ class TestStratifyOracle:
         # mode, but its attached QID Q4 (count 40) sets its popularity
         case = dict(gold=make_benchmark(sent("s1", "t", ("a", "Q1", ""))),
                     preds=[pred("s1", *links)], cfg=MatchConfig(mode=MODE_TITLE),
-                    kb=ORACLE_KB, pop=PopularityIndex(counts={"Q1": 1, "Q4": 40}),
+                    kb=ORACLE_KB, pop={"Q1": 1, "Q4": 40},
                     thetas=[1, 20, 40])
         assert [(s.report.tp, s.report.fp, s.report.fn) for s in stratify(**case)] == expected
         assert outcome(stratify, **case) == outcome(reference_stratify, **case)
@@ -373,7 +372,7 @@ class TestStratifyOracle:
     def test_error_paths(self, records, counts, message):
         case = dict(gold=make_benchmark(sent("s1", "t", ("a", "Q1", ""), ("b", "Q2", ""))),
                     preds=records, cfg=QID_CFG, kb=None,
-                    pop=PopularityIndex(counts=counts), thetas=[1, INF])
+                    pop=counts, thetas=[1, INF])
         with pytest.raises(ValueError, match=message):
             stratify(**case)
         assert outcome(stratify, **case) == outcome(reference_stratify, **case)
@@ -382,7 +381,7 @@ class TestStratifyOracle:
 class TestCsvRows:
     def test_rows(self):
         bench = make_benchmark(sent("s1", "t", ("A", "Q1", ""), ("B", "Q2", "")))
-        pop = PopularityIndex(counts={"Q1": 10, "Q2": 500})
+        pop = {"Q1": 10, "Q2": 500}
         preds = [pred("s1", ("A", "TA", "Q1"))]
         slices = stratify(bench, preds, QID_CFG, None, pop,
                           thetas=[20, INF], system_id="llm")

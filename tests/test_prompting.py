@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from reference_prompting import reference_build_prompt
 
 from elbench.prompting import (DEFAULT_TEMPLATE_VERSION, SENTENCE_SLOT, PromptTemplate,
                                build_prompt, default_template, default_template_text,
@@ -43,12 +44,13 @@ class TestDefaultTemplate:
     def test_version(self):
         template = default_template()
         assert template.version == DEFAULT_TEMPLATE_VERSION
-        assert len(template.shot_examples) == 1
+        assert template.head.endswith('\n#\nSentence:"')
+        assert template.tail == '"\nOutput:'
 
     def test_shot_payload_keeps_leading_whitespace(self):
-        shot_sentence, shot_output = default_template().shot_examples[0]
-        assert shot_sentence.startswith("of Rameau")
-        assert shot_output.startswith("  [{")
+        prompt = build_prompt(default_template(), "x")
+        assert '\nSentence:"of Rameau' in prompt
+        assert '\nOutput:  [{"Entities"' in prompt
 
     def test_prompt_ends_with_output_cue(self):
         prompt = build_prompt(default_template(), "x")
@@ -75,14 +77,24 @@ class TestParseTemplate:
 
     def test_zero_shot_template_allowed(self):
         template = parse_template('Instructions.\n#\nSentence:"{{sentence}}"\nOutput:')
-        assert template.shot_examples == ()
         assert build_prompt(template, "Hi.") == 'Instructions.\n#\nSentence:"Hi."\nOutput:'
 
     def test_two_shot_template(self):
         text = ('Do it.\n#\nSentence:"a"\nOutput: [1]\n#\nSentence:"b"\nOutput: [2]\n'
                 '#\nSentence:"{{sentence}}"\nOutput:')
         template = parse_template(text)
-        assert template.shot_examples == (("a", " [1]"), ("b", " [2]"))
+        assert build_prompt(template, "c") == text.replace(SENTENCE_SLOT, "c")
+
+    def test_slot_replaced_in_target_block_only(self):
+        text = 'Put {{sentence}} here.\n#\nSentence:"{{sentence}}"\nOutput:\n'
+        assert build_prompt(parse_template(text), "x") == \
+            'Put {{sentence}} here.\n#\nSentence:"x"\nOutput:'
+
+    def test_template_opening_with_separator_sent_as_written(self):
+        # The block renderer prefixed a newline the file does not hold.
+        text = '#\nSentence:"{{sentence}}"\nOutput:'
+        assert build_prompt(parse_template(text), "x") == '#\nSentence:"x"\nOutput:'
+        assert reference_build_prompt(text, "x") == '\n#\nSentence:"x"\nOutput:'
 
     def test_malformed_shot_rejected(self):
         with pytest.raises(ValueError, match="shot block 1"):
@@ -126,7 +138,43 @@ def test_prompt_injective_in_sentence(first, second):
 
 
 def test_custom_template_object_direct():
-    template = PromptTemplate(instruction="List entities.", shot_examples=(("x", ' [{"a":1}]'),),
-                              sentence_slot='Sentence:"{{sentence}}"\nOutput:')
+    template = PromptTemplate(head='List entities.\n#\nSentence:"x"\nOutput: [{"a":1}]\n#\n'
+                                   'Sentence:"', tail='"\nOutput:')
     prompt = build_prompt(template, "y")
     assert prompt == 'List entities.\n#\nSentence:"x"\nOutput: [{"a":1}]\n#\nSentence:"y"\nOutput:'
+
+
+# Template lines: fragments that include the slot, quotes, braces, '#' and
+# carriage returns.  A line that is exactly "#" separates blocks, so no
+# generated line is one.
+PLAIN = st.one_of(st.sampled_from(['"', "#", "{", "}", "\r", " "]),
+                  st.text(st.characters(blacklist_characters="\n"), max_size=6))
+PLAIN_LINES = st.lists(PLAIN, max_size=3).map("".join).filter(lambda line: line != "#")
+LINES = st.lists(st.one_of(st.just(SENTENCE_SLOT), PLAIN), max_size=3).map("".join).filter(
+    lambda line: line != "#")
+
+
+@st.composite
+def template_texts(draw):
+    """Text that parse_template accepts: 0-3 instruction lines (slot or not),
+    0-3 shots, and a target block with the slot once, anywhere in it."""
+    lines = draw(st.lists(LINES, max_size=3))
+    for _ in range(draw(st.integers(0, 3))):
+        lines += ["#", f'Sentence:"{draw(LINES)}"', f"Output:{draw(LINES)}"]
+    target = draw(st.lists(PLAIN_LINES, max_size=3))
+    row = draw(st.integers(0, len(target)))
+    target.insert(row, draw(PLAIN_LINES) + SENTENCE_SLOT + draw(PLAIN_LINES))
+    assume("\n".join(target).count(SENTENCE_SLOT) == 1)
+    return "\n".join(lines + ["#"] + target) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=template_texts(),
+       sentence=st.lists(st.one_of(st.just(SENTENCE_SLOT), st.sampled_from(['"', "\n", "#\n"]),
+                                   st.text(max_size=8)), max_size=4).map("".join))
+def test_build_prompt_equals_block_renderer(text, sentence):
+    expected = reference_build_prompt(text, sentence)
+    if text.startswith("#\n"):
+        # An empty instruction block: the block renderer prefixed a newline.
+        expected = expected.removeprefix("\n")
+    assert build_prompt(parse_template(text), sentence) == expected

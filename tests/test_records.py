@@ -31,7 +31,7 @@ from reference_loaders import (reference_load_benchmark, reference_load_counts,
                                reference_load_external_predictions, reference_load_predictions,
                                reference_read_completions, reference_replay_entries)
 
-from elbench.backends import ReplayStore
+from elbench.backends import load_fixture
 from elbench.baseline import load_external_predictions
 from elbench.benchmark import load_benchmark
 from elbench import cli
@@ -274,20 +274,18 @@ def test_record_completions_equal_reference(tmp_path_factory, text):
 @settings(max_examples=EXAMPLES, deadline=None)
 @given(text=FIXTURE)
 def test_replay_store_equals_reference(tmp_path_factory, text):
-    """The one difference: the store lists every bad line where the reference
+    """The one difference: load_fixture lists every bad line where the reference
     stopped at the first; that first line is the first one listed."""
     path = write(tmp_path_factory, "oracle_fixture.jsonl", text)
     expected = outcome(reference_replay_entries, path)
-    got = outcome(ReplayStore, path)
+    got = outcome(load_fixture, path)
     assert got[0] == expected[0]
     if expected[0] == "error":
         first = re.match(re.escape(path) + r":(\d+): ", expected[1]).group(1)
         listed = re.match(re.escape(path) + r": \d+ malformed record\(s\):\nline (\d+): ", got[1])
         assert listed.group(1) == first
     else:
-        store, entries = got[1], expected[1]
-        assert len(store) == len(entries)
-        assert {digest: store.get(digest) for digest in entries} == entries
+        assert got[1] == {(digest,): entry for digest, entry in expected[1].items()}
 
 
 class TestReadRecords:
@@ -352,7 +350,7 @@ class TestCountsBlocks:
         counts = load_counts(str(path))
         assert line_checked == []
         assert counts == reference_load_counts(str(path))
-        assert len(counts.counts) == self.ROWS
+        assert len(counts) == self.ROWS
 
     def test_bad_rows_past_the_first_block(self, tmp_path, line_checked):
         lines = self.text().splitlines(keepends=True)
@@ -387,18 +385,18 @@ class TestLineEndings:
             "line 3: count must be a nonnegative integer, got 'x'",
             "line 4: count must be a nonnegative integer, got '1\\r2'"]
         path.write_bytes(b"Q1\t5\r\n\r\nQ2\t7\r\n")
-        assert load_counts(str(path)).counts == {"Q1": 5, "Q2": 7}
+        assert load_counts(str(path)) == {"Q1": 5, "Q2": 7}
         # Canonical, so read without the line checker: CRLF endings, and a
         # last row without a line end.
         line_checked.clear()
         for text in (b"Q1\t5\r\nQ2\t7\r\n", b"Q1\t5\nQ2\t7", b"Q1\t5\r\nQ2\t7"):
             path.write_bytes(text)
-            assert load_counts(str(path)).counts == {"Q1": 5, "Q2": 7}
+            assert load_counts(str(path)) == {"Q1": 5, "Q2": 7}
         assert line_checked == []
         # A row ending in "\r\r\n" is valid (one "\r" ends the line, the
         # other pads the cell) but not canonical.
         path.write_bytes(b"Q1\t5\r\r\nQ2\t7\n")
-        assert load_counts(str(path)).counts == {"Q1": 5, "Q2": 7}
+        assert load_counts(str(path)) == {"Q1": 5, "Q2": 7}
         assert line_checked == [str(path)]
 
     def test_benchmark_tsv(self, tmp_path):
