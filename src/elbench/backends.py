@@ -24,7 +24,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import __version__
-from .records import encode_json, read_records
+from .records import BadLine, encode_json, read_records
 
 if TYPE_CHECKING:
     from http.client import HTTPMessage
@@ -114,11 +114,18 @@ def prompt_digest(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
-def fixture_entry(prompt: str, raw_text: str, model_id: str, **live: object) -> str:
-    """One replay fixture line.  A live answer's line also carries live:
-    the wire, temperature and max_output_tokens it was asked with."""
-    return encode_json({"digest": prompt_digest(prompt), "prompt": prompt,
+def fixture_entry(prompt: str, raw_text: str, model_id: str, **live: object) -> bytes:
+    """One replay fixture line, in UTF-8.  A live answer's line also carries
+    live: the wire, temperature and max_output_tokens it was asked with.
+
+    A lone surrogate, such as half of a "\\ud83d\\ude00" escape cut off by
+    the token limit, has no UTF-8 form; it can only sit in a JSON string,
+    where backslashreplace writes it as its JSON escape, which reads back as
+    itself.
+    """
+    line = encode_json({"digest": prompt_digest(prompt), "prompt": prompt,
                         "raw_text": raw_text, "model_id": model_id, **live}) + "\n"
+    return line.encode("utf-8", "backslashreplace")
 
 
 def load_fixture(path: str, fields: Tuple[str, ...] = ()) -> Dict[tuple, Dict[str, object]]:
@@ -130,15 +137,14 @@ def load_fixture(path: str, fields: Tuple[str, ...] = ()) -> Dict[tuple, Dict[st
     """
     entries: Dict[tuple, Dict[str, object]] = {}
 
-    def check(entry: Dict[str, object], lineno: int, errors: List[str]) -> None:
+    def check(entry: Dict[str, object], lineno: int) -> None:
         if not (isinstance(entry.get("digest"), str) and isinstance(entry.get("raw_text"), str)):
-            errors.append(f"line {lineno}: digest and raw_text must be strings")
-        elif not isinstance(entry.get("model_id", ""), str):
-            errors.append(f"line {lineno}: model_id must be a string")
-        elif any(isinstance(entry.get(name), (list, dict)) for name in fields):
-            errors.append(f"line {lineno}: {', '.join(fields)} must not be arrays or objects")
-        else:
-            entries[(entry["digest"], *map(entry.get, fields))] = entry
+            raise BadLine("digest and raw_text must be strings")
+        if not isinstance(entry.get("model_id", ""), str):
+            raise BadLine("model_id must be a string")
+        if any(isinstance(entry.get(name), (list, dict)) for name in fields):
+            raise BadLine(f"{', '.join(fields)} must not be arrays or objects")
+        entries[(entry["digest"], *map(entry.get, fields))] = entry
 
     read_records(path, check)
     return entries
@@ -273,7 +279,7 @@ class Backend:
         completion = self._request(prompt)
         if self.cfg.fixture_path:
             line = fixture_entry(prompt, completion.raw_text, **dict(zip(LIVE_FIELDS, self._wanted)))
-            with self._lock, open(self.cfg.fixture_path, "a", encoding="utf-8") as handle:
+            with self._lock, open(self.cfg.fixture_path, "ab") as handle:
                 handle.write(line)
         return completion
 

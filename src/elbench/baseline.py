@@ -13,7 +13,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .kb import KbIndex, is_qid, pageid_to_qid, title_to_qid
 from .parsing import STATUS_CLEAN, PredictedLink, PredictionRecord
-from .records import read_records
+from .records import BadLine, read_records
 
 RESOLUTION_PAGE_ID = "page-id"
 RESOLUTION_TITLE = "title"
@@ -73,30 +73,24 @@ def load_external_predictions(path: str, idx: Union[KbIndex, Callable[..., KbInd
     return records, tally
 
 
-def _check_row(raw: Dict[str, object], lineno: int, errors: List[str]) -> Optional[ExternalPrediction]:
+def _check_row(raw: Dict[str, object], lineno: int) -> ExternalPrediction:
     sentence_id = raw.get("sentence_id")
     surface = raw.get("surface")
     page_id = raw.get("page_id")
     title = raw.get("title")
     qid = raw.get("qid")
     if not isinstance(sentence_id, str) or not sentence_id:
-        errors.append(f"line {lineno}: sentence_id must be a non-empty string")
-        return None
+        raise BadLine("sentence_id must be a non-empty string")
     if not isinstance(surface, str) or not surface.strip():
-        errors.append(f"line {lineno}: surface must be a non-empty string")
-        return None
+        raise BadLine("surface must be a non-empty string")
     # type(), not isinstance(): JSON true/false are ints to isinstance.
     if page_id is not None and (type(page_id) is not int or page_id < 1):
-        errors.append(f"line {lineno}: page_id must be a positive integer, got {page_id!r}")
-        return None
+        raise BadLine(f"page_id must be a positive integer, got {page_id!r}")
     if title is not None and (not isinstance(title, str) or not title.strip()):
-        errors.append(f"line {lineno}: title must be a non-empty string when present")
-        return None
+        raise BadLine("title must be a non-empty string when present")
     if qid is not None and (not isinstance(qid, str) or not is_qid(qid)):
-        errors.append(f"line {lineno}: invalid qid {qid!r}")
-        return None
+        raise BadLine(f"invalid qid {qid!r}")
     if page_id is None and title is None and qid is None:
-        errors.append(f"line {lineno}: at least one of page_id, title, qid must be present")
-        return None
+        raise BadLine("at least one of page_id, title, qid must be present")
     return ExternalPrediction(sentence_id=sentence_id, surface=surface,
                               page_id=page_id, title=title, qid=qid)

@@ -8,10 +8,10 @@ kept in the data model; excluding them is the scorer's job.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .kb import is_qid
-from .records import encode_json, read_records
+from .records import BadLine, encode_json, read_records
 
 NIL = "NIL"
 
@@ -58,68 +58,59 @@ class StatsSummary:
     total_mentions: int
 
 
-def _check_mention(fields: Dict[str, object], text: str) -> Union[GoldMention, str]:
-    """The mention the fields give, or what is wrong with them.  The caller,
-    which knows where the fields came from, labels the problem, so no label
-    is built for a valid mention."""
+def _check_mention(fields: Dict[str, object], text: str) -> GoldMention:
+    """The mention the fields give; BadLine with what is wrong with them."""
     surface = fields.get("surface")
     qid = fields.get("qid")
     entity_type = fields.get("type", "")
     if not isinstance(surface, str) or not surface.strip():
-        return "mention surface must be a non-empty string"
+        raise BadLine("mention surface must be a non-empty string")
     if not isinstance(qid, str) or (qid != NIL and not is_qid(qid)):
-        return f"qid must be {NIL!r} or match Q[0-9]+, got {qid!r}"
+        raise BadLine(f"qid must be {NIL!r} or match Q[0-9]+, got {qid!r}")
     if not isinstance(entity_type, str):
-        return "type must be a string"
+        raise BadLine("type must be a string")
     start = fields.get("start")
     end = fields.get("end")
     if (start is None) != (end is None):
-        return "start and end must be given together"
+        raise BadLine("start and end must be given together")
     if start is not None:
         # type(), not isinstance(): JSON true/false are ints to isinstance.
         if type(start) is not int or type(end) is not int:
-            return "start/end must be integers"
+            raise BadLine("start/end must be integers")
         if not (0 <= start < end <= len(text)):
-            return f"offsets [{start},{end}) out of range for sentence of length {len(text)}"
+            raise BadLine(f"offsets [{start},{end}) out of range for sentence of length {len(text)}")
         if text[start:end] != surface:
-            return f"text slice {text[start:end]!r} does not equal surface {surface!r}"
+            raise BadLine(f"text slice {text[start:end]!r} does not equal surface {surface!r}")
     return GoldMention(surface, qid, entity_type, start, end)
 
 
 def _load_jsonl(path: str) -> List[BenchmarkSentence]:
     seen_ids: Dict[str, int] = {}
 
-    def check(record: Dict[str, object], lineno: int, errors: List[str]) -> Optional[BenchmarkSentence]:
+    def check(record: Dict[str, object], lineno: int) -> BenchmarkSentence:
         sentence_id = record.get("id")
         text = record.get("text")
         raw_mentions = record.get("mentions", [])
         if not isinstance(sentence_id, str) or not sentence_id:
-            errors.append(f"line {lineno}: id must be a non-empty string")
-            return None
+            raise BadLine("id must be a non-empty string")
         if sentence_id in seen_ids:
-            errors.append(f"line {lineno}: duplicate id {sentence_id!r} (first seen on line {seen_ids[sentence_id]})")
-            return None
+            raise BadLine(f"duplicate id {sentence_id!r} (first seen on line {seen_ids[sentence_id]})")
         if not isinstance(text, str) or not text.strip():
-            errors.append(f"line {lineno}: text must be non-empty")
-            return None
+            raise BadLine("text must be non-empty")
         if not isinstance(raw_mentions, list):
-            errors.append(f"line {lineno}: mentions must be a list")
-            return None
+            raise BadLine("mentions must be a list")
         mentions: List[GoldMention] = []
-        ok = True
+        problems: List[str] = []
         for i, fields in enumerate(raw_mentions):
             if not isinstance(fields, dict):
-                errors.append(f"line {lineno}: mention {i} must be a JSON object")
-                ok = False
+                problems.append(f"mention {i} must be a JSON object")
                 continue
-            mention = _check_mention(fields, text)
-            if isinstance(mention, str):
-                errors.append(f"line {lineno}: mention {i}: {mention}")
-                ok = False
-            else:
-                mentions.append(mention)
-        if not ok:
-            return None
+            try:
+                mentions.append(_check_mention(fields, text))
+            except BadLine as bad:
+                problems.append(f"mention {i}: {bad}")
+        if problems:
+            raise BadLine(*problems)
         seen_ids[sentence_id] = lineno
         return BenchmarkSentence(sentence_id=sentence_id, text=text, mentions=tuple(mentions))
 
@@ -143,23 +134,19 @@ def _load_tsv(path: str) -> List[BenchmarkSentence]:
             sentences.append(BenchmarkSentence(sentence_id=current_id, text=current_text,
                                                mentions=tuple(current_mentions)))
 
-    def check(parts: List[str], lineno: int, errors: List[str]) -> None:
+    def check(parts: List[str], lineno: int) -> None:
         nonlocal current_id, current_text, current_mentions
         if len(parts) != 5:
-            errors.append(f"line {lineno}: expected 5 tab-separated fields, got {len(parts)}")
-            return
+            raise BadLine(f"expected 5 tab-separated fields, got {len(parts)}")
         sentence_id, text, surface, qid, entity_type = parts
         if not sentence_id:
-            errors.append(f"line {lineno}: empty sentence_id")
-            return
+            raise BadLine("empty sentence_id")
         if not text.strip():
-            errors.append(f"line {lineno}: text must be non-empty")
-            return
+            raise BadLine("text must be non-empty")
         if sentence_id != current_id:
             if sentence_id in finished:
-                errors.append(f"line {lineno}: rows for sentence {sentence_id!r} are not consecutive "
+                raise BadLine(f"rows for sentence {sentence_id!r} are not consecutive "
                               f"(first group ended before line {finished[sentence_id]})")
-                return
             flush()
             if current_id is not None:
                 finished[current_id] = lineno
@@ -167,15 +154,10 @@ def _load_tsv(path: str) -> List[BenchmarkSentence]:
             current_text = text
             current_mentions = []
         elif text != current_text:
-            errors.append(f"line {lineno}: text differs from earlier rows of sentence {sentence_id!r}")
-            return
-        if not surface and not qid and not entity_type:
-            return  # mention-less sentence marker
-        mention = _check_mention({"surface": surface, "qid": qid, "type": entity_type}, text)
-        if isinstance(mention, str):
-            errors.append(f"line {lineno}: {mention}")
-        else:
-            current_mentions.append(mention)
+            raise BadLine(f"text differs from earlier rows of sentence {sentence_id!r}")
+        if surface or qid or entity_type:  # else a mention-less sentence marker
+            current_mentions.append(
+                _check_mention({"surface": surface, "qid": qid, "type": entity_type}, text))
 
     read_records(path, check, tsv=True)
     flush()

@@ -19,7 +19,7 @@ from functools import partial
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 # Every command reads its inputs through this module, so it is no extra cost.
-from .records import not_utf8, read_records
+from .records import BadLine, not_utf8, read_records
 
 # The names the commands use from each module.  Every import compiles its
 # module from source when there is no bytecode cache, so a command imports
@@ -335,7 +335,7 @@ def cmd_stratify(args: argparse.Namespace) -> int:
     if args.json:
         _write_json(args.json, {
             "system": args.system, **params,
-            "slices": [{"theta": "inf" if math.isinf(item.theta) else int(item.theta),
+            "slices": [{"theta": "inf" if item.theta == math.inf else int(item.theta),
                         **report_to_dict(item.report)} for item in slices],
             "manifest": manifest})
     print(f"wrote {args.out} ({len(slices)} slice(s))")
@@ -396,28 +396,27 @@ def cmd_record(args: argparse.Namespace) -> int:
     known = {sentence.sentence_id for sentence in benchmark.sentences}
     rows: Dict[str, Dict[str, str]] = {}
 
-    def check(entry: Dict[str, object], lineno: int, errors: List[str]) -> None:
+    def check(entry: Dict[str, object], lineno: int) -> None:
         sentence_id = entry.get("sentence_id")
         raw_text = entry.get("raw_text")
         if not isinstance(sentence_id, str) or not sentence_id:
-            errors.append(f"line {lineno}: sentence_id must be a non-empty string")
-        elif not isinstance(raw_text, str):
-            errors.append(f"line {lineno}: raw_text must be a string")
-        elif sentence_id not in known:
-            errors.append(f"line {lineno}: unknown sentence_id {sentence_id!r}")
-        elif sentence_id in rows:
-            errors.append(f"line {lineno}: duplicate sentence_id {sentence_id!r}")
-        else:
-            model_id = entry.get("model_id", default_model)
-            if not isinstance(model_id, str):
-                errors.append(f"line {lineno}: model_id must be a string")
-            # Kept even then, so a later line for the sentence reads as a duplicate.
-            rows[sentence_id] = {"raw_text": raw_text, "model_id": model_id}
+            raise BadLine("sentence_id must be a non-empty string")
+        if not isinstance(raw_text, str):
+            raise BadLine("raw_text must be a string")
+        if sentence_id not in known:
+            raise BadLine(f"unknown sentence_id {sentence_id!r}")
+        if sentence_id in rows:
+            raise BadLine(f"duplicate sentence_id {sentence_id!r}")
+        model_id = entry.get("model_id", default_model)
+        # Kept even if rejected, so a later line for the sentence reads as a duplicate.
+        rows[sentence_id] = {"raw_text": raw_text, "model_id": model_id}
+        if not isinstance(model_id, str):
+            raise BadLine("model_id must be a string")
 
     read_records(args.completions, check)
     written = 0
     skipped = 0
-    with open(out, "w", encoding="utf-8") as handle:
+    with open(out, "wb") as handle:
         for sentence in benchmark.sentences:
             entry = rows.get(sentence.sentence_id)
             if entry is None:

@@ -14,7 +14,7 @@ import re
 import unicodedata
 from typing import Collection, Dict, Iterable, List, NamedTuple, Optional, TextIO, Tuple, Union
 
-from .records import read_records
+from .records import BadLine, read_records
 
 QID_RE = re.compile(r"Q[0-9]+")
 
@@ -189,35 +189,28 @@ def _parse_mapping(path: str, handle: TextIO) -> MappingIndex:
     title_lines: Dict[str, int] = {}
     pageid_lines: Dict[int, int] = {}
 
-    def check(parts: List[str], lineno: int, errors: List[str]) -> None:
+    def check(parts: List[str], lineno: int) -> None:
         if len(parts) not in (3, 4):
-            errors.append(f"line {lineno}: expected 3 or 4 tab-separated fields, got {len(parts)}")
-            return
+            raise BadLine(f"expected 3 or 4 tab-separated fields, got {len(parts)}")
         raw_page_id = parts[0].strip()
         raw_qid = parts[2].strip()
         raw_redirect = parts[3].strip() if len(parts) == 4 else ""
         page_id = int(raw_page_id) if raw_page_id.isascii() and raw_page_id.isdigit() else 0
         if page_id < 1:
-            errors.append(f"line {lineno}: page_id must be a positive integer, got {raw_page_id!r}")
-            return
+            raise BadLine(f"page_id must be a positive integer, got {raw_page_id!r}")
         title = normalize_title(parts[1])  # which strips the cell as well
         if not title:
-            errors.append(f"line {lineno}: empty title")
-            return
+            raise BadLine("empty title")
         qid = raw_qid or None
         if qid is not None and not is_qid(qid):
-            errors.append(f"line {lineno}: invalid qid {raw_qid!r}")
-            return
+            raise BadLine(f"invalid qid {raw_qid!r}")
         redirect_to = (normalize_title(raw_redirect) or None) if raw_redirect else None
         if redirect_to == title:
-            errors.append(f"line {lineno}: redirect_to equals the record's own title")
-            return
+            raise BadLine("redirect_to equals the record's own title")
         if title in title_lines:
-            errors.append(f"line {lineno}: duplicate title {title!r} (first seen on line {title_lines[title]})")
-            return
+            raise BadLine(f"duplicate title {title!r} (first seen on line {title_lines[title]})")
         if page_id in pageid_lines:
-            errors.append(f"line {lineno}: duplicate page_id {page_id} (first seen on line {pageid_lines[page_id]})")
-            return
+            raise BadLine(f"duplicate page_id {page_id} (first seen on line {pageid_lines[page_id]})")
         title_lines[title] = lineno
         pageid_lines[page_id] = lineno
         idx._add(KbRecord(page_id, title, qid, redirect_to))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .kb import is_qid
-from .records import encode_json, read_records
+from .records import BadLine, encode_json, read_records
 
 STATUS_CLEAN = "clean"
 STATUS_REPAIRED = "repaired"
@@ -241,67 +241,53 @@ def load_predictions(path: str) -> List[PredictionRecord]:
     A sentence_id appears at most once."""
     first_lines: Dict[str, int] = {}
 
-    def check(row: Dict[str, object], lineno: int, errors: List[str]) -> Optional[PredictionRecord]:
-        record = _check_record(row, lineno, errors)
-        if record is not None:
-            first = first_lines.setdefault(record.sentence_id, lineno)
-            if first != lineno:
-                errors.append(f"line {lineno}: duplicate sentence_id {record.sentence_id!r} "
-                              f"(first seen on line {first})")
-                return None
+    def check(row: Dict[str, object], lineno: int) -> PredictionRecord:
+        record = _check_record(row)
+        first = first_lines.setdefault(record.sentence_id, lineno)
+        if first != lineno:
+            raise BadLine(f"duplicate sentence_id {record.sentence_id!r} "
+                          f"(first seen on line {first})")
         return record
 
     return read_records(path, check)
 
 
-def _check_record(row: Dict[str, object], lineno: int, errors: List[str]) -> Optional[PredictionRecord]:
+def _check_record(row: Dict[str, object]) -> PredictionRecord:
     sentence_id = row.get("sentence_id")
     status = row.get("status")
     raw_links = row.get("links", [])
     error = row.get("error")
     if not isinstance(sentence_id, str) or not sentence_id:
-        errors.append(f"line {lineno}: sentence_id must be a non-empty string")
-        return None
+        raise BadLine("sentence_id must be a non-empty string")
     if status not in STATUSES:
-        errors.append(f"line {lineno}: status must be one of {STATUSES}, got {status!r}")
-        return None
+        raise BadLine(f"status must be one of {STATUSES}, got {status!r}")
     if not isinstance(raw_links, list):
-        errors.append(f"line {lineno}: links must be a list")
-        return None
+        raise BadLine("links must be a list")
     if error is not None and not isinstance(error, str):
-        errors.append(f"line {lineno}: error must be a string")
-        return None
+        raise BadLine("error must be a string")
     if status == STATUS_UNPARSEABLE and raw_links:
-        errors.append(f"line {lineno}: unparseable records cannot carry links")
-        return None
+        raise BadLine("unparseable records cannot carry links")
     links: List[PredictedLink] = []
-    ok = True
+    problems: List[str] = []
     for i, fields in enumerate(raw_links):
         if not isinstance(fields, dict):
-            errors.append(f"line {lineno}: link {i} must be a JSON object")
-            ok = False
+            problems.append(f"link {i} must be a JSON object")
             continue
         surface = fields.get("surface")
         title = fields.get("title")
         qid = fields.get("qid")
         resolution = fields.get("resolution")
         if not isinstance(surface, str) or not surface.strip():
-            errors.append(f"line {lineno}: link {i}: surface must be a non-empty string")
-            ok = False
-            continue
-        if title is not None and not isinstance(title, str):
-            errors.append(f"line {lineno}: link {i}: title must be a string or null")
-            ok = False
-            continue
-        if qid is not None and (not isinstance(qid, str) or not is_qid(qid)):
-            errors.append(f"line {lineno}: link {i}: invalid qid {qid!r}")
-            ok = False
-            continue
-        if resolution is not None and not isinstance(resolution, str):
-            errors.append(f"line {lineno}: link {i}: resolution must be a string or null")
-            ok = False
-            continue
-        links.append(PredictedLink(surface=surface, title=title, qid=qid, resolution=resolution))
-    if not ok:
-        return None
+            problems.append(f"link {i}: surface must be a non-empty string")
+        elif title is not None and not isinstance(title, str):
+            problems.append(f"link {i}: title must be a string or null")
+        elif qid is not None and (not isinstance(qid, str) or not is_qid(qid)):
+            problems.append(f"link {i}: invalid qid {qid!r}")
+        elif resolution is not None and not isinstance(resolution, str):
+            problems.append(f"link {i}: resolution must be a string or null")
+        else:
+            links.append(PredictedLink(surface=surface, title=title, qid=qid,
+                                       resolution=resolution))
+    if problems:
+        raise BadLine(*problems)
     return PredictionRecord(sentence_id=sentence_id, links=tuple(links), status=status, error=error)

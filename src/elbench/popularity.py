@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 from .benchmark import Benchmark
 from .kb import KbIndex, is_qid, title_to_qid
 from .parsing import PredictedLink, PredictionRecord
-from .records import read_records
+from .records import BadLine, read_records
 from .scoring import (MatchConfig, ScoreReport, SentenceItems, SliceTags, count_slices,
                       match_items)
 
@@ -130,20 +130,16 @@ def load_counts(path: str) -> Dict[str, int]:
     counts: Dict[str, int] = {}
     lines_seen: Dict[str, int] = {}
 
-    def check(cells: List[str], lineno: int, errors: List[str]) -> None:
+    def check(cells: List[str], lineno: int) -> None:
         if len(cells) != 2:
-            errors.append(f"line {lineno}: expected 2 tab-separated fields, got {len(cells)}")
-            return
+            raise BadLine(f"expected 2 tab-separated fields, got {len(cells)}")
         qid, raw_count = cells[0].strip(), cells[1].strip()
         if not is_qid(qid):
-            errors.append(f"line {lineno}: invalid qid {qid!r}")
-            return
+            raise BadLine(f"invalid qid {qid!r}")
         if not (raw_count.isascii() and raw_count.isdigit()):
-            errors.append(f"line {lineno}: count must be a nonnegative integer, got {raw_count!r}")
-            return
+            raise BadLine(f"count must be a nonnegative integer, got {raw_count!r}")
         if qid in lines_seen:
-            errors.append(f"line {lineno}: duplicate qid {qid} (first seen on line {lines_seen[qid]})")
-            return
+            raise BadLine(f"duplicate qid {qid} (first seen on line {lines_seen[qid]})")
         lines_seen[qid] = lineno
         counts[qid] = int(raw_count)
 
@@ -159,7 +155,7 @@ def save_counts(counts: Mapping[str, int], path: str) -> None:
 
 
 def format_theta(theta: float) -> str:
-    return "∞" if math.isinf(theta) else str(int(theta))
+    return "∞" if theta == INF else str(int(theta))
 
 
 def slice_label(theta: float) -> str:
@@ -182,15 +178,16 @@ def _thresholds(thetas: Sequence[Union[float, str]]) -> Tuple[List[float], bool]
                 values.append(INF)
                 continue
             if token.isascii() and token.isdigit() and int(token) >= 1:
-                values.append(float(int(token)))
+                values.append(int(token))
                 continue
         elif isinstance(theta, bool):
             pass  # True is not the threshold 1
-        elif math.isinf(theta) and theta > 0:
+        elif theta == INF:
             values.append(INF)
             continue
-        elif math.isfinite(theta) and theta == int(theta) and theta >= 1:
-            values.append(float(int(theta)))
+        # A finite θ stays the int it is: no float holds every integer.
+        elif theta >= 1 and theta == int(theta):
+            values.append(int(theta))
             continue
         raise ValueError(f"invalid theta {str(theta)!r}: expected a positive integer or inf")
     return values, every_count
@@ -250,7 +247,7 @@ def stratify(gold: Benchmark,
 
     counts = {qid: pop.get(qid, INF) for qid in gold_qids | pred_qids}
     if every_count:
-        values.extend(float(count) for count in set(counts.values()) if 1 <= count < INF)
+        values.extend(count for count in set(counts.values()) if 1 <= count < INF)
         values.append(INF)
     ordered = sorted(set(values))
     # An entity's items are kept from its tag on.  An entity without a count
@@ -286,7 +283,7 @@ def stratify_csv_rows(slices: Sequence[ThresholdSlice]) -> List[List[str]]:
     rows = []
     for item in slices:
         report = item.report
-        theta = "inf" if math.isinf(item.theta) else str(int(item.theta))
+        theta = "inf" if item.theta == INF else str(int(item.theta))
         rows.append([report.system_id, theta, str(report.precision_pct()),
                      str(report.recall_pct()), str(report.f1_pct())])
     return rows

@@ -17,14 +17,21 @@ T = TypeVar("T")
 encode_json = json.JSONEncoder(ensure_ascii=False).encode
 
 
-def read_records(path: str, check: Callable[[Any, int, List[str]], Optional[T]],
+class BadLine(ValueError):
+    """Rejects the line a check is given: read_records lists each of its
+    arguments, a problem, as "line N: <problem>", in order."""
+
+
+def read_records(path: str, check: Callable[[Any, int], Optional[T]],
                  tsv: bool = False, handle: Optional[TextIO] = None) -> List[T]:
-    """The records check(value, lineno, errors) keeps from the non-blank lines.
+    """The records check(value, lineno) keeps from the non-blank lines.
 
     A JSON Lines value must be an object; a TSV value is the line's cells.
-    check appends "line N: ..." to errors to reject a value, and returns the
-    record to keep, or None.  Any error fails the whole file once it is
-    read, with one ValueError listing them all.  Lines end at "\n" alone (a
+    check returns the record to keep, or None to keep nothing, and rejects
+    the line by raising BadLine with its problems; this is the one place a
+    problem is labelled with its line.  Any other exception from check
+    propagates as it is.  Any bad line fails the whole file once it is read,
+    with one ValueError listing every problem.  Lines end at "\n" alone (a
     CRLF ending loses its "\r").  handle, opened so, is read (and closed) in
     place of opening path when given.  A file that is not UTF-8 fails with
     not_utf8(path).
@@ -36,20 +43,22 @@ def read_records(path: str, check: Callable[[Any, int, List[str]], Optional[T]],
             for lineno, line in enumerate(lines, 1):
                 if not line.strip():
                     continue
-                if tsv:
-                    value: Any = line.rstrip("\n").removesuffix("\r").split("\t")
-                else:
-                    # Nesting deeper than the decoder's recursion limit
-                    # raises RecursionError.
-                    try:
-                        value = json.loads(line)
-                    except (json.JSONDecodeError, RecursionError) as exc:
-                        errors.append(f"line {lineno}: invalid JSON: {exc}")
-                        continue
-                    if not isinstance(value, dict):
-                        errors.append(f"line {lineno}: record must be a JSON object")
-                        continue
-                record = check(value, lineno, errors)
+                try:
+                    if tsv:
+                        value: Any = line.rstrip("\n").removesuffix("\r").split("\t")
+                    else:
+                        # Nesting deeper than the decoder's recursion limit
+                        # raises RecursionError.
+                        try:
+                            value = json.loads(line)
+                        except (json.JSONDecodeError, RecursionError) as exc:
+                            raise BadLine(f"invalid JSON: {exc}") from None
+                        if not isinstance(value, dict):
+                            raise BadLine("record must be a JSON object")
+                    record = check(value, lineno)
+                except BadLine as bad:
+                    errors.extend(f"line {lineno}: {problem}" for problem in bad.args)
+                    continue
                 if record is not None:
                     kept.append(record)
     except UnicodeDecodeError:

@@ -5,22 +5,129 @@ decode JSON or split cells, collect errors, raise.  This module keeps those
 loops as they were, as test oracles: `tests/test_records.py` requires the
 loaders built on the shared reader to return the same records, or raise
 the same error text, on random files.  The mapping's loader is kept in
-`tests/reference_kb.py`.  What did not change is called, not copied:
-`_check_mention` (whose problems each loop labels with its line, as it
-used to), the predictions' and external rows' checks past the
-JSON-object test, and the external rows' resolution.
+`tests/reference_kb.py`.  The checks of a mention, a predictions record
+and an external row are copied too, as they were when each still appended
+its own "line N: " errors, so no oracle runs the checks it tests; only the
+external rows' resolution, which reads no file, is called.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from elbench.baseline import (RESOLUTION_GIVEN_QID, RESOLUTION_NOT_FOUND, RESOLUTION_PAGE_ID,
-                              RESOLUTION_TITLE, ExternalPrediction, _check_row, _resolve)
-from elbench.benchmark import Benchmark, BenchmarkSentence, GoldMention, _check_mention
+                              RESOLUTION_TITLE, ExternalPrediction, _resolve)
+from elbench.benchmark import NIL, Benchmark, BenchmarkSentence, GoldMention
 from elbench.kb import KbIndex, is_qid
-from elbench.parsing import STATUS_CLEAN, PredictedLink, PredictionRecord, _check_record
+from elbench.parsing import (STATUS_CLEAN, STATUS_UNPARSEABLE, STATUSES, PredictedLink,
+                             PredictionRecord)
+
+
+def _check_mention(fields: Dict[str, object], text: str) -> Union[GoldMention, str]:
+    """The mention the fields give, or what is wrong with them."""
+    surface = fields.get("surface")
+    qid = fields.get("qid")
+    entity_type = fields.get("type", "")
+    if not isinstance(surface, str) or not surface.strip():
+        return "mention surface must be a non-empty string"
+    if not isinstance(qid, str) or (qid != NIL and not is_qid(qid)):
+        return f"qid must be {NIL!r} or match Q[0-9]+, got {qid!r}"
+    if not isinstance(entity_type, str):
+        return "type must be a string"
+    start = fields.get("start")
+    end = fields.get("end")
+    if (start is None) != (end is None):
+        return "start and end must be given together"
+    if start is not None:
+        if type(start) is not int or type(end) is not int:
+            return "start/end must be integers"
+        if not (0 <= start < end <= len(text)):
+            return f"offsets [{start},{end}) out of range for sentence of length {len(text)}"
+        if text[start:end] != surface:
+            return f"text slice {text[start:end]!r} does not equal surface {surface!r}"
+    return GoldMention(surface, qid, entity_type, start, end)
+
+
+def _check_record(row: Dict[str, object], lineno: int, errors: List[str]) -> Optional[PredictionRecord]:
+    sentence_id = row.get("sentence_id")
+    status = row.get("status")
+    raw_links = row.get("links", [])
+    error = row.get("error")
+    if not isinstance(sentence_id, str) or not sentence_id:
+        errors.append(f"line {lineno}: sentence_id must be a non-empty string")
+        return None
+    if status not in STATUSES:
+        errors.append(f"line {lineno}: status must be one of {STATUSES}, got {status!r}")
+        return None
+    if not isinstance(raw_links, list):
+        errors.append(f"line {lineno}: links must be a list")
+        return None
+    if error is not None and not isinstance(error, str):
+        errors.append(f"line {lineno}: error must be a string")
+        return None
+    if status == STATUS_UNPARSEABLE and raw_links:
+        errors.append(f"line {lineno}: unparseable records cannot carry links")
+        return None
+    links: List[PredictedLink] = []
+    ok = True
+    for i, fields in enumerate(raw_links):
+        if not isinstance(fields, dict):
+            errors.append(f"line {lineno}: link {i} must be a JSON object")
+            ok = False
+            continue
+        surface = fields.get("surface")
+        title = fields.get("title")
+        qid = fields.get("qid")
+        resolution = fields.get("resolution")
+        if not isinstance(surface, str) or not surface.strip():
+            errors.append(f"line {lineno}: link {i}: surface must be a non-empty string")
+            ok = False
+            continue
+        if title is not None and not isinstance(title, str):
+            errors.append(f"line {lineno}: link {i}: title must be a string or null")
+            ok = False
+            continue
+        if qid is not None and (not isinstance(qid, str) or not is_qid(qid)):
+            errors.append(f"line {lineno}: link {i}: invalid qid {qid!r}")
+            ok = False
+            continue
+        if resolution is not None and not isinstance(resolution, str):
+            errors.append(f"line {lineno}: link {i}: resolution must be a string or null")
+            ok = False
+            continue
+        links.append(PredictedLink(surface=surface, title=title, qid=qid, resolution=resolution))
+    if not ok:
+        return None
+    return PredictionRecord(sentence_id=sentence_id, links=tuple(links), status=status, error=error)
+
+
+def _check_row(raw: Dict[str, object], lineno: int, errors: List[str]) -> Optional[ExternalPrediction]:
+    sentence_id = raw.get("sentence_id")
+    surface = raw.get("surface")
+    page_id = raw.get("page_id")
+    title = raw.get("title")
+    qid = raw.get("qid")
+    if not isinstance(sentence_id, str) or not sentence_id:
+        errors.append(f"line {lineno}: sentence_id must be a non-empty string")
+        return None
+    if not isinstance(surface, str) or not surface.strip():
+        errors.append(f"line {lineno}: surface must be a non-empty string")
+        return None
+    if page_id is not None and (type(page_id) is not int or page_id < 1):
+        errors.append(f"line {lineno}: page_id must be a positive integer, got {page_id!r}")
+        return None
+    if title is not None and (not isinstance(title, str) or not title.strip()):
+        errors.append(f"line {lineno}: title must be a non-empty string when present")
+        return None
+    if qid is not None and (not isinstance(qid, str) or not is_qid(qid)):
+        errors.append(f"line {lineno}: invalid qid {qid!r}")
+        return None
+    if page_id is None and title is None and qid is None:
+        errors.append(f"line {lineno}: at least one of page_id, title, qid must be present")
+        return None
+    return ExternalPrediction(sentence_id=sentence_id, surface=surface,
+                              page_id=page_id, title=title, qid=qid)
 
 
 def _load_jsonl(path: str, errors: List[str]) -> List[BenchmarkSentence]:

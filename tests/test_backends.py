@@ -559,9 +559,9 @@ def echo(request):
 
 def test_fixture_entry_round_trips_through_the_store(tmp_path):
     path = tmp_path / "fix.jsonl"
-    path.write_text(fixture_entry("p", "out", "m")
-                    + fixture_entry("q", "live", "m", wire="chat", temperature=0.5,
-                                    max_output_tokens=9), encoding="utf-8")
+    path.write_bytes(fixture_entry("p", "out", "m")
+                     + fixture_entry("q", "live", "m", wire="chat", temperature=0.5,
+                                     max_output_tokens=9))
     entries = load_fixture(str(path))
     assert entries[(prompt_digest("p"),)] == {"digest": prompt_digest("p"), "prompt": "p",
                                               "raw_text": "out", "model_id": "m"}
@@ -582,7 +582,7 @@ class TestCacheThrough:
         fixture = tmp_path / "cache.jsonl"
         result = ask(http_config(server.url, fixture_path=str(fixture)), "p")
         assert result.raw_text == "answer for p"
-        assert fixture.read_text(encoding="utf-8") == fixture_entry(
+        assert fixture.read_bytes() == fixture_entry(
             "p", "answer for p", "test-model", wire="completions", temperature=0.0,
             max_output_tokens=512)
 

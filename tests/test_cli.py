@@ -352,6 +352,45 @@ class TestLink:
         assert all(record.links == records[0].links for record in records)
         assert [link.title for link in records[0].links] == ["Gioachino Rossini"]
 
+    def test_lone_surrogate_in_live_answer_is_escaped_in_the_fixture(self, capsys, tmp_path,
+                                                                     stub_server, monkeypatch):
+        """A live answer holding a lone surrogate, whose link the parser skips,
+        goes into the fixture as its JSON escape.  The --fixture run links as
+        the run without one does; its rerun sends no request and writes the
+        same bytes; and the answer recorded by `record` replays the same."""
+        monkeypatch.setenv("EL_API_KEY", "test-key")
+        bench = tmp_path / "bench.jsonl"
+        bench.write_text('{"id": "s1", "text": "Mozart met Bach.", "mentions": []}\n',
+                         encoding="utf-8")
+        answer = '[{"Entities":{"Bach":"J. S. Bach \ud83d","Mozart":"W. A. Mozart"}}]'
+        server = stub_server(lambda request: (200, {"choices": [{"text": answer}]}))
+        fixture = tmp_path / "fixture.jsonl"
+
+        def run_link(name, *args):
+            out = tmp_path / name
+            code, _, _ = run(capsys, ["link", "--benchmark", str(bench), "--out", str(out),
+                                      *args])
+            assert code == 0
+            return out.read_bytes()
+
+        live = ["--backend", "http", "--endpoint", server.url, "--model", "m"]
+        expected = run_link("plain.jsonl", *live)
+        (plain,) = load_predictions(str(tmp_path / "plain.jsonl"))
+        assert [(link.surface, link.title) for link in plain.links] == [("Mozart", "W. A. Mozart")]
+        assert run_link("fixed.jsonl", *live, "--fixture", str(fixture)) == expected
+        assert len(server.requests) == 2
+        assert "\\ud83d" in fixture.read_text(encoding="utf-8")
+        assert run_link("rerun.jsonl", *live, "--fixture", str(fixture)) == expected
+        assert len(server.requests) == 2
+
+        log, recorded = tmp_path / "log.jsonl", tmp_path / "recorded.jsonl"
+        log.write_text(json.dumps({"sentence_id": "s1", "raw_text": answer}) + "\n",
+                       encoding="utf-8")
+        code, _, _ = run(capsys, ["record", "--benchmark", str(bench), "--completions", str(log),
+                                  "--model", "m", "--out", str(recorded)])
+        assert code == 0
+        assert run_link("replayed.jsonl", "--backend", "replay", "--fixture", str(recorded)) == expected
+
 
 class TestResolve:
     def test_predictions_path(self, capsys, tmp_path, e2e_paths, linked):
@@ -597,6 +636,26 @@ class TestStratify:
         code, stdout, _ = run(capsys, base + ["--lenient"])
         assert code == 0
         assert "6 slice(s)" in stdout  # default theta grid
+
+    def test_theta_past_the_float_range(self, capsys, tmp_path, e2e_paths, linked):
+        """A θ too large for a float is held as the integer it is: its row
+        and slice are labelled with its digits, its JSON theta is that
+        integer, and, being above every count, it keeps what inf keeps."""
+        huge = "9" * 400
+        out, json_out = tmp_path / "strata.csv", tmp_path / "strata.json"
+        code, _, _ = run(capsys, [
+            "stratify", "--benchmark", e2e_paths["benchmark"], "--predictions", str(linked),
+            "--mode", "title", "--kb", e2e_paths["mapping"], "--counts", e2e_paths["counts"],
+            "--thetas", f"20,{huge}", "--system", "llm", "--out", str(out),
+            "--json", str(json_out)])
+        assert code == 0
+        with open(out, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[1:] == [["llm", "20", "57.1", "80.0", "66.7"],
+                            ["llm", huge, "79.4", "84.4", "81.8"]]
+        payload = json.loads(json_out.read_text(encoding="utf-8"))
+        assert [s["theta"] for s in payload["slices"]] == [20, int(huge)]
+        assert payload["slices"][1]["slice"] == f"θ≤{huge}"
 
     def test_invalid_theta(self, capsys, tmp_path, e2e_paths, linked):
         code, _, err = run(capsys, [

@@ -173,6 +173,20 @@ class TestStratify:
                           thetas=[100, 20, INF, 20])
         assert [s.theta for s in slices] == [20.0, 100.0, INF]
 
+    def test_theta_past_the_float_range(self):
+        """A θ, or a count in the "all" sweep, too large for a float is held
+        as the int it is and labelled with its digits."""
+        huge = 10**400
+        slices = stratify(self.BENCH, self.PREDS, QID_CFG, None, self.POP, thetas=[huge, 20])
+        assert [s.theta for s in slices] == [20, huge]
+        assert slices[1].report.slice_id == f"θ≤{huge}"
+        (full,) = stratify(self.BENCH, self.PREDS, QID_CFG, None, self.POP, thetas=[INF])
+        assert dataclasses.replace(slices[1].report, slice_id=full.report.slice_id) == full.report
+        pop = {**self.POP, "Q3": huge}
+        swept = stratify(self.BENCH, self.PREDS, QID_CFG, None, pop, thetas=["all"])
+        assert [s.theta for s in swept] == [5, 10, 40, huge, INF]
+        assert swept[3].report.slice_id == f"θ≤{huge}"
+
     def test_invalid_theta(self):
         with pytest.raises(ValueError, match="positive integer or inf"):
             stratify(self.BENCH, self.PREDS, QID_CFG, None, self.POP, thetas=[2.5])

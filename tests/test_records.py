@@ -25,7 +25,7 @@ import json
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_loaders import (reference_load_benchmark, reference_load_counts,
                                reference_load_external_predictions, reference_load_predictions,
@@ -40,7 +40,7 @@ from elbench.parsing import load_predictions
 from elbench.prompting import build_prompt, default_template
 from elbench import popularity
 from elbench.popularity import load_counts
-from elbench.records import encode_json, read_records
+from elbench.records import BadLine, encode_json, read_records
 
 EXAMPLES = 300
 
@@ -79,6 +79,11 @@ def tsv(valid, wild):
 
 
 IDS = ["s1", "s2", "s3", "s4", "s5", "s6"]
+# Several bad mentions or links in one line, with good ones between them.
+MULTI_MENTIONS = [{"surface": ""}, {"surface": "Alpha", "qid": "Q1"}, 2,
+                  {"surface": "Alpha", "qid": "Q1", "start": 6, "end": 10}]
+MULTI_LINKS = [{"surface": ""}, {"surface": "Alpha", "title": "A"}, 3,
+               {"surface": "A", "qid": "x"}, {"surface": "A", "resolution": 0}]
 WILD_IDS = ["s1", "s2", "", 7, None]
 BENCHMARK_JSONL = jsonl(
     objects(id=IDS, text=["Alpha beta."],
@@ -92,7 +97,8 @@ BENCHMARK_JSONL = jsonl(
                            [{"surface": "Alpha", "qid": "Q1", "start": 0}],
                            [{"surface": "Alpha", "qid": "Q1", "start": True, "end": 5}],
                            [{"surface": "Alpha", "qid": "Q1", "start": 0, "end": 99}],
-                           [{"surface": "Alpha", "qid": "Q1", "start": 6, "end": 10}]]))
+                           [{"surface": "Alpha", "qid": "Q1", "start": 6, "end": 10}],
+                           MULTI_MENTIONS, [{"surface": "Alpha", "qid": "Q1"}, [], {"qid": "Q1"}]]))
 # Few ids and texts, so groups split, texts clash and rows are malformed.
 BENCHMARK_TSV = tsv(
     st.tuples(st.sampled_from(["a", "b", "c"]), st.just("Alpha beta."),
@@ -122,7 +128,8 @@ PREDICTIONS = jsonl(
     wild_objects(sentence_id=WILD_IDS, status=["clean", "unparseable", "odd", None],
                  links=[{}, "x", ["l"], [{"surface": ""}], [{"surface": "A", "title": 2}],
                         [{"surface": "A", "qid": "x"}], [{"surface": "A", "resolution": 0}],
-                        [{"surface": "Alpha", "title": "A"}]],
+                        [{"surface": "Alpha", "title": "A"}], MULTI_LINKS,
+                        [{"surface": "A", "title": None}, "l", {"surface": "A", "title": 2}]],
                  error=["replay-miss", None, 3]))
 EXTERNAL = jsonl(
     st.one_of(objects(sentence_id=IDS, surface=["Alpha"], page_id=[1, 2, 9]),
@@ -160,6 +167,9 @@ def write(tmp_path_factory, name, text):
 
 @settings(max_examples=EXAMPLES, deadline=None)
 @given(text=BENCHMARK_JSONL)
+@example(text="".join(json.dumps({"id": sentence_id, "text": "Alpha beta.", "mentions": mentions})
+                      + "\n" for sentence_id, mentions in [("s1", MULTI_MENTIONS), ("s2", [[]]),
+                                                            ("s3", MULTI_MENTIONS[::-1])]))
 def test_benchmark_jsonl_equals_reference(tmp_path_factory, text):
     path = write(tmp_path_factory, "oracle_benchmark.jsonl", text)
     assert outcome(load_benchmark, path) == outcome(reference_load_benchmark, path)
@@ -185,6 +195,9 @@ def test_counts_equal_reference(tmp_path_factory, text):
 
 @settings(max_examples=EXAMPLES, deadline=None)
 @given(text=PREDICTIONS)
+@example(text="".join(json.dumps({"sentence_id": sentence_id, "status": "clean", "links": links})
+                      + "\n" for sentence_id, links in [("s1", MULTI_LINKS), ("s2", [{}]),
+                                                         ("s3", MULTI_LINKS[::-1])]))
 def test_predictions_equal_reference(tmp_path_factory, text):
     path = write(tmp_path_factory, "oracle_predictions.jsonl", text)
     assert outcome(load_predictions, path) == outcome(reference_load_predictions, path)
@@ -293,10 +306,9 @@ class TestReadRecords:
         path = tmp_path / "in.jsonl"
         path.write_text('{"k": 1}\n\n  \nnope\n[1]\n{"k": 2}\n{"k": "x"}\n', encoding="utf-8")
 
-        def check(value, lineno, errors):
+        def check(value, lineno):
             if not isinstance(value["k"], int):
-                errors.append(f"line {lineno}: k must be an integer")
-                return None
+                raise BadLine("k must be an integer")
             return value["k"]
 
         with pytest.raises(ValueError) as err:
@@ -312,10 +324,10 @@ class TestReadRecords:
     def test_tsv_cells_and_handle(self):
         seen = []
 
-        def check(cells, lineno, errors):
+        def check(cells, lineno):
             seen.append((lineno, cells))
             if len(cells) != 2:
-                errors.append(f"line {lineno}: expected 2 cells")
+                raise BadLine("expected 2 cells")
 
         handle = io.StringIO("a\tb\n \n\t\nc\n")
         with pytest.raises(ValueError, match=r"^named\.tsv: 1 malformed row\(s\):\nline 4: "):
@@ -323,13 +335,41 @@ class TestReadRecords:
         assert seen == [(1, ["a", "b"]), (4, ["c"])]
         assert handle.closed
 
+    def test_every_problem_of_a_bad_line_is_labelled_in_order(self, tmp_path):
+        path = tmp_path / "in.tsv"
+        path.write_text("a\tb\nc\nd\te\tf\n", encoding="utf-8")
+
+        def check(cells, lineno):
+            if len(cells) != 2:
+                raise BadLine(*(f"cell {cell!r} is unpaired" for cell in cells))
+            return cells
+
+        with pytest.raises(ValueError) as err:
+            read_records(str(path), check, tsv=True)
+        assert str(err.value).splitlines() == [
+            f"{path}: 4 malformed row(s):", "line 2: cell 'c' is unpaired",
+            "line 3: cell 'd' is unpaired", "line 3: cell 'e' is unpaired",
+            "line 3: cell 'f' is unpaired"]
+
+    def test_a_plain_value_error_propagates_unlabelled(self, tmp_path):
+        path = tmp_path / "in.jsonl"
+        path.write_text('{"k": 1}\n{"k": "x"}\n', encoding="utf-8")
+
+        def check(value, lineno):
+            return int(value["k"])
+
+        with pytest.raises(ValueError) as err:
+            read_records(str(path), check)
+        assert not isinstance(err.value, BadLine)
+        assert str(err.value) == "invalid literal for int() with base 10: 'x'"
+
     @pytest.mark.parametrize("tsv", [False, True])
     def test_not_utf8_lists_every_undecodable_line(self, tmp_path, tsv):
         path = tmp_path / "in.txt"
         # A lone "\r" ends no line, here as in the text reader.
         path.write_bytes(b'{"k": 1}\r\n{"k": "\xff"}\n{"k": "\r"}\n\xe9\n')
         with pytest.raises(ValueError) as err:
-            read_records(str(path), lambda value, lineno, errors: value, tsv=tsv)
+            read_records(str(path), lambda value, lineno: value, tsv=tsv)
         assert str(err.value).splitlines() == [f"{path}: line 2: not valid UTF-8",
                                                f"{path}: line 4: not valid UTF-8"]
 
