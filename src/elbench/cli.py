@@ -13,7 +13,6 @@ import argparse
 import csv
 import importlib
 import json
-import math
 import sys
 from functools import partial
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
@@ -33,7 +32,7 @@ _NAMES = {
     "parsing": ("STATUS_UNPARSEABLE", "PredictedLink", "PredictionRecord", "load_predictions",
                 "parse_predictions", "save_predictions"),
     "popularity": ("DEFAULT_THETAS", "STRATIFY_CSV_FIELDS", "load_counts", "stratify",
-                   "stratify_csv_rows"),
+                   "stratify_csv_rows", "theta_value"),
     "prompting": ("build_prompt", "load_template"),
     "scoring": ("CSV_FIELDS", "MatchConfig", "ScoreReport", "csv_fields", "report_to_dict",
                 "score"),
@@ -317,13 +316,7 @@ def cmd_stratify(args: argparse.Namespace) -> int:
     _bind("benchmark", "parsing", "kb", "scoring", "popularity", "manifest")
     _require(args, "benchmark", "predictions", "counts", "out")
     loaded, inputs = _scoring_inputs(args, stratifying=True)
-    thetas = DEFAULT_THETAS
-    if args.thetas is not None:
-        thetas = args.thetas.split(",")
-        blank = [number for number, item in enumerate(thetas, 1) if not item.strip()]
-        if blank:
-            raise ValueError("empty theta list" if len(blank) == len(thetas) else
-                             f"empty item {blank[0]} in theta list {args.thetas!r}")
+    thetas = DEFAULT_THETAS if args.thetas is None else args.thetas.split(",")
     strict = not args.lenient
     slices = stratify(*loaded, thetas, strict=strict, system_id=args.system)
     rows = stratify_csv_rows(slices)
@@ -335,8 +328,8 @@ def cmd_stratify(args: argparse.Namespace) -> int:
     if args.json:
         _write_json(args.json, {
             "system": args.system, **params,
-            "slices": [{"theta": "inf" if item.theta == math.inf else int(item.theta),
-                        **report_to_dict(item.report)} for item in slices],
+            "slices": [{"theta": theta_value(item.theta), **report_to_dict(item.report)}
+                       for item in slices],
             "manifest": manifest})
     print(f"wrote {args.out} ({len(slices)} slice(s))")
     return 0
@@ -413,7 +406,7 @@ def cmd_record(args: argparse.Namespace) -> int:
         if not isinstance(model_id, str):
             raise BadLine("model_id must be a string")
 
-    read_records(args.completions, check)
+    read_records(args.completions, check, lone_surrogates=True)
     written = 0
     skipped = 0
     with open(out, "wb") as handle:

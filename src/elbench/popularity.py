@@ -9,11 +9,6 @@ mentions stay in every slice so the scorer's NIL policy stays in charge of
 them.  `stratify` tags each matched item with the first slice that keeps it
 and leaves the counting to `scoring.count_slices`, the one counter, so a
 sweep over every distinct count costs little more than one `score`.
-
-A counts file of canonical rows only (Q<digits> TAB <digits>, LF or CRLF
-endings, each qid once) takes one regex match per block of rows and is read
-in C; `records.read_records` reads every other file, so what loads, and
-every error, is as it was.
 """
 
 from __future__ import annotations
@@ -22,7 +17,7 @@ import math
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .benchmark import Benchmark
 from .kb import KbIndex, is_qid, title_to_qid
@@ -36,47 +31,11 @@ INF = math.inf
 # The published sweep starts at 20; the full grid is this tool's default.
 DEFAULT_THETAS: Tuple[float, ...] = (20, 40, 60, 80, 100, INF)
 
-# The θ token for every distinct popularity count of a run: its full curve.
-ALL_THETAS = "all"
-
 
 @dataclass(frozen=True)
 class ThresholdSlice:
-    theta: float
+    theta: Union[int, float]
     report: ScoreReport
-
-
-def triple_count(entity_document: Mapping) -> int:
-    """Total main statements across all properties of one entity document."""
-    claims = entity_document.get("claims", {})
-    if not isinstance(claims, dict):
-        raise ValueError("malformed entity document: claims is not a map")
-    total = 0
-    for prop, statements in claims.items():
-        if not isinstance(statements, list):
-            raise ValueError(f"malformed entity document: claims[{prop!r}] is not a list")
-        total += len(statements)
-    return total
-
-
-def counts_from_entities(entities: Mapping[str, Mapping], qids: Iterable[str]) -> Dict[str, int]:
-    """Statement counts for qids from Wikidata entity documents already on disk.
-
-    `entities` is the `entities` map of a saved `wbgetentities` response or
-    of `Special:EntityData/<qid>.json`; every qid is checked before any
-    document is read, and a qid without a document is an error.
-    """
-    requested = list(qids)
-    for qid in requested:
-        if not is_qid(qid):
-            raise ValueError(f"invalid qid {qid!r}")
-    counts: Dict[str, int] = {}
-    for qid in requested:
-        entity = entities.get(qid)
-        if entity is None or "missing" in entity:
-            raise ValueError(f"entity {qid} not found in the entity documents")
-        counts[qid] = triple_count(entity)
-    return counts
 
 
 # A block of canonical rows: "Q<digits>\t<digits>", each ending in "\n" or
@@ -147,39 +106,42 @@ def load_counts(path: str) -> Dict[str, int]:
     return counts
 
 
-def save_counts(counts: Mapping[str, int], path: str) -> None:
-    """Write a counts TSV that `load_counts` reads back, in numeric qid order."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for qid in sorted(counts, key=lambda q: int(q[1:])):
-            handle.write(f"{qid}\t{counts[qid]}\n")
+def theta_value(theta: Union[int, float]) -> Union[int, str]:
+    """θ as the CSV rows, the JSON and the manifest give it: its integer, or "inf"."""
+    return "inf" if theta == INF else theta
 
 
-def format_theta(theta: float) -> str:
-    return "∞" if theta == INF else str(int(theta))
+def slice_label(theta: Union[int, float]) -> str:
+    return f"θ≤{'∞' if theta == INF else theta}"
 
 
-def slice_label(theta: float) -> str:
-    return f"θ≤{format_theta(theta)}"
-
-
-def _thresholds(thetas: Sequence[Union[float, str]]) -> Tuple[List[float], bool]:
-    """The validated thresholds asked for, and whether "all" was among them."""
-    if not thetas:
+def _thresholds(thetas: Sequence[Union[float, str]]) -> Tuple[List[Union[int, float]], bool]:
+    """The validated thresholds asked for, and whether "all" was among them.
+    A blank token is named by its place in the --thetas value it came from."""
+    blank = [n for n, theta in enumerate(thetas, 1) if isinstance(theta, str) and not theta.strip()]
+    if len(blank) == len(thetas):
         raise ValueError("empty theta list")
-    values: List[float] = []
+    if blank:
+        raise ValueError(f"empty item {blank[0]} in theta list {','.join(map(str, thetas))!r}")
+    values: List[Union[int, float]] = []
     every_count = False
     for theta in thetas:
         if isinstance(theta, str):
             token = theta.strip().lower()
-            if token == ALL_THETAS:
+            if token == "all":  # every distinct count of the run: its full curve
                 every_count = True
                 continue
             if token in ("inf", "∞"):
                 values.append(INF)
                 continue
-            if token.isascii() and token.isdigit() and int(token) >= 1:
-                values.append(int(token))
-                continue
+            if token.isascii() and token.isdigit():
+                try:
+                    value = int(token)
+                except ValueError:  # past sys.get_int_max_str_digits(), 4300 by default
+                    raise ValueError(f"invalid theta {theta!r}: too many digits") from None
+                if value >= 1:
+                    values.append(value)
+                    continue
         elif isinstance(theta, bool):
             pass  # True is not the threshold 1
         elif theta == INF:
@@ -200,8 +162,7 @@ def stratify(gold: Benchmark,
              pop: Mapping[str, int],
              thetas: Sequence[Union[float, str]] = DEFAULT_THETAS,
              strict: bool = True,
-             system_id: str = "system",
-             keep_per_sentence: bool = False) -> List[ThresholdSlice]:
+             system_id: str = "system") -> List[ThresholdSlice]:
     """One score report per threshold θ, ascending, from a single scoring pass.
 
     The slice at θ scores the gold mentions and predictions whose entity has
@@ -266,8 +227,7 @@ def stratify(gold: Benchmark,
                 link_tags(items.discarded))
 
     reports = count_slices(match_items(gold, preds, cfg, kb), tag,
-                           [slice_label(theta) for theta in ordered], system_id,
-                           keep_per_sentence)
+                           [slice_label(theta) for theta in ordered], system_id)
     missing = {"popularity_missing_gold": len(missing_gold),
                "popularity_missing_preds": len(missing_pred)}
     for report in reports:
@@ -280,10 +240,6 @@ STRATIFY_CSV_FIELDS = ("system", "theta", "precision", "recall", "f1")
 
 def stratify_csv_rows(slices: Sequence[ThresholdSlice]) -> List[List[str]]:
     """Plot-ready rows: percentages at one decimal, thresholds ascending."""
-    rows = []
-    for item in slices:
-        report = item.report
-        theta = "inf" if item.theta == INF else str(int(item.theta))
-        rows.append([report.system_id, theta, str(report.precision_pct()),
-                     str(report.recall_pct()), str(report.f1_pct())])
-    return rows
+    return [[item.report.system_id, *map(str, (theta_value(item.theta), item.report.precision_pct(),
+                                               item.report.recall_pct(), item.report.f1_pct()))]
+            for item in slices]

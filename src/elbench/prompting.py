@@ -25,9 +25,10 @@ class PromptTemplate:
     """A template split at the {{sentence}} slot of its target block.
 
     head and tail are the template text before and after that slot, the
-    text's final newline left out, so a prompt is every byte of the file as
-    written with the sentence in place of the slot.  text is the text the
-    template was parsed from, which run manifests digest.
+    text's final newline left out: a prompt is the text with the sentence in
+    the slot.  text, which run manifests digest, is what the template was
+    parsed from; load_template reads with universal newlines, so a CRLF
+    file prompts and digests as its LF copy.
     """
 
     head: str

@@ -22,8 +22,8 @@ class BadLine(ValueError):
     arguments, a problem, as "line N: <problem>", in order."""
 
 
-def read_records(path: str, check: Callable[[Any, int], Optional[T]],
-                 tsv: bool = False, handle: Optional[TextIO] = None) -> List[T]:
+def read_records(path: str, check: Callable[[Any, int], Optional[T]], tsv: bool = False,
+                 handle: Optional[TextIO] = None, lone_surrogates: bool = False) -> List[T]:
     """The records check(value, lineno) keeps from the non-blank lines.
 
     A JSON Lines value must be an object; a TSV value is the line's cells.
@@ -34,7 +34,9 @@ def read_records(path: str, check: Callable[[Any, int], Optional[T]],
     with one ValueError listing every problem.  Lines end at "\n" alone (a
     CRLF ending loses its "\r").  handle, opened so, is read (and closed) in
     place of opening path when given.  A file that is not UTF-8 fails with
-    not_utf8(path).
+    not_utf8(path).  A JSON string holding a lone surrogate (a "\\ud83d"
+    escape without its pair), which no UTF-8 file can hold, rejects its
+    line unless lone_surrogates is set.
     """
     kept: List[T] = []
     errors: List[str] = []
@@ -55,6 +57,13 @@ def read_records(path: str, check: Callable[[Any, int], Optional[T]],
                             raise BadLine(f"invalid JSON: {exc}") from None
                         if not isinstance(value, dict):
                             raise BadLine("record must be a JSON object")
+                        # Only a \u escape gives a surrogate; finding "\\" first is a fast memchr.
+                        if not lone_surrogates and "\\" in line and "\\u" in line:
+                            try:
+                                encode_json(value).encode("utf-8")
+                            except UnicodeEncodeError as exc:
+                                raise BadLine(f"lone surrogate {exc.object[exc.start]!r}: "
+                                              "not encodable as UTF-8") from None
                     record = check(value, lineno)
                 except BadLine as bad:
                     errors.extend(f"line {lineno}: {problem}" for problem in bad.args)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from reference_scoring import reference_score
 
@@ -43,8 +43,7 @@ def reference_stratify(gold: Benchmark,
                        pop: Dict[str, int],
                        thetas: Sequence[float] = DEFAULT_THETAS,
                        strict: bool = True,
-                       system_id: str = "system",
-                       keep_per_sentence: bool = False) -> List[ThresholdSlice]:
+                       system_id: str = "system") -> List[ThresholdSlice]:
     """Score one θ-filtered instance per threshold, ascending.
 
     strict mode requires a count for every gold QID and every resolvable
@@ -53,14 +52,14 @@ def reference_stratify(gold: Benchmark,
     """
     if not thetas:
         raise ValueError("empty theta list")
-    ordered: List[float] = []
+    ordered: List[Union[int, float]] = []
     for theta in thetas:
         if math.isinf(theta):
             ordered.append(INF)
             continue
         if theta != int(theta) or theta < 1:
             raise ValueError(f"theta must be a positive integer or inf, got {theta!r}")
-        ordered.append(float(int(theta)))
+        ordered.append(int(theta))
     ordered = sorted(set(ordered))
 
     missing_gold = set()
@@ -100,8 +99,7 @@ def reference_stratify(gold: Benchmark,
                 or count_of(resolved[(record.sentence_id, i)]) <= theta)
             filtered_preds.append(replace(record, links=kept_links))
         report = reference_score(filtered_gold, filtered_preds, cfg, kb,
-                                 system_id=system_id, slice_id=slice_label(theta),
-                                 keep_per_sentence=keep_per_sentence)
+                                 system_id=system_id, slice_id=slice_label(theta))
         if missing_gold:
             report.tallies["popularity_missing_gold"] = len(missing_gold)
         if missing_pred:

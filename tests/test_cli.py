@@ -9,6 +9,7 @@ import time
 from dataclasses import replace
 from datetime import datetime, timezone
 from importlib.metadata import EntryPoint
+from pathlib import Path
 
 import pytest
 from test_kb import without_sqlite3
@@ -118,6 +119,30 @@ class TestIngest:
         assert code == 2
         assert "line 1: mention 0: start/end must be integers" in err
 
+    def test_lone_surrogate_rejected_before_out_is_opened(self, capsys, tmp_path):
+        """A \\ud83d escape without its pair gives a string no UTF-8 file can
+        hold: each such line is named, in any string of it, and --out is
+        never opened.  A whole pair and an escaped backslash are accepted."""
+        bench = tmp_path / "bench.jsonl"
+        bench.write_text(
+            '{"id": "s1", "text": "Paired \\ud83d\\ude00, not \\\\ud83d.", "mentions": []}\n'
+            '{"id": "s2", "text": "Bad \\ud83d", "mentions": []}\n'
+            '{"id": "s3", "text": "X.", "mentions": [{"surface": "X\\udc00", "qid": "Q1"}]}\n',
+            encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        code, stdout, err = run(capsys, ["ingest", "--input", str(bench), "--out", str(out)])
+        assert code == 2
+        assert stdout == ""
+        assert err == (f"error: {bench}: 2 malformed record(s):\n"
+                       "line 2: lone surrogate '\\ud83d': not encodable as UTF-8\n"
+                       "line 3: lone surrogate '\\udc00': not encodable as UTF-8\n")
+        assert not out.exists()
+        bench.write_text(bench.read_text(encoding="utf-8").splitlines()[0] + "\n",
+                         encoding="utf-8")
+        code, _, _ = run(capsys, ["ingest", "--input", str(bench), "--out", str(out)])
+        assert code == 0
+        assert load_benchmark(str(out)).sentences[0].text == "Paired \U0001f600, not \\ud83d."
+
     def test_missing_input(self, capsys):
         code, _, err = run(capsys, ["ingest"])
         assert code == 2
@@ -140,7 +165,7 @@ class TestLink:
         assert len(records) == 20
         assert [r.sentence_id for r in records] == [f"s{i:02d}" for i in range(1, 21)]
 
-        manifest = json.loads((tmp_path / "preds.jsonl.manifest.json").read_text())
+        manifest = json.loads((tmp_path / "preds.jsonl.manifest.json").read_text(encoding="utf-8"))
         assert set(manifest["inputs"]) == {"benchmark", "fixture"}
         assert all(len(v["sha256"]) == 64 for v in manifest["inputs"].values())
         assert manifest["backend"]["kind"] == "replay"
@@ -175,7 +200,7 @@ class TestLink:
         code, _, _ = run(capsys, ["link", "--backend", "replay", "--fixture", str(fixture),
                                   "--benchmark", e2e_paths["benchmark"], "--out", str(out)])
         assert code == 0
-        manifest = json.loads((tmp_path / "preds.jsonl.manifest.json").read_text())
+        manifest = json.loads((tmp_path / "preds.jsonl.manifest.json").read_text(encoding="utf-8"))
         assert manifest["backend"]["model_id"] == expected
 
     def test_partial_failure_exits_1(self, capsys, tmp_path):
@@ -229,6 +254,31 @@ class TestLink:
             (record,) = load_predictions(str(out))
             assert [(link.surface, link.title) for link in record.links] == [("Bach", "J. S. Bach")]
 
+    def test_crlf_template_links_as_its_lf_twin(self, capsys, tmp_path, e2e_paths, e2e_fixture):
+        """A template file is read in universal-newline mode, so a CRLF copy of
+        the default template sends the default prompts, which the fixture
+        answers, and its manifest records the sha256 of the LF text, not the
+        sha256 of the file."""
+        from elbench.manifest import file_sha256
+        from elbench.prompting import default_template_text
+        runs = []
+        for name, newline in (("lf", "\n"), ("crlf", "\r\n")):
+            template = tmp_path / name / "el_one_shot_v1.txt"
+            template.parent.mkdir()
+            template.write_bytes(default_template_text().replace("\n", newline).encode("utf-8"))
+            out = tmp_path / f"{name}.jsonl"
+            code, stdout, _ = run(capsys, [
+                "link", "--backend", "replay", "--fixture", e2e_fixture, "--template",
+                str(template), "--benchmark", e2e_paths["benchmark"], "--out", str(out)])
+            assert code == 0
+            assert "15 clean, 4 repaired, 1 unparseable" in stdout
+            manifest = json.loads(Path(f"{out}.manifest.json").read_text(encoding="utf-8"))
+            runs.append((out.read_bytes(), manifest["template"], file_sha256(str(template))))
+        (lf_preds, lf_template, lf_file), (crlf_preds, crlf_template, crlf_file) = runs
+        assert crlf_preds == lf_preds
+        assert crlf_template == lf_template == {"version": "el_one_shot_v1", "sha256": lf_file}
+        assert crlf_file != lf_file
+
     def test_missing_credential_is_usage_error(self, capsys, tmp_path, e2e_paths, monkeypatch):
         monkeypatch.delenv("EL_API_KEY", raising=False)
         code, _, err = run(capsys, [
@@ -258,7 +308,7 @@ class TestLink:
                                   "--model", "m", "--max-retries", "0",
                                   "--benchmark", e2e_paths["benchmark"], "--out", str(out)])
         assert code == 1
-        manifest = json.loads((tmp_path / "p.jsonl.manifest.json").read_text())
+        manifest = json.loads((tmp_path / "p.jsonl.manifest.json").read_text(encoding="utf-8"))
         assert manifest["backend"]["kind"] == "http"
         assert manifest["backend"]["model_id"] == ""
         assert set(manifest["inputs"]) == {"benchmark"}
@@ -306,7 +356,7 @@ class TestLink:
             if stops_after is not None:
                 assert code == 1
                 assert err.count("[http-status]") == 13
-                assert len((workdir / "fixture.jsonl").read_text().splitlines()) == 7
+                assert len((workdir / "fixture.jsonl").read_text(encoding="utf-8").splitlines()) == 7
                 left[0] = None
                 sent = len(server.requests)
                 code, _, _ = run(capsys, argv)
@@ -314,7 +364,7 @@ class TestLink:
             assert code == 0
             artifacts[name] = [(workdir / path).read_bytes()
                                for path in ("preds.jsonl", "preds.jsonl.manifest.json")]
-            assert len((workdir / "fixture.jsonl").read_text().splitlines()) == 20
+            assert len((workdir / "fixture.jsonl").read_text(encoding="utf-8").splitlines()) == 20
         assert artifacts["stopped"] == artifacts["whole"]
         manifest = json.loads(artifacts["whole"][1])
         assert manifest["backend"]["model_id"] == "m"
@@ -507,6 +557,27 @@ class TestResolve:
         assert "line 3: duplicate sentence_id 's1' (first seen on line 1)" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source, row", [
+        ("--predictions", '{"sentence_id": "s2", "status": "clean", '
+                          '"links": [{"surface": "X", "title": "Bad \\ud83d"}]}'),
+        ("--external", '{"sentence_id": "s2", "surface": "X", "title": "Bad \\ud83d"}'),
+    ], ids=["predictions", "external"])
+    def test_lone_surrogate_rejected_before_out_is_opened(self, capsys, tmp_path, e2e_paths,
+                                                          source, row):
+        """A title holding a lone surrogate could not be written to --out: its
+        line is named and --out is never opened."""
+        first = {"--predictions": '{"sentence_id": "s1", "status": "clean", "links": []}',
+                 "--external": '{"sentence_id": "s1", "surface": "Y", "qid": "Q1"}'}[source]
+        rows = tmp_path / "rows.jsonl"
+        rows.write_text(f"{first}\n{row}\n", encoding="utf-8")
+        out = tmp_path / "resolved.jsonl"
+        code, _, err = run(capsys, ["resolve", "--kb", e2e_paths["mapping"], source, str(rows),
+                                    "--out", str(out)])
+        assert code == 2
+        assert err == (f"error: {rows}: 1 malformed record(s):\n"
+                       "line 2: lone surrogate '\\ud83d': not encodable as UTF-8\n")
+        assert not out.exists()
+
     def test_exactly_one_source(self, capsys, tmp_path, e2e_paths, linked):
         base = ["resolve", "--kb", e2e_paths["mapping"], "--out", str(tmp_path / "o.jsonl")]
         code, _, err = run(capsys, base)
@@ -590,7 +661,7 @@ class TestStratify:
         assert payload["slices"][2]["tp"] == 27
         assert payload["slices"][0]["slice"] == "θ≤20"
 
-        manifest = json.loads((tmp_path / "strata.csv.manifest.json").read_text())
+        manifest = json.loads((tmp_path / "strata.csv.manifest.json").read_text(encoding="utf-8"))
         assert manifest["params"]["thetas"] == "20,100,inf"
         assert manifest["params"]["strict"] == "True"
 
@@ -656,6 +727,19 @@ class TestStratify:
         payload = json.loads(json_out.read_text(encoding="utf-8"))
         assert [s["theta"] for s in payload["slices"]] == [20, int(huge)]
         assert payload["slices"][1]["slice"] == f"θ≤{huge}"
+
+    def test_theta_past_the_digit_limit(self, capsys, tmp_path, e2e_paths, linked):
+        """int() refuses more than 4300 digits by default, with a message that
+        names no θ; such a θ is an invalid theta that names itself."""
+        token = "9" * 5000
+        out = tmp_path / "s.csv"
+        code, _, err = run(capsys, [
+            "stratify", "--benchmark", e2e_paths["benchmark"], "--predictions", str(linked),
+            "--mode", "title", "--kb", e2e_paths["mapping"], "--counts", e2e_paths["counts"],
+            "--thetas", f"20,{token}", "--out", str(out)])
+        assert code == 2
+        assert err == f"error: invalid theta '{token}': too many digits\n"
+        assert not out.exists()
 
     def test_invalid_theta(self, capsys, tmp_path, e2e_paths, linked):
         code, _, err = run(capsys, [
@@ -817,7 +901,7 @@ class TestRecord:
         assert code == 0
         assert "recorded 1 completion(s), 1 sentence(s) had no completion" in stdout
 
-        (entry,) = [json.loads(line) for line in fixture.read_text().splitlines()]
+        (entry,) = [json.loads(line) for line in fixture.read_text(encoding="utf-8").splitlines()]
         template = default_template()
         assert entry["prompt"] == build_prompt(template, "Alpha text.")
         assert entry["digest"] == prompt_digest(entry["prompt"])
@@ -1297,7 +1381,7 @@ def test_http_client_imported_only_for_http(tmp_path, e2e_paths, e2e_fixture, li
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(runs)],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, encoding="utf-8", env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == IMPORTED[case]
 
@@ -1318,7 +1402,7 @@ def test_annotations_resolve_once_bound():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run([sys.executable, "-c", ANNOTATION_PROBE],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, encoding="utf-8", env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "ok"
 
@@ -1354,7 +1438,7 @@ def test_traced_names_readable_and_replaceable_before_any_command(tmp_path, e2e_
     argv = ["resolve", "--predictions", str(linked), "--kb", e2e_paths["mapping"],
             "--out", str(tmp_path / "resolved.jsonl")]
     proc = subprocess.run([sys.executable, "-c", TRACE_PROBE, ",".join(TRACED_NAMES), *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, encoding="utf-8", env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "1"
 
@@ -1371,7 +1455,7 @@ def test_console_script_installed(tmp_path, data_dir, e2e_paths):
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
 
     def elbench(*args):
-        proc = subprocess.run([exe, *args], capture_output=True, text=True, timeout=60,
+        proc = subprocess.run([exe, *args], capture_output=True, encoding="utf-8", timeout=60,
                               env=env, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout

@@ -9,9 +9,8 @@ from reference_stratify import _link_qid, reference_stratify
 
 from elbench.kb import KbRecord, MappingIndex
 from elbench.parsing import STATUS_CLEAN, PredictedLink, PredictionRecord
-from elbench.popularity import (DEFAULT_THETAS, INF, STRATIFY_CSV_FIELDS,
-                                counts_from_entities, format_theta, load_counts, save_counts,
-                                slice_label, stratify, stratify_csv_rows, triple_count)
+from elbench.popularity import (DEFAULT_THETAS, INF, STRATIFY_CSV_FIELDS, load_counts,
+                                slice_label, stratify, stratify_csv_rows, theta_value)
 from elbench.scoring import MODE_QID, MODE_TITLE, MODES, NIL_POLICIES, MatchConfig, score
 
 QID_CFG = MatchConfig(mode=MODE_QID)
@@ -22,70 +21,11 @@ def pred(sentence_id, *links):
     return PredictionRecord(sentence_id=sentence_id, links=built, status=STATUS_CLEAN)
 
 
-class TestTripleCount:
-    def test_counts_statements_across_properties(self):
-        doc = {"id": "Q1", "claims": {
-            "P31": [{"mainsnak": {}}, {"mainsnak": {}}],
-            "P106": [{"mainsnak": {}}],
-            "P569": [{}, {}, {}, {}],
-        }}
-        assert triple_count(doc) == 7
-
-    def test_empty_claims(self):
-        assert triple_count({"claims": {}}) == 0
-        assert triple_count({}) == 0
-
-    def test_malformed_documents(self):
-        with pytest.raises(ValueError, match="claims is not a map"):
-            triple_count({"claims": [1, 2]})
-        with pytest.raises(ValueError, match=r"claims\['P31'\] is not a list"):
-            triple_count({"claims": {"P31": {"a": 1}}})
-
-
-class TestFetchCounts:
-    """Counts from Wikidata entity documents already on disk (no network)."""
-
-    def entity(self, qid, n):
-        return {"id": qid, "claims": {"P1": [{} for _ in range(n)]}}
-
-    def test_counts_from_documents(self, tmp_path):
-        entities = {"Q1": self.entity("Q1", 5), "Q2": self.entity("Q2", 40),
-                    "Q3": self.entity("Q3", 7)}
-        counts = counts_from_entities(entities, ["Q2", "Q1", "Q2"])
-        assert counts == {"Q2": 40, "Q1": 5}
-        path = tmp_path / "counts.tsv"
-        save_counts(counts, str(path))
-        assert path.read_text(encoding="utf-8") == "Q1\t5\nQ2\t40\n"
-
-    def test_missing_entity_rejected(self):
-        entities = {"Q1": self.entity("Q1", 1), "Q404": {"id": "Q404", "missing": ""}}
-        with pytest.raises(ValueError, match="entity Q404 not found"):
-            counts_from_entities(entities, ["Q1", "Q404"])
-        with pytest.raises(ValueError, match="entity Q5 not found"):
-            counts_from_entities(entities, ["Q5"])
-
-    def test_invalid_qid_rejected_before_any_request(self):
-        looked_up = []
-
-        class Recording(dict):
-            def get(self, key, default=None):
-                looked_up.append(key)
-                return super().get(key, default)
-
-        entities = Recording({"Q1": self.entity("Q1", 1)})
-        with pytest.raises(ValueError, match="invalid qid 'notaqid'"):
-            counts_from_entities(entities, ["Q1", "notaqid"])
-        assert looked_up == []
-
-
 class TestCountsFile:
     def test_round_trip(self, tmp_path):
-        counts = {"Q10": 5, "Q2": 100, "Q1": 0}
         path = tmp_path / "counts.tsv"
-        save_counts(counts, str(path))
-        # rows come out in numeric qid order
-        assert path.read_text(encoding="utf-8") == "Q1\t0\nQ2\t100\nQ10\t5\n"
-        assert load_counts(str(path)) == counts
+        path.write_text("Q1\t0\nQ2\t100\nQ10\t5\n", encoding="utf-8")
+        assert load_counts(str(path)) == {"Q10": 5, "Q2": 100, "Q1": 0}
 
     def test_errors_collected(self, tmp_path):
         path = tmp_path / "counts.tsv"
@@ -119,13 +59,15 @@ class TestCountsFile:
 
 
 class TestThetaLabels:
-    def test_format_theta(self):
-        assert format_theta(20.0) == "20"
-        assert format_theta(INF) == "∞"
-
     def test_slice_label(self):
-        assert slice_label(20.0) == "θ≤20"
+        assert slice_label(20) == "θ≤20"
         assert slice_label(INF) == "θ≤∞"
+
+    def test_theta_value(self):
+        """The one rendering of θ for the CSV, the JSON and the manifest."""
+        assert theta_value(20) == 20
+        assert theta_value(10**400) == 10**400
+        assert theta_value(INF) == "inf"
 
     def test_default_grid(self):
         assert DEFAULT_THETAS == (20, 40, 60, 80, 100, INF)
@@ -195,8 +137,17 @@ class TestStratify:
         for token in ("\u00b2", "\u0661", -INF, math.nan, True):
             with pytest.raises(ValueError, match=f"invalid theta '{token}': expected"):
                 stratify(self.BENCH, self.PREDS, QID_CFG, None, self.POP, thetas=[token])
-        with pytest.raises(ValueError, match="empty theta list"):
-            stratify(self.BENCH, self.PREDS, QID_CFG, None, self.POP, thetas=[])
+        for thetas in ([], [""], [" ", ""]):
+            with pytest.raises(ValueError, match="^empty theta list$"):
+                stratify(self.BENCH, self.PREDS, QID_CFG, None, self.POP, thetas=thetas)
+        # A blank item is reported before any other bad item of the list.
+        with pytest.raises(ValueError, match=r"^empty item 3 in theta list 'x,20,,inf'$"):
+            stratify(self.BENCH, self.PREDS, QID_CFG, None, self.POP,
+                     thetas=["x", "20", "", INF])
+        # int() takes at most 4300 digits by default, with a message naming no θ.
+        token = "9" * 5000
+        with pytest.raises(ValueError, match=f"^invalid theta '{token}': too many digits$"):
+            stratify(self.BENCH, self.PREDS, QID_CFG, None, self.POP, thetas=["20", token])
 
     def test_strict_missing_counts(self):
         pop = {"Q1": 5, "Q3": 900, "Q9": 10}
@@ -318,8 +269,7 @@ def stratify_instances(draw):
             "kb": draw(st.sampled_from([ORACLE_KB, ORACLE_KB, ORACLE_KB, None])),
             "pop": counts,
             "thetas": draw(st.lists(st.sampled_from(ORACLE_THETAS), min_size=1, max_size=5)),
-            "strict": draw(st.booleans()), "system_id": "sys",
-            "keep_per_sentence": draw(st.booleans())}
+            "strict": draw(st.booleans()), "system_id": "sys"}
 
 
 class TestStratifyAgainstFullScore:
@@ -331,8 +281,7 @@ class TestStratifyAgainstFullScore:
         """With a count for every entity, the θ=∞ slice is the unstratified score."""
         case = {**case, "pop": counts, "thetas": case["thetas"] + [INF]}
         expected = report_outcome(score, case["gold"], case["preds"], case["cfg"], case["kb"],
-                                  system_id="sys", slice_id="θ≤∞",
-                                  keep_per_sentence=case["keep_per_sentence"])
+                                  system_id="sys", slice_id="θ≤∞")
         assert report_outcome(lambda: stratify(**case)[-1].report) == expected
 
 
@@ -345,7 +294,7 @@ class TestStratifyOracle:
         expected = outcome(reference_stratify, **case)
         if as_tokens:
             # the CLI hands over its comma-separated tokens unparsed
-            case = {**case, "thetas": [format_theta(t).replace("∞", "inf") for t in case["thetas"]]}
+            case = {**case, "thetas": [str(theta_value(t)) for t in case["thetas"]]}
         assert outcome(stratify, **case) == expected
 
     @settings(max_examples=200, deadline=None)

@@ -282,16 +282,15 @@ class TestScoreProperties:
 
 class TestAgainstReferenceLoop:
     @settings(max_examples=300, deadline=None)
-    @given(stratify_instances())
-    def test_matches_reference_loop(self, case):
+    @given(stratify_instances(), st.booleans())
+    def test_matches_reference_loop(self, case, keep_per_sentence):
         """score, one slice of the shared slice counter, equals the loop it
         used to run on its own, field for field and error for error: counts,
         flags, tallies and per-sentence rows, in every mode and NIL policy."""
         for mode in MODES:
             for nil_policy in NIL_POLICIES:
                 args = (case["gold"], case["preds"], MatchConfig(mode, nil_policy), case["kb"])
-                kwargs = dict(system_id="sys", slice_id="s",
-                              keep_per_sentence=case["keep_per_sentence"])
+                kwargs = dict(system_id="sys", slice_id="s", keep_per_sentence=keep_per_sentence)
                 assert (report_outcome(score, *args, **kwargs)
                         == report_outcome(reference_score, *args, **kwargs))
 
