@@ -63,8 +63,8 @@ class TestThetaLabels:
         assert slice_label(20) == "θ≤20"
         assert slice_label(INF) == "θ≤∞"
 
-    def test_theta_value(self):
-        """The one rendering of θ for the CSV, the JSON and the manifest."""
+    def test_format_theta(self):
+        """theta_value is the one rendering of θ for the CSV, the JSON and the manifest."""
         assert theta_value(20) == 20
         assert theta_value(10**400) == 10**400
         assert theta_value(INF) == "inf"
