@@ -308,8 +308,10 @@ class Backend:
             if status != 200:
                 text = raw.decode("utf-8", errors="replace")
                 raise HttpStatusError(f"{url}: HTTP {status}: {text[:200]}", status=status)
+            # A strict decode: json.loads(bytes) would read CESU-8 bytes as lone
+            # surrogates, which the fixture line written from them does not keep.
             try:
-                data = json.loads(raw)
+                data = json.loads(raw.decode("utf-8-sig"))
             except (ValueError, RecursionError):
                 raise HttpStatusError("completion response is not JSON", status=200)
             raw_text = self._extract_text(data)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from .kb import KbIndex, is_qid, pageid_to_qid, title_to_qid
+from .kb import KbIndex, is_qid, title_to_qid
 from .parsing import STATUS_CLEAN, PredictedLink, PredictionRecord
 from .records import BadLine, read_records
 
@@ -32,7 +32,7 @@ class ExternalPrediction:
 
 def _resolve(row: ExternalPrediction, idx: KbIndex) -> Tuple[Optional[str], str]:
     if row.page_id is not None:
-        qid = pageid_to_qid(idx, row.page_id)
+        qid = idx.qid_for_page(row.page_id)
         if qid is not None:
             return qid, RESOLUTION_PAGE_ID
     if row.title is not None:

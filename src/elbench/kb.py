@@ -2,8 +2,8 @@
 
 Resolution reads a KILT-style mapping dump (TSV) into an immutable index.
 A command that knows which keys it will look up asks `load_mapping` for
-just those; their answers come from a SQLite file compiled once per mapping
-in the user cache (see `kbcache`).
+just those; they are answered from the mapping's answers, compiled into a
+SQLite file in the user cache (see `kbcache`) once, by the first such load.
 """
 
 from __future__ import annotations
@@ -96,13 +96,6 @@ class MappingIndex:
     def qid_for_page(self, page_id: int) -> Optional[str]:
         return _resolve_record(self, self.by_page_id.get(page_id))
 
-    def keyed(self, titles: Collection[str], page_ids: Collection[int],
-              qids: Collection[str]) -> "KeyedIndex":
-        """This index's answers for the given keys only."""
-        return KeyedIndex(len(self), {title: self.qid_for_title(title) for title in titles},
-                          {page_id: self.qid_for_page(page_id) for page_id in page_ids},
-                          {qid: self.title_for_qid(qid) for qid in qids})
-
     def answers(self) -> Tuple[Dict[str, str], Dict[int, str], Dict[str, str]]:
         """Every answer that is not a miss: each canonical title's and each page
         ID's QID, redirects followed, and each QID's preferred title."""
@@ -158,14 +151,15 @@ def load_mapping(path: str, titles: Optional[Collection[str]] = None,
 
     With no keys this returns the full index.  Given keys (raw titles as
     they will be passed to `title_to_qid`, page IDs, QIDs; a kind left out
-    counts as none), it returns a KeyedIndex that answers exactly those, read
-    from the mapping's compiled cache entry when there is one.  Otherwise the
-    file is parsed as above and its answers for every key are written as a
-    new entry, best-effort.
+    counts as none), it returns a KeyedIndex that answers exactly those from
+    the mapping's compiled answers: its cache entry's, else those of the file
+    parsed as above, then written as a new entry, best-effort (without
+    sqlite3, every keyed load compiles the answers of the whole mapping).
     """
     if titles is None and page_ids is None and qids is None:
         return _parse_mapping(path, open(path, "r", encoding="utf-8", newline="\n"))
-    keys = (frozenset(titles or ()), frozenset(page_ids or ()), frozenset(qids or ()))
+    normalized = {title: normalize_title(title) for title in titles or ()}
+    page_ids, qids = page_ids or (), qids or ()
     with open(path, "rb") as handle:
         data = handle.read()
     try:
@@ -173,14 +167,17 @@ def load_mapping(path: str, titles: Optional[Collection[str]] = None,
     except ImportError:  # a Python built without sqlite3
         kbcache = None
     entry = kbcache.entry_path(data) if kbcache else None
-    found = kbcache.read(entry, *keys) if entry else None
-    if found is not None:
-        return found
-    # Parse the very bytes the entry's name was hashed from.
-    idx = _parse_mapping(path, io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n"))
-    if entry:
-        kbcache.write(entry, os.path.abspath(path), idx)
-    return idx.keyed(*keys)
+    found = kbcache.read(entry, set(normalized.values()), page_ids, qids) if entry else None
+    if found is None:
+        # Parse the very bytes the entry's name was hashed from.
+        idx = _parse_mapping(path, io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n"))
+        found = (len(idx), *idx.answers())
+        if entry:
+            kbcache.write(entry, os.path.abspath(path), *found)
+    rows, by_title, by_page, by_qid = found
+    return KeyedIndex(rows, {title: by_title.get(key) for title, key in normalized.items()},
+                      {page_id: by_page.get(page_id) for page_id in page_ids},
+                      {qid: by_qid.get(qid) for qid in qids})
 
 
 def _parse_mapping(path: str, handle: TextIO) -> MappingIndex:
@@ -242,10 +239,3 @@ def title_to_qid(idx: KbIndex, title: str) -> Optional[str]:
     """
     return idx.qid_for_title(title)
 
-
-def qid_to_title(idx: KbIndex, qid: str) -> Optional[str]:
-    return idx.title_for_qid(qid)
-
-
-def pageid_to_qid(idx: KbIndex, page_id: int) -> Optional[str]:
-    return idx.qid_for_page(page_id)

@@ -7,7 +7,8 @@ source of this module and of `kb` and the Unicode version, so a change to
 the loader, the normalization or the schema makes every older entry
 unreachable.  Entries are written under a temporary name and moved into
 place, and never changed after, so readers open them without locks.  Every
-failure here is a miss: `kb.load_mapping` then answers from the parsed file.
+failure here is a miss: `kb.load_mapping` then answers from the answers it
+compiles from the parsed file, as on a mapping's first load.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ import hashlib
 import os
 import sqlite3
 import unicodedata
-from typing import Collection, Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 from urllib.parse import quote
 
 from . import kb
-from .kb import KeyedIndex, MappingIndex, normalize_title
 
 # Each table maps a key k to its answer v: meta holds the mapping's row
 # count and source path; title maps a normalized title to its QID, page a
@@ -60,9 +60,9 @@ def _connect_read_only(entry: str) -> sqlite3.Connection:
     return sqlite3.connect(f"file:{quote(entry)}?mode=ro&immutable=1", uri=True)
 
 
-def _lookup(con: sqlite3.Connection, table: str, keys: List[str]) -> Dict[str, Optional[str]]:
-    """The answers in table for keys, None for a key with no row."""
-    answers: Dict[str, Optional[str]] = dict.fromkeys(keys)
+def _lookup(con: sqlite3.Connection, table: str, keys: List[str]) -> Dict[str, str]:
+    """The answers in table for those of keys that have a row."""
+    answers: Dict[str, str] = {}
     for start in range(0, len(keys), _KEYS_PER_QUERY):
         chunk = keys[start:start + _KEYS_PER_QUERY]
         answers.update(con.execute(
@@ -70,10 +70,10 @@ def _lookup(con: sqlite3.Connection, table: str, keys: List[str]) -> Dict[str, O
     return answers
 
 
-def read(entry: str, titles: Collection[str], page_ids: Collection[int],
-         qids: Collection[str]) -> Optional[KeyedIndex]:
-    """The answers for the declared keys; None if the entry is missing or unreadable."""
-    normalized = {title: normalize_title(title) for title in titles}
+def read(entry: str, titles: Iterable[str], page_ids: Iterable[int], qids: Iterable[str]
+         ) -> Optional[Tuple[int, Dict[str, str], Dict[int, str], Dict[str, str]]]:
+    """The mapping's row count and the answers for the normalized titles, page
+    IDs and QIDs that have one; None if the entry is missing or unreadable."""
     try:
         con = _connect_read_only(entry)
         try:
@@ -83,26 +83,25 @@ def read(entry: str, titles: Collection[str], page_ids: Collection[int],
             if size != os.path.getsize(entry):
                 return None
             rows = int(con.execute("SELECT v FROM meta WHERE k = 'rows'").fetchone()[0])
-            by_title = _lookup(con, "title", list(set(normalized.values())))
+            by_title = _lookup(con, "title", list(titles))
             by_page = _lookup(con, "page", [str(page_id) for page_id in page_ids])
             by_qid = _lookup(con, "qid", list(qids))
         finally:
             con.close()
     except (sqlite3.Error, OSError, TypeError, ValueError):
         return None
-    return KeyedIndex(rows, {title: by_title[key] for title, key in normalized.items()},
-                      {page_id: by_page[str(page_id)] for page_id in page_ids}, by_qid)
+    return rows, by_title, {int(page_id): qid for page_id, qid in by_page.items()}, by_qid
 
 
-def write(entry: str, source: str, idx: MappingIndex) -> None:
-    """Store every answer of idx as entry, then drop older entries of source
-    and entries of mapping files that are gone.
+def write(entry: str, source: str, rows: int, by_title: Dict[str, str],
+          by_page: Dict[int, str], by_qid: Dict[str, str]) -> None:
+    """Store a mapping's row count and `kb.MappingIndex.answers` as entry, then
+    drop older entries of source and entries of mapping files that are gone.
 
     Best-effort: on any failure the cache is left without the entry.
     """
     import tempfile
 
-    by_title, by_page, by_qid = idx.answers()
     directory = os.path.dirname(entry)
     try:
         os.makedirs(directory, exist_ok=True)
@@ -116,7 +115,7 @@ def write(entry: str, source: str, idx: MappingIndex) -> None:
             con.executescript("PRAGMA journal_mode = OFF; PRAGMA synchronous = OFF;" + _SCHEMA)
             with con:
                 con.executemany("INSERT INTO meta VALUES (?, ?)",
-                                [("rows", str(len(idx))), ("source", source)])
+                                [("rows", str(rows)), ("source", source)])
                 # Ascending keys build each table's B-tree by appending.
                 con.executemany("INSERT INTO title VALUES (?, ?)", sorted(by_title.items()))
                 con.executemany("INSERT INTO page VALUES (?, ?)",

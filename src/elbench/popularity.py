@@ -67,7 +67,10 @@ def _canonical_counts(path: str) -> Optional[Dict[str, int]]:
                 return None
             tokens = block.decode("ascii").split()
             rows += len(tokens) // 2
-            counts.update(zip(tokens[::2], map(int, tokens[1::2])))
+            try:
+                counts.update(zip(tokens[::2], map(int, tokens[1::2])))
+            except ValueError:  # past sys.get_int_max_str_digits(): let the line check name it
+                return None
             if len(counts) != rows:
                 return None
             if not chunk:
@@ -99,8 +102,11 @@ def load_counts(path: str) -> Dict[str, int]:
             raise BadLine(f"count must be a nonnegative integer, got {raw_count!r}")
         if qid in lines_seen:
             raise BadLine(f"duplicate qid {qid} (first seen on line {lines_seen[qid]})")
+        try:
+            counts[qid] = int(raw_count)
+        except ValueError:  # past sys.get_int_max_str_digits(), 4300 by default
+            raise BadLine("count has too many digits") from None
         lines_seen[qid] = lineno
-        counts[qid] = int(raw_count)
 
     read_records(path, check, tsv=True)
     return counts
@@ -118,14 +124,18 @@ def slice_label(theta: Union[int, float]) -> str:
 def _thresholds(thetas: Sequence[Union[float, str]]) -> Tuple[List[Union[int, float]], bool]:
     """The validated thresholds asked for, and whether "all" was among them.
     A blank token is named by its place in the --thetas value it came from."""
+    try:
+        shown = [str(theta) for theta in thetas]
+    except ValueError:  # an int past sys.get_int_max_str_digits(): no label could show it
+        raise ValueError("invalid theta: too many digits") from None
     blank = [n for n, theta in enumerate(thetas, 1) if isinstance(theta, str) and not theta.strip()]
     if len(blank) == len(thetas):
         raise ValueError("empty theta list")
     if blank:
-        raise ValueError(f"empty item {blank[0]} in theta list {','.join(map(str, thetas))!r}")
+        raise ValueError(f"empty item {blank[0]} in theta list {','.join(shown)!r}")
     values: List[Union[int, float]] = []
     every_count = False
-    for theta in thetas:
+    for theta, text in zip(thetas, shown):
         if isinstance(theta, str):
             token = theta.strip().lower()
             if token == "all":  # every distinct count of the run: its full curve
@@ -151,7 +161,7 @@ def _thresholds(thetas: Sequence[Union[float, str]]) -> Tuple[List[Union[int, fl
         elif theta >= 1 and theta == int(theta):
             values.append(int(theta))
             continue
-        raise ValueError(f"invalid theta {str(theta)!r}: expected a positive integer or inf")
+        raise ValueError(f"invalid theta {text!r}: expected a positive integer or inf")
     return values, every_count
 
 

@@ -19,7 +19,7 @@ from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Option
                     Tuple)
 
 from .benchmark import Benchmark, BenchmarkSentence, GoldMention
-from .kb import KbIndex, normalize_title, qid_to_title
+from .kb import KbIndex, normalize_title
 from .parsing import PredictedLink, PredictionRecord
 
 MODE_TITLE = "title"
@@ -188,7 +188,7 @@ def _sentence_items(sentence: BenchmarkSentence, record: Optional[PredictionReco
     if cfg.mode == MODE_QID:
         gold_ids = [mention.qid for mention in gold]
     else:
-        gold_ids = [qid_to_title(kb, mention.qid) for mention in gold]
+        gold_ids = [kb.title_for_qid(mention.qid) for mention in gold]
 
     preds = list(record.links) if record is not None else []
     discarded: List[PredictedLink] = []

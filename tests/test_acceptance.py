@@ -19,7 +19,7 @@ from conftest import make_benchmark, sent
 
 from elbench import cli
 from elbench.benchmark import benchmark_stats, load_benchmark
-from elbench.kb import load_mapping, normalize_title, qid_to_title, title_to_qid
+from elbench.kb import load_mapping, normalize_title, title_to_qid
 from elbench.parsing import STATUS_CLEAN, PredictedLink, PredictionRecord, parse_predictions
 from elbench.popularity import INF, slice_label, stratify
 from elbench.scoring import MODE_QID, MatchConfig, f1_from_counts, score
@@ -179,7 +179,7 @@ def test_normalization_properties(e2e_paths):
     assert len(canonical) >= 30
     for record in canonical:
         assert title_to_qid(kb, record.canonical_title) == record.qid
-        assert qid_to_title(kb, record.qid) == record.canonical_title
+        assert kb.title_for_qid(record.qid) == record.canonical_title
     redirects = [record for record in kb.by_title.values() if record.redirect_to is not None]
     assert redirects, "fixture mapping must exercise redirects"
     for record in redirects:

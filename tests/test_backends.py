@@ -615,6 +615,23 @@ class TestCacheThrough:
         ask(other, "p")
         assert len(server.requests) == 2
 
+    def test_cesu8_body_is_not_json_and_appends_nothing(self, tmp_path, stub_server):
+        # U+1F600 as two UTF-8-encoded surrogates, which strict UTF-8 rejects.
+        body = b'{"choices": [{"text": "[[\xed\xa0\xbd\xed\xb8\x80, T]]"}]}'
+        server = stub_server(lambda request: (200, body))
+        fixture = tmp_path / "cache.jsonl"
+        with pytest.raises(HttpStatusError, match="not JSON"):
+            ask(http_config(server.url, fixture_path=str(fixture)), "p")
+        assert not fixture.exists()
+
+    def test_body_with_a_bom_answers(self, tmp_path, stub_server):
+        body = b'\xef\xbb\xbf{"choices": [{"text": "ok \xf0\x9f\x98\x80"}]}'
+        server = stub_server(lambda request: (200, body))
+        fixture = tmp_path / "cache.jsonl"
+        result = ask(http_config(server.url, fixture_path=str(fixture)), "p")
+        assert result.raw_text == "ok \U0001f600"
+        assert len(fixture.read_text(encoding="utf-8").splitlines()) == 1
+
     def test_failed_request_appends_nothing(self, tmp_path, stub_server):
         server = stub_server(lambda request: (503, {"error": "down"}))
         fixture = tmp_path / "cache.jsonl"

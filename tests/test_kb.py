@@ -12,7 +12,7 @@ from reference_kb import reference_load_mapping, reference_normalize_title
 import elbench
 from elbench import kb, kbcache
 from elbench.kb import (REDIRECT_DEPTH, KbRecord, MappingIndex, is_qid, load_mapping,
-                        normalize_title, pageid_to_qid, qid_to_title, title_to_qid)
+                        normalize_title, title_to_qid)
 from elbench.kbcache import cache_dir
 
 
@@ -156,22 +156,22 @@ class TestResolution:
         assert title_to_qid(idx, "Deleted Page") is None
 
     def test_pageid_resolution(self, small_kb):
-        assert pageid_to_qid(small_kb, 3) == "Q3"
-        assert pageid_to_qid(small_kb, 5) == "Q4"
-        assert pageid_to_qid(small_kb, 12345) is None
+        assert small_kb.qid_for_page(3) == "Q3"
+        assert small_kb.qid_for_page(5) == "Q4"
+        assert small_kb.qid_for_page(12345) is None
 
     def test_qid_to_title_prefers_canonical(self):
         idx = MappingIndex([
             KbRecord(1, "Old Name", "Q7", redirect_to="New Name"),
             KbRecord(2, "New Name", "Q7"),
         ])
-        assert qid_to_title(idx, "Q7") == "New Name"
+        assert idx.title_for_qid("Q7") == "New Name"
 
     def test_qid_to_title_round_trip(self, small_kb):
         for qid in ("Q1", "Q2", "Q3", "Q4"):
-            title = qid_to_title(small_kb, qid)
+            title = small_kb.title_for_qid(qid)
             assert title_to_qid(small_kb, title) == qid
-        assert qid_to_title(small_kb, "Q999") is None
+        assert small_kb.title_for_qid("Q999") is None
 
     def test_duplicate_titles_rejected_in_index(self):
         with pytest.raises(ValueError, match="duplicate title"):
@@ -313,9 +313,9 @@ def assert_answers(keyed, ref, titles, page_ids, qids):
     for title in titles:
         assert title_to_qid(keyed, title) == title_to_qid(ref, title), title
     for page_id in page_ids:
-        assert pageid_to_qid(keyed, page_id) == pageid_to_qid(ref, page_id), page_id
+        assert keyed.qid_for_page(page_id) == ref.qid_for_page(page_id), page_id
     for qid in qids:
-        assert qid_to_title(keyed, qid) == qid_to_title(ref, qid), qid
+        assert keyed.title_for_qid(qid) == ref.title_for_qid(qid), qid
 
 
 def load_keyed(path, titles=(), page_ids=(), qids=()):
@@ -381,7 +381,7 @@ class TestKeyedCacheOracle:
         keyed = load_keyed(path, titles, pages, qids)
         assert_answers(keyed, ref, titles, pages, qids)
         assert title_to_qid(keyed, "Hop0") is None and title_to_qid(keyed, "Hop2") == "Q9"
-        assert qid_to_title(keyed, "Q7") == "New Name"
+        assert keyed.title_for_qid("Q7") == "New Name"
         with never_parsed():
             assert_answers(load_keyed(path, titles, pages, qids), ref, titles, pages, qids)
 
@@ -404,6 +404,16 @@ class TestKeyedCache:
         assert isinstance(load_mapping(str(path)), MappingIndex)
         assert cache_entries() == []
 
+    def test_cold_load_resolves_each_record_once(self, tmp_path):
+        # The declared keys are answered from the compiled answers, with no
+        # second redirect walk per key.
+        path = tmp_path / "map.tsv"
+        path.write_text(self.MAPPING, encoding="utf-8")
+        with mock.patch.object(kb, "_resolve_record", wraps=kb._resolve_record) as resolve:
+            keyed = load_keyed(path, *self.KEYS)
+        assert resolve.call_count == len(self.MAPPING.splitlines())
+        assert_answers(keyed, reference_load_mapping(str(path)), *self.KEYS)
+
     def test_undeclared_key_is_an_error(self, tmp_path):
         path = tmp_path / "map.tsv"
         path.write_text(self.MAPPING, encoding="utf-8")
@@ -414,7 +424,7 @@ class TestKeyedCache:
             with pytest.raises(KeyError):
                 title_to_qid(keyed, title)
         with pytest.raises(KeyError):
-            pageid_to_qid(keyed, 1)
+            keyed.qid_for_page(1)
 
     @pytest.mark.parametrize("content", [
         "1\tA\tQ1\n2\tA\tQ2\nx\tB\tQ3\n".encode("utf-8"),

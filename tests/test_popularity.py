@@ -52,6 +52,15 @@ class TestCountsFile:
         assert "line 1: count must be a nonnegative integer, got '\u00b2'" in message
         assert "line 2: count must be a nonnegative integer, got '\u0661'" in message
 
+    @pytest.mark.parametrize("cell", ["9" * 5000, " " + "9" * 5000], ids=["canonical", "padded"])
+    def test_count_past_the_digit_limit(self, tmp_path, cell):
+        # int() takes at most 4300 digits by default, with a message naming no line.
+        path = tmp_path / "counts.tsv"
+        path.write_text(f"Q1\t{cell}\nQ2\t5\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_counts(str(path))
+        assert str(err.value) == f"{path}: 1 malformed row(s):\nline 1: count has too many digits"
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "counts.tsv"
         path.write_text("\nQ1\t5\n\n", encoding="utf-8")
@@ -148,6 +157,10 @@ class TestStratify:
         token = "9" * 5000
         with pytest.raises(ValueError, match=f"^invalid theta '{token}': too many digits$"):
             stratify(self.BENCH, self.PREDS, QID_CFG, None, self.POP, thetas=["20", token])
+        # A number that str() refuses is named by no digits at all.
+        for theta in (10**5000, -10**5000):
+            with pytest.raises(ValueError, match="^invalid theta: too many digits$"):
+                stratify(self.BENCH, self.PREDS, QID_CFG, None, self.POP, thetas=[20, theta])
 
     def test_strict_missing_counts(self):
         pop = {"Q1": 5, "Q3": 900, "Q9": 10}
