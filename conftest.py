@@ -10,7 +10,7 @@ def cache_home(tmp_path_factory):
 
 @pytest.fixture(autouse=True)
 def isolated_cache_home(cache_home, monkeypatch):
-    """Point XDG_CACHE_HOME, where the KB index cache lives, at a temporary
+    """Point XDG_CACHE_HOME, where the input cache lives, at a temporary
     directory, so no test and no command a test starts writes under the
     real home."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(cache_home))

@@ -2,14 +2,20 @@
 
 Record formats: JSONL (one sentence per line, with optional character
 offsets) and a flat TSV export (one mention per row).  NIL mentions are
-kept in the data model; excluding them is the scorer's job.
+kept in the data model; excluding them is the scorer's job.  A benchmark
+that passed every check is kept in the input cache (see `cache`), so later
+loads of the same bytes skip the decoding and the checks.
 """
 
 from __future__ import annotations
 
+import io
+import os
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from functools import partial
+from typing import Dict, List, NamedTuple, Optional, TextIO, Tuple
 
+from . import cache, kb, records
 from .kb import is_qid
 from .records import BadLine, encode_json, read_records
 
@@ -84,7 +90,7 @@ def _check_mention(fields: Dict[str, object], text: str) -> GoldMention:
     return GoldMention(surface, qid, entity_type, start, end)
 
 
-def _load_jsonl(path: str) -> List[BenchmarkSentence]:
+def _load_jsonl(path: str, handle: TextIO) -> List[BenchmarkSentence]:
     seen_ids: Dict[str, int] = {}
 
     def check(record: Dict[str, object], lineno: int) -> BenchmarkSentence:
@@ -114,10 +120,10 @@ def _load_jsonl(path: str) -> List[BenchmarkSentence]:
         seen_ids[sentence_id] = lineno
         return BenchmarkSentence(sentence_id=sentence_id, text=text, mentions=tuple(mentions))
 
-    return read_records(path, check)
+    return read_records(path, check, handle=handle)
 
 
-def _load_tsv(path: str) -> List[BenchmarkSentence]:
+def _load_tsv(path: str, handle: TextIO) -> List[BenchmarkSentence]:
     """TSV rows: sentence_id <TAB> text <TAB> surface <TAB> qid <TAB> type.
 
     Rows for one sentence must be consecutive; a row with surface, qid and
@@ -159,7 +165,7 @@ def _load_tsv(path: str) -> List[BenchmarkSentence]:
             current_mentions.append(
                 _check_mention({"surface": surface, "qid": qid, "type": entity_type}, text))
 
-    read_records(path, check, tsv=True)
+    read_records(path, check, tsv=True, handle=handle)
     flush()
     return sentences
 
@@ -172,7 +178,20 @@ def load_benchmark(path: str, format: str = "jsonl") -> Benchmark:
     """
     if format not in FORMATS:
         raise ValueError(f"unknown benchmark format {format!r}; expected one of {FORMATS}")
-    sentences = _load_jsonl(path) if format == "jsonl" else _load_tsv(path)
+    with open(path, "rb") as handle:
+        data = handle.read()
+    entry = cache.entry_path(data, (__file__, records.__file__, kb.__file__), ".benchmark", format)
+    stored = cache.load(entry) if entry else None
+    if stored is not None:
+        mention = partial(tuple.__new__, GoldMention)
+        return Benchmark(tuple(BenchmarkSentence(sentence_id, text, tuple(map(mention, mentions)))
+                               for sentence_id, text, mentions in stored[1]))
+    # Parse the very bytes the entry's name was hashed from.
+    handle = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
+    sentences = (_load_jsonl if format == "jsonl" else _load_tsv)(path, handle)
+    if entry:  # marshal takes no NamedTuple
+        cache.store(entry, os.path.abspath(path),
+                    [(s.sentence_id, s.text, tuple(map(tuple, s.mentions))) for s in sentences])
     return Benchmark(sentences=tuple(sentences))
 
 

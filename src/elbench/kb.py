@@ -14,6 +14,7 @@ import re
 import unicodedata
 from typing import Collection, Dict, Iterable, List, NamedTuple, Optional, TextIO, Tuple, Union
 
+from . import cache, records
 from .records import BadLine, read_records
 
 QID_RE = re.compile(r"Q[0-9]+")
@@ -166,7 +167,8 @@ def load_mapping(path: str, titles: Optional[Collection[str]] = None,
         from . import kbcache
     except ImportError:  # a Python built without sqlite3
         kbcache = None
-    entry = kbcache.entry_path(data) if kbcache else None
+    entry = (cache.entry_path(data, (__file__, records.__file__, kbcache.__file__), ".sqlite")
+             if kbcache else None)
     found = kbcache.read(entry, set(normalized.values()), page_ids, qids) if entry else None
     if found is None:
         # Parse the very bytes the entry's name was hashed from.

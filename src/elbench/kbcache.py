@@ -2,25 +2,20 @@
 
 An entry holds answers, not records: every redirect chain, tombstone and
 preference among titles sharing a QID was settled when it was built from
-the full index.  Its name hashes the mapping's bytes together with the
-source of this module and of `kb` and the Unicode version, so a change to
-the loader, the normalization or the schema makes every older entry
-unreachable.  Entries are written under a temporary name and moved into
-place, and never changed after, so readers open them without locks.  Every
-failure here is a miss: `kb.load_mapping` then answers from the answers it
-compiles from the parsed file, as on a mapping's first load.
+the full index.  Where entries live, how they are named, published and
+dropped is `cache`'s; this module reads and writes the SQLite file alone.
+Every failure here is a miss: `kb.load_mapping` then answers from the
+answers it compiles from the parsed file, as on a mapping's first load.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import sqlite3
-import unicodedata
 from typing import Dict, Iterable, List, Optional, Tuple
 from urllib.parse import quote
 
-from . import kb
+from . import cache
 
 # Each table maps a key k to its answer v: meta holds the mapping's row
 # count and source path; title maps a normalized title to its QID, page a
@@ -31,29 +26,6 @@ _SCHEMA = "".join(f"CREATE TABLE {table} (k TEXT PRIMARY KEY, v TEXT NOT NULL) W
 
 # Keys bound per query: SQLite's smallest default limit on parameters.
 _KEYS_PER_QUERY = 999
-
-
-def cache_dir() -> str:
-    """$XDG_CACHE_HOME/elbench, else ~/.cache/elbench."""
-    home = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
-    return os.path.join(home, "elbench")
-
-
-def entry_path(data: bytes) -> Optional[str]:
-    """The entry for a mapping's bytes; None when the loader's source is unreadable.
-
-    The Unicode version is part of the name because normalized titles depend
-    on it, and one cache directory serves every Python of a user.
-    """
-    digest = hashlib.sha256(unicodedata.unidata_version.encode())
-    try:
-        for source in (kb.__file__, __file__):
-            with open(source, "rb") as handle:
-                digest.update(handle.read())
-    except OSError:
-        return None
-    digest.update(data)
-    return os.path.join(cache_dir(), digest.hexdigest() + ".sqlite")
 
 
 def _connect_read_only(entry: str) -> sqlite3.Connection:
@@ -95,21 +67,10 @@ def read(entry: str, titles: Iterable[str], page_ids: Iterable[int], qids: Itera
 
 def write(entry: str, source: str, rows: int, by_title: Dict[str, str],
           by_page: Dict[int, str], by_qid: Dict[str, str]) -> None:
-    """Store a mapping's row count and `kb.MappingIndex.answers` as entry, then
-    drop older entries of source and entries of mapping files that are gone.
+    """Store a mapping's row count and `kb.MappingIndex.answers` as entry, the
+    entry of the mapping file at source; best-effort, as `cache.publish`."""
 
-    Best-effort: on any failure the cache is left without the entry.
-    """
-    import tempfile
-
-    directory = os.path.dirname(entry)
-    try:
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        os.close(fd)
-    except OSError:
-        return
-    try:
+    def fill(tmp: str) -> None:
         con = sqlite3.connect(tmp)
         try:
             con.executescript("PRAGMA journal_mode = OFF; PRAGMA synchronous = OFF;" + _SCHEMA)
@@ -123,35 +84,15 @@ def write(entry: str, source: str, rows: int, by_title: Dict[str, str],
                 con.executemany("INSERT INTO qid VALUES (?, ?)", sorted(by_qid.items()))
         finally:
             con.close()
-        os.replace(tmp, entry)
-    except (sqlite3.Error, OSError):
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        return
-    _drop_older_entries(entry, source)
+
+    cache.publish(entry, source, fill, _source_of, sqlite3.Error)
 
 
-def _drop_older_entries(entry: str, source: str) -> None:
-    """Remove every other entry built from the mapping file at source, and
-    every entry whose mapping file is gone."""
-    directory = os.path.dirname(entry)
+def _source_of(entry: str) -> str:
+    """The mapping file entry was built from; "" when it names none."""
+    con = _connect_read_only(entry)
     try:
-        names = os.listdir(directory)
-    except OSError:
-        return
-    for name in names:
-        other = os.path.join(directory, name)
-        if not name.endswith(".sqlite") or other == entry:
-            continue
-        try:
-            con = _connect_read_only(other)
-            try:
-                row = con.execute("SELECT v FROM meta WHERE k = 'source'").fetchone()
-            finally:
-                con.close()
-            if row is not None and (row[0] == source or not os.path.exists(row[0])):
-                os.unlink(other)
-        except (sqlite3.Error, OSError):
-            continue
+        row = con.execute("SELECT v FROM meta WHERE k = 'source'").fetchone()
+    finally:
+        con.close()
+    return row[0] if row else ""

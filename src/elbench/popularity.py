@@ -221,6 +221,13 @@ def stratify(gold: Benchmark,
         values.extend(count for count in set(counts.values()) if 1 <= count < INF)
         values.append(INF)
     ordered = sorted(set(values))
+    labels = []
+    for theta in ordered:
+        try:
+            labels.append(slice_label(theta))
+        except ValueError:  # a count past sys.get_int_max_str_digits(): no label could show it
+            qid = min(qid for qid, count in counts.items() if count == theta)
+            raise ValueError(f"popularity count of {qid} has too many digits") from None
     # An entity's items are kept from its tag on.  An entity without a count
     # sits at +inf, so only an infinite slice keeps it (past the last slice:
     # none does); an item with no entity is tagged 0 and kept by every slice.
@@ -236,8 +243,7 @@ def stratify(gold: Benchmark,
         return ([tags[mention.qid] for mention in items.gold], link_tags(items.preds),
                 link_tags(items.discarded))
 
-    reports = count_slices(match_items(gold, preds, cfg, kb), tag,
-                           [slice_label(theta) for theta in ordered], system_id)
+    reports = count_slices(match_items(gold, preds, cfg, kb), tag, labels, system_id)
     missing = {"popularity_missing_gold": len(missing_gold),
                "popularity_missing_preds": len(missing_pred)}
     for report in reports:

@@ -50,10 +50,11 @@ def read_records(path: str, check: Callable[[Any, int], Optional[T]], tsv: bool 
                         value: Any = line.rstrip("\n").removesuffix("\r").split("\t")
                     else:
                         # Nesting deeper than the decoder's recursion limit
-                        # raises RecursionError.
+                        # raises RecursionError, and an integer past
+                        # sys.get_int_max_str_digits() a plain ValueError.
                         try:
                             value = json.loads(line)
-                        except (json.JSONDecodeError, RecursionError) as exc:
+                        except (ValueError, RecursionError) as exc:
                             raise BadLine(f"invalid JSON: {exc}") from None
                         if not isinstance(value, dict):
                             raise BadLine("record must be a JSON object")

@@ -11,6 +11,8 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
 import time
 import unicodedata
 
@@ -327,6 +329,43 @@ def test_benchmark_stats_real_file():
 PINNED_DIR = os.path.join(os.path.dirname(__file__), "data", "pinned")
 
 
+def pinned_pipeline(paths, fixture):
+    """The commands that write the pinned artifacts, in order, the first
+    being record's, which writes fixture."""
+    bench, kb = paths["benchmark"], paths["mapping"]
+    return [
+        ["record", "--benchmark", bench, "--completions", paths["completions"], "--out", fixture],
+        ["link", "--backend", "replay", "--fixture", fixture, "--benchmark", bench,
+         "--out", "preds.jsonl"],
+        ["score", "--benchmark", bench, "--predictions", "preds.jsonl", "--mode", "title",
+         "--kb", kb, "--system", "llm", "--per-sentence", "--out", "score.json", "--csv", "score.csv"],
+        ["stratify", "--benchmark", bench, "--predictions", "preds.jsonl", "--mode", "title",
+         "--kb", kb, "--counts", paths["counts"], "--thetas", "all", "--system", "llm",
+         "--out", "strata.csv", "--json", "strata.json"],
+        ["resolve", "--predictions", "preds.jsonl", "--kb", kb, "--out", "resolved.jsonl"],
+        ["score", "--benchmark", bench, "--predictions", "resolved.jsonl", "--mode", "qid",
+         "--system", "llm", "--per-sentence", "--out", "score_qid.json"],
+    ]
+
+
+def assert_pinned(directory, fixture):
+    """The artifacts in directory, and the replay fixture, are the pinned ones."""
+
+    def pinned(name):
+        with open(os.path.join(PINNED_DIR, name), "rb") as handle:
+            return handle.read()
+
+    with open(fixture, "rb") as handle:
+        assert handle.read() == pinned("fixture.jsonl")
+    for name in ("preds.jsonl", "score.csv", "strata.csv", "resolved.jsonl"):
+        assert (directory / name).read_bytes() == pinned(name), name
+    for name in ("score.json", "strata.json", "score_qid.json"):
+        artifact = json.loads((directory / name).read_text(encoding="utf-8"))
+        del artifact["manifest"]
+        text = json.dumps(artifact, ensure_ascii=False, indent=2) + "\n"
+        assert text.encode("utf-8") == pinned(name), name
+
+
 def test_replay_artifacts_match_pinned(tmp_path, e2e_paths, e2e_fixture, capsys, monkeypatch):
     """record → link → score --per-sentence --csv → stratify --json --thetas
     all, and resolve --predictions → score --mode qid --per-sentence on its
@@ -338,33 +377,36 @@ def test_replay_artifacts_match_pinned(tmp_path, e2e_paths, e2e_fixture, capsys,
     commit."""
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
     monkeypatch.chdir(tmp_path)
-    bench, kb = e2e_paths["benchmark"], e2e_paths["mapping"]
-    assert cli.main(["link", "--backend", "replay", "--fixture", e2e_fixture,
-                     "--benchmark", bench, "--out", "preds.jsonl"]) == 0
-    assert cli.main(["score", "--benchmark", bench, "--predictions", "preds.jsonl",
-                     "--mode", "title", "--kb", kb, "--system", "llm", "--per-sentence",
-                     "--out", "score.json", "--csv", "score.csv"]) == 0
-    assert cli.main(["stratify", "--benchmark", bench, "--predictions", "preds.jsonl",
-                     "--mode", "title", "--kb", kb, "--counts", e2e_paths["counts"],
-                     "--thetas", "all", "--system", "llm",
-                     "--out", "strata.csv", "--json", "strata.json"]) == 0
-    assert cli.main(["resolve", "--predictions", "preds.jsonl", "--kb", kb,
-                     "--out", "resolved.jsonl"]) == 0
-    assert cli.main(["score", "--benchmark", bench, "--predictions", "resolved.jsonl",
-                     "--mode", "qid", "--system", "llm", "--per-sentence",
-                     "--out", "score_qid.json"]) == 0
+    # The session's replay fixture stands in for record's.
+    for argv in pinned_pipeline(e2e_paths, e2e_fixture)[1:]:
+        assert cli.main(argv) == 0, argv
     capsys.readouterr()
+    assert_pinned(tmp_path, e2e_fixture)
 
-    def pinned(name):
-        with open(os.path.join(PINNED_DIR, name), "rb") as handle:
-            return handle.read()
 
-    with open(e2e_fixture, "rb") as handle:
-        assert handle.read() == pinned("fixture.jsonl")
-    for name in ("preds.jsonl", "score.csv", "strata.csv", "resolved.jsonl"):
-        assert (tmp_path / name).read_bytes() == pinned(name), name
-    for name in ("score.json", "strata.json", "score_qid.json"):
-        artifact = json.loads((tmp_path / name).read_text(encoding="utf-8"))
-        del artifact["manifest"]
-        text = json.dumps(artifact, ensure_ascii=False, indent=2) + "\n"
-        assert text.encode("utf-8") == pinned(name), name
+def test_input_cache_shared_across_hash_seeds_gives_pinned_artifacts(tmp_path, e2e_paths):
+    """The pinned pipeline, run as users run it (`python -m elbench.cli`, a
+    fresh interpreter per command), writes the pinned artifacts when its
+    input cache entries are written under PYTHONHASHSEED=0 and read under
+    PYTHONHASHSEED=1."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    cache = tmp_path / "cache"
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), SOURCE_DATE_EPOCH="1700000000",
+               XDG_CACHE_HOME=str(cache))
+    written = None
+    for seed in ("0", "1"):
+        work = tmp_path / f"hash-seed-{seed}"
+        work.mkdir()
+        fixture = str(work / "fixture.jsonl")
+        for argv in pinned_pipeline(e2e_paths, fixture):
+            proc = subprocess.run([sys.executable, "-m", "elbench.cli", *argv], cwd=work,
+                                  env=dict(env, PYTHONHASHSEED=seed), capture_output=True,
+                                  encoding="utf-8", timeout=120)
+            assert proc.returncode == 0, (argv, proc.stderr)
+        assert_pinned(work, fixture)
+        # The mapping's entry and the benchmark's; the second pass rewrote neither.
+        entries = {name: os.stat(cache / "elbench" / name).st_ino
+                   for name in os.listdir(cache / "elbench")}
+        assert len(entries) == 2
+        assert written in (None, entries)
+        written = entries

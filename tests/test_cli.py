@@ -1246,9 +1246,10 @@ class TestReproducibility:
 
     def test_cold_and_warm_kb_cache_give_identical_artifacts(self, capsys, tmp_path, e2e_paths,
                                                              e2e_fixture, monkeypatch):
-        """The README pipeline writes the same bytes whether the KB index cache
-        is empty, warm, or unusable for want of sqlite3, and whether each
-        command takes its options as flags or from a config file."""
+        """The README pipeline writes the same bytes whether the input cache is
+        empty, warm, or unusable (the KB index cache for want of sqlite3, or
+        the whole cache for a cache directory that is a file), and whether
+        each command takes its options as flags or from a config file."""
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
         bench, kb = e2e_paths["benchmark"], e2e_paths["mapping"]
@@ -1299,11 +1300,18 @@ class TestReproducibility:
             return [argv[0], "--config", str(config)]
 
         cold = pipeline()
-        assert len(os.listdir(tmp_path / "cache" / "elbench")) == 1
+        # One entry for the mapping, one for the benchmark.
+        assert len(os.listdir(tmp_path / "cache" / "elbench")) == 2
         assert pipeline() == cold
         with monkeypatch.context() as patch:
             without_sqlite3(patch)
             assert pipeline() == cold
+        with monkeypatch.context() as patch:
+            blocker = tmp_path / "blocker"
+            blocker.write_bytes(b"")
+            patch.setenv("XDG_CACHE_HOME", str(blocker))
+            assert pipeline() == cold
+            assert blocker.read_bytes() == b""
         assert pipeline([from_config(*item) for item in enumerate(commands)]) == cold
         assert set(out) <= set(cold)
 
@@ -1328,33 +1336,36 @@ for argv in json.loads(sys.argv[1]):
         make_backend(BackendConfig(kind="http", endpoint="http://127.0.0.1:9"))
     else:
         assert cli.main(argv) == 0, argv
-watched = ("concurrent.futures", "datetime", "http.client", "urllib.request", "requests")
+watched = ("concurrent.futures", "datetime", "http.client", "sqlite3", "urllib.request", "requests")
 print(" ".join(sorted(name.replace("elbench.", "") for name in sys.modules
                       if name.startswith("elbench.") or name in watched)))
 """
 
 # What each case imports.  The commands that read a KB mapping load sqlite3
 # for its index cache; sqlite3 imports datetime, and so does http.client.
+# Every command that imports kb loads the input cache's shared code.
 IMPORTED = {
-    "offline": "backends baseline benchmark cli datetime kb kbcache manifest parsing "
-               "popularity prompting records scoring",
+    "offline": "backends baseline benchmark cache cli datetime kb kbcache manifest parsing "
+               "popularity prompting records scoring sqlite3",
     "http": "backends cli datetime http.client records urllib.request",
-    "ingest": "benchmark cli kb records",
-    "record": "backends benchmark cli kb prompting records",
-    "link": "backends benchmark cli kb manifest parsing prompting records",
-    "resolve": "baseline cli datetime kb kbcache manifest parsing records",
-    "score-title": "benchmark cli datetime kb kbcache manifest parsing records scoring",
-    "score-qid": "benchmark cli kb manifest parsing records scoring",
-    "stratify": "benchmark cli datetime kb kbcache manifest parsing popularity records scoring",
-    "report": "benchmark cli kb manifest parsing records scoring",
+    "ingest": "benchmark cache cli kb records",
+    "record": "backends benchmark cache cli kb prompting records",
+    "link": "backends benchmark cache cli kb manifest parsing prompting records",
+    "resolve": "baseline cache cli datetime kb kbcache manifest parsing records sqlite3",
+    "score-title": "benchmark cache cli datetime kb kbcache manifest parsing records scoring sqlite3",
+    "score-qid": "benchmark cache cli kb manifest parsing records scoring",
+    "stratify": "benchmark cache cli datetime kb kbcache manifest parsing popularity records "
+                "scoring sqlite3",
+    "report": "benchmark cache cli kb manifest parsing records scoring",
 }
 
 
 @pytest.mark.parametrize("case", list(IMPORTED))
 def test_http_client_imported_only_for_http(tmp_path, e2e_paths, e2e_fixture, linked, case):
     """Each command imports only the modules it runs.  Only the http backend
-    loads the standard library's HTTP client, no case here loads
-    concurrent.futures (replay runs inline), and nothing loads requests."""
+    loads the standard library's HTTP client, only a command that reads a
+    mapping loads sqlite3, no case here loads concurrent.futures (replay
+    runs inline), and nothing loads requests."""
     bench, kb = e2e_paths["benchmark"], e2e_paths["mapping"]
     score_path = tmp_path / "score.json"
     score_path.write_text(json.dumps({"system": "sys", "mode": "title",

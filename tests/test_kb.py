@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from reference_kb import reference_load_mapping, reference_normalize_title
 
 import elbench
-from elbench import kb, kbcache
+from elbench import cache, kb, kbcache, records
 from elbench.kb import (REDIRECT_DEPTH, KbRecord, MappingIndex, is_qid, load_mapping,
                         normalize_title, title_to_qid)
-from elbench.kbcache import cache_dir
+from elbench.cache import cache_dir
 
 
 class TestNormalizeTitle:
@@ -307,6 +307,14 @@ def cache_entries():
     return sorted(os.listdir(cache_dir())) if os.path.isdir(cache_dir()) else []
 
 
+def added_entry(load):
+    """The name of the one cache entry that load() adds."""
+    before = set(cache_entries())
+    load()
+    (added,) = set(cache_entries()) - before
+    return added
+
+
 def assert_answers(keyed, ref, titles, page_ids, qids):
     """The keyed index answers every declared key as the reference index does."""
     assert len(keyed) == len(ref)
@@ -451,42 +459,61 @@ class TestKeyedCache:
         second = cache_entries()
         assert len(first) == len(second) == 1 and first != second
 
-    @pytest.mark.parametrize("module", [kb, kbcache], ids=["kb", "kbcache"])
+    @pytest.mark.parametrize("module", [kb, kbcache, records, cache],
+                             ids=["kb", "kbcache", "records", "cache"])
     def test_loader_source_is_part_of_the_key(self, tmp_path, module):
+        path = tmp_path / "map.tsv"
+        path.write_text(self.MAPPING, encoding="utf-8")
+        entry = added_entry(lambda: self.check(path))
         edited = tmp_path / "edited.py"
         with open(module.__file__, "rb") as handle:
             edited.write_bytes(handle.read() + b"# edited\n")
-        data = self.MAPPING.encode("utf-8")
-        entry = kbcache.entry_path(data)
         with mock.patch.object(module, "__file__", str(edited)):
-            assert kbcache.entry_path(data) != entry
+            assert added_entry(lambda: self.check(path)) != entry
 
-    def test_unicode_version_is_part_of_the_key(self, monkeypatch):
+    def test_unicode_version_is_part_of_the_key(self, tmp_path, monkeypatch):
         # Normalized titles depend on it: str.upper maps U+2C5F to U+2C2F
         # from Unicode 14 on, and leaves it unchanged before.
-        data = self.MAPPING.encode("utf-8")
-        entry = kbcache.entry_path(data)
+        path = tmp_path / "map.tsv"
+        path.write_text(self.MAPPING, encoding="utf-8")
+        entry = added_entry(lambda: self.check(path))
         monkeypatch.setattr(unicodedata, "unidata_version", "13.0.0")
-        assert kbcache.entry_path(data) != entry
+        assert added_entry(lambda: self.check(path)) != entry
 
     def test_entries_of_deleted_mappings_are_dropped(self, tmp_path):
         paths = [tmp_path / name for name in ("a.tsv", "b.tsv", "c.tsv")]
         for n, path in enumerate(paths):
             path.write_text(self.MAPPING + f"{10 + n}\tExtra {n}\tQ{10 + n}\n", encoding="utf-8")
-        self.check(paths[0])
-        self.check(paths[1])
-        assert len(cache_entries()) == 2
+        first = added_entry(lambda: self.check(paths[0]))
+        kept = added_entry(lambda: self.check(paths[1]))
         paths[0].unlink()
-        self.check(paths[2])
-        assert cache_entries() == sorted(os.path.basename(kbcache.entry_path(path.read_bytes()))
-                                         for path in paths[1:])
+        added = added_entry(lambda: self.check(paths[2]))
+        assert set(cache_entries()) == {kept, added} and first not in cache_entries()
+
+    def test_digit_limit_is_part_of_the_key(self, tmp_path, monkeypatch):
+        # Under no limit a page ID of 5,000 digits is a valid row; under the
+        # default limit the mapping fails to load, and an entry must not hide that.
+        path = tmp_path / "map.tsv"
+        path.write_text(self.MAPPING + "9" * 5000 + "\tVerdi\tQ8\n", encoding="utf-8")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            self.check(path)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(cache_entries()) == 1
+        with pytest.raises(ValueError) as cached:
+            load_keyed(path, *self.KEYS)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cold"))
+        with pytest.raises(ValueError) as cold:
+            load_keyed(path, *self.KEYS)
+        assert str(cached.value) == str(cold.value)
 
     @pytest.mark.parametrize("damage", ["truncate", "garbage"])
     def test_damaged_entry_is_rebuilt(self, tmp_path, damage):
         path = tmp_path / "map.tsv"
         path.write_text(self.MAPPING + "4\tVerdi\tQ8\n", encoding="utf-8")
-        self.check(path)
-        entry = kbcache.entry_path(path.read_bytes())
+        entry = os.path.join(cache_dir(), added_entry(lambda: self.check(path)))
         size = os.path.getsize(entry)
         with open(entry, "r+b") as handle:
             if damage == "truncate":

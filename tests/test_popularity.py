@@ -162,6 +162,16 @@ class TestStratify:
             with pytest.raises(ValueError, match="^invalid theta: too many digits$"):
                 stratify(self.BENCH, self.PREDS, QID_CFG, None, self.POP, thetas=[20, theta])
 
+    def test_count_past_the_digit_limit_in_the_all_sweep(self):
+        """str() refuses an int past 4300 digits by default; the sweep names the
+        entity whose count it cannot label."""
+        pop = {**self.POP, "Q3": 10**5000, "Q1": 10**5000}
+        with pytest.raises(ValueError, match="^popularity count of Q1 has too many digits$"):
+            stratify(self.BENCH, self.PREDS, QID_CFG, None, pop, thetas=["all"])
+        # A count used only for comparison needs no label.
+        slices = stratify(self.BENCH, self.PREDS, QID_CFG, None, pop, thetas=[20])
+        assert [s.theta for s in slices] == [20]
+
     def test_strict_missing_counts(self):
         pop = {"Q1": 5, "Q3": 900, "Q9": 10}
         with pytest.raises(ValueError, match=r"1 entity\(ies\) lack popularity counts: Q2"):

@@ -468,6 +468,41 @@ class TestLineEndings:
         assert [title_to_qid(idx, title) for title in ("A", "B", "Foo Bar")] == ["Q1", "Q1", "Q3"]
 
 
+class TestIntegerPastTheDigitLimit:
+    """json.loads refuses an integer literal past sys.get_int_max_str_digits()
+    (4300 by default) with a plain ValueError; the line is labelled with it."""
+
+    HUGE = "9" * 5000
+
+    def load_error(self, load, path, line):
+        """The one problem a load reports for a file of a blank line and line."""
+        path.write_text("\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load(str(path))
+        head, problem = str(err.value).splitlines()
+        assert head == f"{path}: 1 malformed record(s):"
+        assert problem.startswith("line 2: invalid JSON: Exceeds the limit (4300 digits)")
+        return problem
+
+    def test_benchmark(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        path = tmp_path / "benchmark.jsonl"
+        line = '{"id": "s2", "text": "Alpha.", "mentions": [], "n": %s}' % self.HUGE
+        problem = self.load_error(load_benchmark, path, line)
+        assert self.load_error(load_benchmark, path, line) == problem
+        # A benchmark that fails its checks gets no cache entry.
+        assert not (tmp_path / "cache").exists()
+
+    def test_predictions(self, tmp_path):
+        line = '{"sentence_id": "s2", "status": "clean", "links": [], "n": %s}' % self.HUGE
+        self.load_error(load_predictions, tmp_path / "preds.jsonl", line)
+
+    def test_external_rows(self, tmp_path):
+        line = '{"sentence_id": "s2", "surface": "x", "page_id": %s}' % self.HUGE
+        self.load_error(lambda path: load_external_predictions(path, KB),
+                        tmp_path / "external.jsonl", line)
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
     | st.text(),
