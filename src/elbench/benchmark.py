@@ -9,8 +9,6 @@ loads of the same bytes skip the decoding and the checks.
 
 from __future__ import annotations
 
-import io
-import os
 from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, NamedTuple, Optional, TextIO, Tuple
@@ -64,8 +62,14 @@ class StatsSummary:
     total_mentions: int
 
 
-def _check_mention(fields: Dict[str, object], text: str) -> GoldMention:
-    """The mention the fields give; BadLine with what is wrong with them."""
+# A sentence as the loaders give it and the input cache stores it (marshal
+# takes no NamedTuple): its id, its text and its mentions' GoldMention fields.
+_Row = Tuple[str, str, Tuple[tuple, ...]]
+
+
+def _check_mention(fields: Dict[str, object], text: str) -> tuple:
+    """The GoldMention fields of the mention given; BadLine with what is
+    wrong with them."""
     surface = fields.get("surface")
     qid = fields.get("qid")
     entity_type = fields.get("type", "")
@@ -87,13 +91,13 @@ def _check_mention(fields: Dict[str, object], text: str) -> GoldMention:
             raise BadLine(f"offsets [{start},{end}) out of range for sentence of length {len(text)}")
         if text[start:end] != surface:
             raise BadLine(f"text slice {text[start:end]!r} does not equal surface {surface!r}")
-    return GoldMention(surface, qid, entity_type, start, end)
+    return surface, qid, entity_type, start, end
 
 
-def _load_jsonl(path: str, handle: TextIO) -> List[BenchmarkSentence]:
+def _load_jsonl(path: str, handle: TextIO) -> List[_Row]:
     seen_ids: Dict[str, int] = {}
 
-    def check(record: Dict[str, object], lineno: int) -> BenchmarkSentence:
+    def check(record: Dict[str, object], lineno: int) -> _Row:
         sentence_id = record.get("id")
         text = record.get("text")
         raw_mentions = record.get("mentions", [])
@@ -105,7 +109,7 @@ def _load_jsonl(path: str, handle: TextIO) -> List[BenchmarkSentence]:
             raise BadLine("text must be non-empty")
         if not isinstance(raw_mentions, list):
             raise BadLine("mentions must be a list")
-        mentions: List[GoldMention] = []
+        mentions: List[tuple] = []
         problems: List[str] = []
         for i, fields in enumerate(raw_mentions):
             if not isinstance(fields, dict):
@@ -118,27 +122,26 @@ def _load_jsonl(path: str, handle: TextIO) -> List[BenchmarkSentence]:
         if problems:
             raise BadLine(*problems)
         seen_ids[sentence_id] = lineno
-        return BenchmarkSentence(sentence_id=sentence_id, text=text, mentions=tuple(mentions))
+        return sentence_id, text, tuple(mentions)
 
     return read_records(path, check, handle=handle)
 
 
-def _load_tsv(path: str, handle: TextIO) -> List[BenchmarkSentence]:
+def _load_tsv(path: str, handle: TextIO) -> List[_Row]:
     """TSV rows: sentence_id <TAB> text <TAB> surface <TAB> qid <TAB> type.
 
     Rows for one sentence must be consecutive; a row with surface, qid and
     type all empty declares a sentence without mentions.
     """
-    sentences: List[BenchmarkSentence] = []
+    sentences: List[_Row] = []
     finished: Dict[str, int] = {}
     current_id: Optional[str] = None
     current_text = ""
-    current_mentions: List[GoldMention] = []
+    current_mentions: List[tuple] = []
 
     def flush() -> None:
         if current_id is not None:
-            sentences.append(BenchmarkSentence(sentence_id=current_id, text=current_text,
-                                               mentions=tuple(current_mentions)))
+            sentences.append((current_id, current_text, tuple(current_mentions)))
 
     def check(parts: List[str], lineno: int) -> None:
         nonlocal current_id, current_text, current_mentions
@@ -178,21 +181,11 @@ def load_benchmark(path: str, format: str = "jsonl") -> Benchmark:
     """
     if format not in FORMATS:
         raise ValueError(f"unknown benchmark format {format!r}; expected one of {FORMATS}")
-    with open(path, "rb") as handle:
-        data = handle.read()
-    entry = cache.entry_path(data, (__file__, records.__file__, kb.__file__), ".benchmark", format)
-    stored = cache.load(entry) if entry else None
-    if stored is not None:
-        mention = partial(tuple.__new__, GoldMention)
-        return Benchmark(tuple(BenchmarkSentence(sentence_id, text, tuple(map(mention, mentions)))
-                               for sentence_id, text, mentions in stored[1]))
-    # Parse the very bytes the entry's name was hashed from.
-    handle = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
-    sentences = (_load_jsonl if format == "jsonl" else _load_tsv)(path, handle)
-    if entry:  # marshal takes no NamedTuple
-        cache.store(entry, os.path.abspath(path),
-                    [(s.sentence_id, s.text, tuple(map(tuple, s.mentions))) for s in sentences])
-    return Benchmark(sentences=tuple(sentences))
+    rows = cache.compiled(path, (__file__, records.__file__, kb.__file__), ".benchmark",
+                          partial(_load_jsonl if format == "jsonl" else _load_tsv, path), format)
+    mention = partial(tuple.__new__, GoldMention)
+    return Benchmark(tuple(BenchmarkSentence(sentence_id, text, tuple(map(mention, mentions)))
+                           for sentence_id, text, mentions in rows))
 
 
 def save_benchmark(benchmark: Benchmark, path: str, format: str = "jsonl") -> None:

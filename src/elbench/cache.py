@@ -9,17 +9,18 @@ written under a temporary name and moved into place, and never changed
 after, so readers open them without locks.
 Every failure here is a miss: the caller then loads the input itself, as
 on its first load.  `kbcache` stores a mapping's answers in SQLite; any
-other value is stored with `marshal` by `store` and read by `load`.
+other value is compiled, stored with `marshal` and read back by `compiled`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import marshal
 import os
 import sys
 import unicodedata
-from typing import Any, Callable, Iterable, Optional, Tuple
+from typing import Any, Callable, Iterable, Optional, TextIO, Tuple
 
 _DIGEST = hashlib.sha256().digest_size
 
@@ -103,16 +104,32 @@ def load(entry: str) -> Optional[Tuple[str, Any]]:
         return None
 
 
-def store(entry: str, source: str, value: Any) -> None:
-    """Store value, which `marshal` must take, as entry for the input file at
-    source; best-effort, as `publish`."""
-    body = marshal.dumps((source, value))
+def compiled(path: str, sources: Iterable[str], suffix: str, build: Callable[[TextIO], Any],
+             detail: str = "") -> Any:
+    """What build(handle) compiles from the input file at path, handle reading
+    the file's text (UTF-8, lines ending at "\n" alone): the value stored
+    for these bytes, sources and detail (see `entry_path`) on a hit, else
+    build's, stored for later loads, best-effort (as `publish`).  build must
+    raise on an input it rejects, so that no entry is stored for it, and
+    return a value `marshal` takes."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    entry = entry_path(data, sources, suffix, detail)
+    stored = load(entry) if entry else None
+    if stored is not None:
+        return stored[1]
+    # Build from the very bytes the entry's name was hashed from.
+    value = build(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n"))
+    if entry:
+        source = os.path.abspath(path)
+        body = marshal.dumps((source, value))
 
-    def fill(tmp: str) -> None:
-        with open(tmp, "wb") as handle:
-            handle.write(hashlib.sha256(body).digest() + body)
+        def fill(tmp: str) -> None:
+            with open(tmp, "wb") as handle:
+                handle.write(hashlib.sha256(body).digest() + body)
 
-    publish(entry, source, fill, _source_of)
+        publish(entry, source, fill, _source_of)
+    return value
 
 
 def _source_of(entry: str) -> str:

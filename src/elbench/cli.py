@@ -345,10 +345,11 @@ def cmd_report(args: argparse.Namespace) -> int:
         with open(path, "r", encoding="utf-8") as handle:
             try:
                 data = json.load(handle)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise ValueError(f"{path}: invalid JSON: {exc}") from None
             except UnicodeDecodeError:
                 raise not_utf8(path) from None
+            # An integer past sys.get_int_max_str_digits() raises a plain ValueError.
+            except (ValueError, RecursionError) as exc:
+                raise ValueError(f"{path}: invalid JSON: {exc}") from None
         if not isinstance(data, dict):
             raise ValueError(f"{path}: a score report must be a JSON object")
         for field in ("system", "tp", "fp", "fn"):

@@ -194,7 +194,10 @@ def _parse_mapping(path: str, handle: TextIO) -> MappingIndex:
         raw_page_id = parts[0].strip()
         raw_qid = parts[2].strip()
         raw_redirect = parts[3].strip() if len(parts) == 4 else ""
-        page_id = int(raw_page_id) if raw_page_id.isascii() and raw_page_id.isdigit() else 0
+        try:
+            page_id = int(raw_page_id) if raw_page_id.isascii() and raw_page_id.isdigit() else 0
+        except ValueError:  # past sys.get_int_max_str_digits(), 4300 by default
+            raise BadLine("page_id has too many digits") from None
         if page_id < 1:
             raise BadLine(f"page_id must be a positive integer, got {raw_page_id!r}")
         title = normalize_title(parts[1])  # which strips the cell as well

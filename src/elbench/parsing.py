@@ -212,12 +212,6 @@ def parse_predictions(raw: str) -> ParseOutcome:
     return ParseOutcome(links=tuple(links), status=status, diagnostics=tuple(diagnostics))
 
 
-def canonical_serialization(links: Tuple[PredictedLink, ...]) -> str:
-    """Contract-shaped rendering; parsing it back yields the same links, clean."""
-    return json.dumps([{"Entities": {link.surface: link.title for link in links}}],
-                      ensure_ascii=False, separators=(",", ":"))
-
-
 def save_predictions(records: List[PredictionRecord], path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for record in records:

@@ -14,11 +14,13 @@ sweep over every distinct count costs little more than one `score`.
 from __future__ import annotations
 
 import math
-import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Dict, List, Mapping, Optional, Sequence, TextIO, Tuple, Union
 
+from . import cache, records
+from . import kb as _kb
 from .benchmark import Benchmark
 from .kb import KbIndex, is_qid, title_to_qid
 from .parsing import PredictedLink, PredictionRecord
@@ -38,57 +40,17 @@ class ThresholdSlice:
     report: ScoreReport
 
 
-# A block of canonical rows: "Q<digits>\t<digits>", each ending in "\n" or
-# "\r\n", except that the file's last row may have no line end.
-_CANONICAL_ROWS = re.compile(rb"(?:Q[0-9]+\t[0-9]+\r?\n)*(?:Q[0-9]+\t[0-9]+)?")
-# Reading in blocks bounds the text and tokens held at once, whatever the
-# size of the file.
-_BLOCK_BYTES = 1 << 20
-
-
-def _canonical_counts(path: str) -> Optional[Dict[str, int]]:
-    """The counts of a file of canonical rows, each qid once, else None.
-
-    Each block of whole lines (an unfinished last line is carried into the
-    next) takes one regex match and one split into qid and count tokens; a
-    repeated qid shows as a dict smaller than the number of rows.
-    """
-    counts: Dict[str, int] = {}
-    rows = 0
-    tail = b""
-    with open(path, "rb") as handle:
-        while True:
-            chunk = handle.read(_BLOCK_BYTES)
-            block = tail + chunk
-            if chunk:
-                cut = block.rfind(b"\n") + 1
-                block, tail = block[:cut], block[cut:]
-            if _CANONICAL_ROWS.fullmatch(block) is None:
-                return None
-            tokens = block.decode("ascii").split()
-            rows += len(tokens) // 2
-            try:
-                counts.update(zip(tokens[::2], map(int, tokens[1::2])))
-            except ValueError:  # past sys.get_int_max_str_digits(): let the line check name it
-                return None
-            if len(counts) != rows:
-                return None
-            if not chunk:
-                return counts
-
-
 def load_counts(path: str) -> Dict[str, int]:
     """Load a counts TSV: qid <TAB> count.  Fails whole, listing bad lines.
 
-    A canonical file (Q<digits> TAB <digits> rows, LF or CRLF endings, each
-    qid once) is read a block at a time with one regex check per block.  Any
-    other file goes through `records.read_records`, which also takes blank
-    lines and padded cells and names every bad line, so both paths give the
-    same counts, and a rejected file its usual errors.
+    A file that passed every check is kept in the input cache (see `cache`),
+    so later loads of the same bytes skip the checks.
     """
-    canonical = _canonical_counts(path)
-    if canonical is not None:
-        return canonical
+    return cache.compiled(path, (__file__, records.__file__, _kb.__file__), ".counts",
+                          partial(_parse_counts, path))
+
+
+def _parse_counts(path: str, handle: TextIO) -> Dict[str, int]:
     counts: Dict[str, int] = {}
     lines_seen: Dict[str, int] = {}
 
@@ -108,7 +70,7 @@ def load_counts(path: str) -> Dict[str, int]:
             raise BadLine("count has too many digits") from None
         lines_seen[qid] = lineno
 
-    read_records(path, check, tsv=True)
+    read_records(path, check, tsv=True, handle=handle)
     return counts
 
 

@@ -76,7 +76,7 @@ def stub_server():
 @pytest.fixture
 def line_checked(monkeypatch):
     """The paths `load_counts` hands to its line checker, `read_records`:
-    every counts file that is not canonical."""
+    every counts file it does not find in the input cache."""
     paths = []
 
     def spy(path, *args, **kwargs):

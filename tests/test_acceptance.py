@@ -404,9 +404,10 @@ def test_input_cache_shared_across_hash_seeds_gives_pinned_artifacts(tmp_path, e
                                   encoding="utf-8", timeout=120)
             assert proc.returncode == 0, (argv, proc.stderr)
         assert_pinned(work, fixture)
-        # The mapping's entry and the benchmark's; the second pass rewrote neither.
+        # The mapping's entry, the benchmark's and the counts'; the second
+        # pass rewrote none of them.
         entries = {name: os.stat(cache / "elbench" / name).st_ino
                    for name in os.listdir(cache / "elbench")}
-        assert len(entries) == 2
+        assert len(entries) == 3
         assert written in (None, entries)
         written = entries

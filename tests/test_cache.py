@@ -1,11 +1,12 @@
-"""The input cache for gold benchmarks, against the reference loader.
+"""The input cache for gold benchmarks and popularity counts, against the
+reference loaders.
 
-A benchmark that passed every check is stored once per file; later loads of
-the same bytes read it back.  Cold, warm and unusable-cache loads must all
-give what `reference_load_benchmark` gives, and every failure of the cache
-(a damaged entry, a directory that cannot be made) must be a miss.  The
-cache's shared code is also exercised through the KB index cache, in
-`tests/test_kb.py`.
+A benchmark or a counts file that passed every check is stored once per
+file; later loads of the same bytes read it back.  Cold, warm and
+unusable-cache loads must all give what `reference_load_benchmark` and
+`reference_load_counts` give, and every failure of the cache (a damaged
+entry, a directory that cannot be made) must be a miss.  The cache's shared
+code is also exercised through the KB index cache, in `tests/test_kb.py`.
 """
 
 import os
@@ -16,16 +17,19 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_loaders import reference_load_benchmark
+from reference_loaders import reference_load_benchmark, reference_load_counts
+from test_records import COUNTS_TSV, outcome
 
-from elbench import benchmark, cache, kb, records
+from elbench import benchmark, cache, kb, popularity, records
 from elbench.benchmark import (FORMATS, Benchmark, BenchmarkSentence, GoldMention, load_benchmark,
                                save_benchmark)
 from elbench.cache import cache_dir
+from elbench.popularity import load_counts
 
 BENCHMARK = ('{"id": "s1", "text": "Alpha beta.", "mentions": [{"surface": "Alpha", "qid": "Q1",'
              ' "type": "PER", "start": 0, "end": 5}, {"surface": "beta", "qid": "NIL"}]}\n'
              '{"id": "s2", "text": "Gamma.", "mentions": []}\n')
+COUNTS = "Q1\t5\nQ2\t7\n"
 
 
 @pytest.fixture(autouse=True)
@@ -231,3 +235,81 @@ def test_unreadable_source_is_a_miss(tmp_path):
     with mock.patch.object(records, "__file__", str(tmp_path / "gone.py")):
         assert_loads_as(path, "jsonl", reference_load_benchmark(str(path)))
     assert entries() == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=COUNTS_TSV)
+def test_counts_cold_warm_and_unusable_loads_equal_reference(text):
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(os.environ, {"XDG_CACHE_HOME": os.path.join(tmp, "cache")}):
+        path = os.path.join(tmp, "counts.tsv")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        expected = outcome(reference_load_counts, path)
+        assert outcome(load_counts, path) == expected
+        assert len(entries()) == (expected[0] == "ok")
+        if expected[0] == "ok":  # a warm load reaches no line checker
+            with mock.patch.object(popularity, "read_records",
+                                   side_effect=AssertionError("line-checked")):
+                assert load_counts(path) == expected[1]
+        blocker = os.path.join(tmp, "not-a-directory")
+        with open(blocker, "wb"):
+            pass
+        with mock.patch.dict(os.environ, {"XDG_CACHE_HOME": blocker}):
+            assert outcome(load_counts, path) == expected
+        assert os.path.getsize(blocker) == 0
+
+
+@pytest.mark.parametrize("damage", ["truncate", "cut-in-half", "flip-a-letter", "empty"])
+def test_damaged_counts_entry_is_a_miss(tmp_path, damage, line_checked):
+    path = tmp_path / "counts.tsv"
+    path.write_text(COUNTS, encoding="utf-8")
+    expected = reference_load_counts(str(path))
+    assert load_counts(str(path)) == expected
+    entry = only_entry()
+    with open(entry, "rb") as handle:
+        blob = handle.read()
+    damaged = {"truncate": blob[:-1], "cut-in-half": blob[:len(blob) // 2],
+               "flip-a-letter": blob.replace(b"Q2", b"Q3"), "empty": b""}[damage]
+    assert damaged != blob
+    with open(entry, "wb") as handle:
+        handle.write(damaged)
+    assert cache.load(entry) is None
+    assert load_counts(str(path)) == expected
+    assert line_checked == [str(path)] * 2
+    # The miss stored the entry afresh.
+    assert cache.load(entry) is not None
+    assert load_counts(str(path)) == expected
+    assert line_checked == [str(path)] * 2
+
+
+@pytest.mark.parametrize("content", [
+    b"Q1\t5\nbanana\t3\nQ2\t-1\nQ1\t9\n",
+    b"Q1\t" + b"9" * 5000 + b"\n",
+    b"Q1\t5\nQ2\t\xff\n",
+], ids=["bad-qid-count-and-duplicate", "digit-limit", "not-utf-8"])
+def test_bad_counts_write_no_entry_and_fail_the_same_twice(tmp_path, content):
+    path = tmp_path / "counts.tsv"
+    path.write_bytes(content)
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ValueError) as err:
+            load_counts(str(path))
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
+    assert entries() == []
+
+
+@pytest.mark.parametrize("module", [popularity, records, kb, cache],
+                         ids=["popularity", "records", "kb", "cache"])
+def test_counts_loader_source_is_part_of_the_key(tmp_path, module):
+    path = tmp_path / "counts.tsv"
+    path.write_text(COUNTS, encoding="utf-8")
+    load_counts(str(path))
+    entry = only_entry()
+    edited = tmp_path / "edited.py"
+    with open(module.__file__, "rb") as handle:
+        edited.write_bytes(handle.read() + b"# edited\n")
+    with mock.patch.object(module, "__file__", str(edited)):
+        load_counts(str(path))
+    assert only_entry() != entry

@@ -667,10 +667,11 @@ class TestStratify:
 
     def test_canonical_and_loose_counts_write_the_same_bytes(self, capsys, tmp_path, e2e_paths,
                                                              linked, monkeypatch, line_checked):
-        """The canonical counts file is read by the block check, a loose copy
-        of it (a blank line, padded cells, CRLF endings) by the line checker;
-        both write the same slices."""
+        """The counts file and a loose copy of it (a blank line, padded cells,
+        CRLF endings) both pass the line checker on their first load, and
+        write the same slices."""
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
         with open(e2e_paths["counts"], encoding="utf-8") as handle:
             rows = [line.rstrip("\n").split("\t") for line in handle]
         loose = tmp_path / "loose.tsv"
@@ -689,7 +690,7 @@ class TestStratify:
             payload = json.loads((out_dir / "strata.json").read_text(encoding="utf-8"))
             del payload["manifest"]
             outputs.append(((out_dir / "strata.csv").read_bytes(), json.dumps(payload)))
-        assert line_checked == [str(loose)]
+        assert line_checked == [e2e_paths["counts"], str(loose)]
         assert outputs[0] == outputs[1]
 
     def test_strict_missing_count_fails(self, capsys, tmp_path, e2e_paths, linked):
@@ -853,6 +854,16 @@ class TestReport:
                                          "--out", str(tmp_path / "t.csv")])
         assert code == 2
         assert err.startswith(f"error: {bad}: invalid JSON: ")
+        assert stdout == ""
+
+    def test_integer_past_the_digit_limit_is_invalid_json(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"system": "x", "tp": ' + "9" * 5000 + ', "fp": 0, "fn": 0}\n',
+                       encoding="utf-8")
+        code, stdout, err = run(capsys, ["report", "--inputs", str(bad),
+                                         "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert err.startswith(f"error: {bad}: invalid JSON: Exceeds the limit")
         assert stdout == ""
 
     def test_missing_field(self, capsys, tmp_path):
@@ -1300,8 +1311,8 @@ class TestReproducibility:
             return [argv[0], "--config", str(config)]
 
         cold = pipeline()
-        # One entry for the mapping, one for the benchmark.
-        assert len(os.listdir(tmp_path / "cache" / "elbench")) == 2
+        # One entry each for the mapping, the benchmark and the counts.
+        assert len(os.listdir(tmp_path / "cache" / "elbench")) == 3
         assert pipeline() == cold
         with monkeypatch.context() as patch:
             without_sqlite3(patch)

@@ -438,7 +438,8 @@ class TestKeyedCache:
         "1\tA\tQ1\n2\tA\tQ2\nx\tB\tQ3\n".encode("utf-8"),
         "1\tLoop\t\tLoop\n".encode("utf-8"),
         b"".join(b"%d\tT%d\tQ1\n" % (i, i) for i in range(1, 3000)) + b"\xff\n",
-    ], ids=["duplicate-and-bad-page-id", "self-redirect", "not-utf-8"])
+        MAPPING.encode("utf-8") + b"9" * 5000 + b"\tVerdi\tQ8\n",
+    ], ids=["duplicate-and-bad-page-id", "self-redirect", "not-utf-8", "page-id-digit-limit"])
     def test_invalid_file_same_error_and_no_entry(self, tmp_path, content):
         path = tmp_path / "map.tsv"
         path.write_bytes(content)
@@ -508,6 +509,7 @@ class TestKeyedCache:
         with pytest.raises(ValueError) as cold:
             load_keyed(path, *self.KEYS)
         assert str(cached.value) == str(cold.value)
+        assert str(cold.value) == f"{path}: 1 malformed row(s):\nline 4: page_id has too many digits"
 
     @pytest.mark.parametrize("damage", ["truncate", "garbage"])
     def test_damaged_entry_is_rebuilt(self, tmp_path, damage):

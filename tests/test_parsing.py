@@ -9,8 +9,8 @@ from reference_parsing import reference_drop_trailing_commas, reference_parse_pr
 
 from elbench import parsing
 from elbench.parsing import (STATUS_CLEAN, STATUS_REPAIRED, STATUS_UNPARSEABLE, STATUSES,
-                             PredictedLink, PredictionRecord, canonical_serialization,
-                             load_predictions, parse_predictions, save_predictions)
+                             PredictedLink, PredictionRecord, load_predictions, parse_predictions,
+                             save_predictions)
 
 CORPUS_PATH = os.path.join(os.path.dirname(__file__), "data", "parser_corpus.json")
 with open(CORPUS_PATH, encoding="utf-8") as _handle:
@@ -51,7 +51,9 @@ class TestCorpus:
                              ids=[c["name"] for c in CORPUS if c["links"]])
     def test_reserialization_parses_clean(self, case):
         outcome = parse_predictions(case["raw"])
-        text = canonical_serialization(outcome.links)
+        # The contract's shape: [{"Entities": {surface: title, ...}}].
+        text = json.dumps([{"Entities": {link.surface: link.title for link in outcome.links}}],
+                          ensure_ascii=False)
         again = parse_predictions(text)
         assert again.status == STATUS_CLEAN
         assert [(l.surface, l.title) for l in again.links] == \
@@ -78,14 +80,6 @@ class TestCorpus:
                                     '"Mozart":"W. A. Mozart \\ud83d')
         assert [(link.surface, link.title) for link in outcome.links] == [("Bach", "J. S. Bach")]
         assert "skipped-unencodable-pair: 'Mozart'" in outcome.diagnostics
-
-
-def test_canonical_serialization_exact():
-    links = (PredictedLink("Rameau", "Jean-Philippe Rameau"),
-             PredictedLink("Les Indes galantes", "Les Indes galantes"))
-    assert canonical_serialization(links) == (
-        '[{"Entities":{"Rameau":"Jean-Philippe Rameau",'
-        '"Les Indes galantes":"Les Indes galantes"}}]')
 
 
 safe_text = st.text(

@@ -38,7 +38,6 @@ from elbench import cli
 from elbench.kb import KbRecord, MappingIndex, load_mapping, title_to_qid
 from elbench.parsing import load_predictions
 from elbench.prompting import build_prompt, default_template
-from elbench import popularity
 from elbench.popularity import load_counts
 from elbench.records import BadLine, encode_json, read_records
 
@@ -374,28 +373,32 @@ class TestReadRecords:
                                                f"{path}: line 4: not valid UTF-8"]
 
 
-class TestCountsBlocks:
-    """A counts file longer than one block of the canonical reader."""
+class TestLargeCounts:
+    """A counts file of many rows, loaded cold (line-checked) and warm (from
+    its input cache entry)."""
 
     ROWS = 120_000
 
-    def text(self):
-        text = "".join(f"Q{i}\t{i % 997}\n" for i in range(1, self.ROWS + 1))
-        assert len(text) > popularity._BLOCK_BYTES
-        return text
+    @pytest.fixture(autouse=True)
+    def own_cache(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
 
-    def test_canonical(self, tmp_path, line_checked):
+    def lines(self):
+        return [f"Q{i}\t{i % 997}\n" for i in range(1, self.ROWS + 1)]
+
+    def test_cold_then_warm(self, tmp_path, line_checked):
         path = tmp_path / "counts.tsv"
-        path.write_text(self.text(), encoding="utf-8")
+        path.write_text("".join(self.lines()), encoding="utf-8")
         counts = load_counts(str(path))
-        assert line_checked == []
+        assert line_checked == [str(path)]
         assert counts == reference_load_counts(str(path))
         assert len(counts) == self.ROWS
+        assert load_counts(str(path)) == counts
+        assert line_checked == [str(path)]
 
-    def test_bad_rows_past_the_first_block(self, tmp_path, line_checked):
-        lines = self.text().splitlines(keepends=True)
+    def test_bad_rows_fail_every_load(self, tmp_path, line_checked):
+        lines = self.lines()
         bad, duplicate = 100_000, 110_000
-        assert sum(map(len, lines[:bad - 1])) > popularity._BLOCK_BYTES
         lines[bad - 1] = f"Q{bad}\tx\n"
         lines[duplicate - 1] = "Q5\t1\n"
         path = tmp_path / "counts.tsv"
@@ -404,8 +407,9 @@ class TestCountsBlocks:
                     f"line {bad}: count must be a nonnegative integer, got 'x'",
                     f"line {duplicate}: duplicate qid Q5 (first seen on line 5)"]
         assert outcome(load_counts, str(path)) == ("error", "\n".join(expected))
+        assert outcome(load_counts, str(path)) == ("error", "\n".join(expected))
         assert outcome(reference_load_counts, str(path)) == ("error", "\n".join(expected))
-        assert line_checked == [str(path)]
+        assert line_checked == [str(path)] * 2
 
 
 class TestLineEndings:
@@ -418,26 +422,25 @@ class TestLineEndings:
             load(str(path))
         return str(err.value).splitlines()[1:]
 
-    def test_counts(self, tmp_path, line_checked):
+    def test_counts(self, tmp_path, monkeypatch, line_checked):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
         path = tmp_path / "counts.tsv"
         path.write_bytes(b"Q1\t5\nQ2\r\t7\nQ3\tx\nQ4\t1\r2\n")
         assert self.load_error(load_counts, path) == [
             "line 3: count must be a nonnegative integer, got 'x'",
             "line 4: count must be a nonnegative integer, got '1\\r2'"]
-        path.write_bytes(b"Q1\t5\r\n\r\nQ2\t7\r\n")
-        assert load_counts(str(path)) == {"Q1": 5, "Q2": 7}
-        # Canonical, so read without the line checker: CRLF endings, and a
-        # last row without a line end.
-        line_checked.clear()
-        for text in (b"Q1\t5\r\nQ2\t7\r\n", b"Q1\t5\nQ2\t7", b"Q1\t5\r\nQ2\t7"):
+        # CRLF endings, a blank line, a last row without a line end, and a
+        # row ending in "\r\r\n" (one "\r" ends the line, the other pads the
+        # cell).  Each file is line-checked on its cold load only.
+        texts = (b"Q1\t5\r\n\r\nQ2\t7\r\n", b"Q1\t5\r\nQ2\t7\r\n", b"Q1\t5\nQ2\t7",
+                 b"Q1\t5\r\nQ2\t7", b"Q1\t5\r\r\nQ2\t7\n")
+        for text in texts:
             path.write_bytes(text)
+            line_checked.clear()
             assert load_counts(str(path)) == {"Q1": 5, "Q2": 7}
-        assert line_checked == []
-        # A row ending in "\r\r\n" is valid (one "\r" ends the line, the
-        # other pads the cell) but not canonical.
-        path.write_bytes(b"Q1\t5\r\r\nQ2\t7\n")
-        assert load_counts(str(path)) == {"Q1": 5, "Q2": 7}
-        assert line_checked == [str(path)]
+            assert line_checked == [str(path)]
+            assert load_counts(str(path)) == {"Q1": 5, "Q2": 7}
+            assert line_checked == [str(path)]
 
     def test_benchmark_tsv(self, tmp_path):
         path = tmp_path / "benchmark.tsv"
