@@ -55,8 +55,10 @@ def publish(entry: str, source: str, fill: Callable[[str], None],
     """Make entry, built from the input file at source, with fill(tmp), which
     writes it under a temporary name, then drop every other entry with its
     suffix that source_of(entry) says was built from source, or from a file
-    that is gone.  Best-effort: an OSError, or one of errors, leaves the
-    cache without the entry, or the other entry in place.
+    that is gone; an answer other than a path, as an entry that another
+    elbench version left in another shape may give, counts as gone.
+    Best-effort: an OSError, or one of errors, leaves the cache without the
+    entry, or the other entry in place.
     """
     import tempfile
 
@@ -83,7 +85,8 @@ def publish(entry: str, source: str, fill: Callable[[str], None],
             continue
         try:
             built_from = source_of(other)
-            if built_from == source or not os.path.exists(built_from):
+            if (not isinstance(built_from, str) or built_from == source
+                    or not os.path.exists(built_from)):
                 os.unlink(other)
         except (OSError, *errors):
             continue
@@ -93,15 +96,19 @@ def publish(entry: str, source: str, fill: Callable[[str], None],
 # input file's path and the value.
 def load(entry: str) -> Optional[Tuple[str, Any]]:
     """The input file's path and the value stored as entry; None if the entry
-    is missing or damaged."""
+    is missing, damaged or not such a pair (as an entry that another
+    elbench version wrote in another shape may be)."""
     try:
         with open(entry, "rb") as handle:
             blob = memoryview(handle.read())
         if hashlib.sha256(blob[_DIGEST:]).digest() != blob[:_DIGEST]:
             return None
-        return marshal.loads(blob[_DIGEST:])
+        stored = marshal.loads(blob[_DIGEST:])
     except (OSError, EOFError, ValueError, TypeError):
         return None
+    if type(stored) is tuple and len(stored) == 2 and type(stored[0]) is str:
+        return stored
+    return None
 
 
 def compiled(path: str, sources: Iterable[str], suffix: str, build: Callable[[TextIO], Any],

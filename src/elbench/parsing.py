@@ -11,8 +11,10 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from functools import partial
+from typing import Dict, Iterator, List, Optional, TextIO, Tuple
 
+from . import cache, kb, records
 from .kb import is_qid
 from .records import BadLine, encode_json, read_records
 
@@ -191,9 +193,11 @@ def parse_predictions(raw: str) -> ParseOutcome:
     "Entities" map, the outcome is unparseable with no links.
     """
     for candidate, rungs in _candidates(raw):
+        # A JSONDecodeError is a ValueError, as is the error for an integer
+        # past sys.get_int_max_str_digits().
         try:
             value = json.loads(candidate)
-        except (json.JSONDecodeError, RecursionError):
+        except (ValueError, RecursionError):
             continue
         break
     else:
@@ -232,21 +236,36 @@ def save_predictions(records: List[PredictionRecord], path: str) -> None:
 
 def load_predictions(path: str) -> List[PredictionRecord]:
     """Load interchange records; fails whole on malformed lines, listing them.
-    A sentence_id appears at most once."""
+    A sentence_id appears at most once.  A file that passed every check is
+    kept in the input cache (see `cache`), so later loads of the same bytes
+    skip the decoding and the checks."""
+    rows = cache.compiled(path, (__file__, records.__file__, kb.__file__), ".predictions",
+                          partial(_parse_records, path))
+    return [PredictionRecord(sentence_id, tuple(PredictedLink(*link) for link in links),
+                             status, error)
+            for sentence_id, links, status, error in rows]
+
+
+# A record as the loader gives it and the input cache stores it (marshal
+# takes no dataclass): its sentence_id, its links' PredictedLink fields,
+# its status and its error.
+_Row = Tuple[str, Tuple[tuple, ...], str, Optional[str]]
+
+
+def _parse_records(path: str, handle: TextIO) -> List[_Row]:
     first_lines: Dict[str, int] = {}
 
-    def check(row: Dict[str, object], lineno: int) -> PredictionRecord:
+    def check(row: Dict[str, object], lineno: int) -> _Row:
         record = _check_record(row)
-        first = first_lines.setdefault(record.sentence_id, lineno)
+        first = first_lines.setdefault(record[0], lineno)
         if first != lineno:
-            raise BadLine(f"duplicate sentence_id {record.sentence_id!r} "
-                          f"(first seen on line {first})")
+            raise BadLine(f"duplicate sentence_id {record[0]!r} (first seen on line {first})")
         return record
 
-    return read_records(path, check)
+    return read_records(path, check, handle=handle)
 
 
-def _check_record(row: Dict[str, object]) -> PredictionRecord:
+def _check_record(row: Dict[str, object]) -> _Row:
     sentence_id = row.get("sentence_id")
     status = row.get("status")
     raw_links = row.get("links", [])
@@ -261,7 +280,7 @@ def _check_record(row: Dict[str, object]) -> PredictionRecord:
         raise BadLine("error must be a string")
     if status == STATUS_UNPARSEABLE and raw_links:
         raise BadLine("unparseable records cannot carry links")
-    links: List[PredictedLink] = []
+    links: List[tuple] = []
     problems: List[str] = []
     for i, fields in enumerate(raw_links):
         if not isinstance(fields, dict):
@@ -280,8 +299,7 @@ def _check_record(row: Dict[str, object]) -> PredictionRecord:
         elif resolution is not None and not isinstance(resolution, str):
             problems.append(f"link {i}: resolution must be a string or null")
         else:
-            links.append(PredictedLink(surface=surface, title=title, qid=qid,
-                                       resolution=resolution))
+            links.append((surface, title, qid, resolution))
     if problems:
         raise BadLine(*problems)
-    return PredictionRecord(sentence_id=sentence_id, links=tuple(links), status=status, error=error)
+    return sentence_id, tuple(links), status, error

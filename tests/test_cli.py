@@ -19,7 +19,8 @@ from elbench.backends import BackendConfig, prompt_digest
 from elbench.benchmark import load_benchmark
 from elbench.kb import load_mapping, title_to_qid
 from elbench.manifest import config_digest, manifest_timestamp
-from elbench.parsing import STATUS_CLEAN, STATUS_UNPARSEABLE, load_predictions, save_predictions
+from elbench.parsing import (STATUS_CLEAN, STATUS_UNPARSEABLE, PredictedLink, load_predictions,
+                             save_predictions)
 from elbench.prompting import build_prompt, default_template
 from elbench.scoring import NIL_POLICIES
 
@@ -253,6 +254,29 @@ class TestLink:
             assert "linked 1 sentence(s): 1 repaired" in stdout
             (record,) = load_predictions(str(out))
             assert [(link.surface, link.title) for link in record.links] == [("Bach", "J. S. Bach")]
+
+    def test_integer_past_the_digit_limit_in_answer_is_unparseable(self, capsys, tmp_path):
+        bench = tmp_path / "bench.jsonl"
+        bench.write_text('{"id": "s1", "text": "Mozart met Bach.", "mentions": []}\n'
+                         '{"id": "s2", "text": "Haydn.", "mentions": []}\n', encoding="utf-8")
+        answers = {"Mozart met Bach.": '[{"Entities":{"Bach":' + "9" * 5000 + "}}]",
+                   "Haydn.": '[{"Entities":{"Haydn":"Joseph Haydn"}}]'}
+        fixture = tmp_path / "fix.jsonl"
+        with open(fixture, "w", encoding="utf-8") as handle:
+            for text, raw_text in answers.items():
+                prompt = build_prompt(default_template(), text)
+                handle.write(json.dumps({"digest": prompt_digest(prompt), "prompt": prompt,
+                                         "raw_text": raw_text, "model_id": "m"}) + "\n")
+        out = tmp_path / "preds.jsonl"
+        code, stdout, _ = run(capsys, ["link", "--backend", "replay", "--fixture", str(fixture),
+                                       "--benchmark", str(bench), "--out", str(out)])
+        assert code == 0
+        assert "linked 2 sentence(s): 1 clean, 1 unparseable" in stdout
+        records = load_predictions(str(out))
+        assert [(record.sentence_id, record.status, record.links, record.error)
+                for record in records] == [
+            ("s1", STATUS_UNPARSEABLE, (), None),
+            ("s2", STATUS_CLEAN, (PredictedLink("Haydn", "Joseph Haydn"),), None)]
 
     def test_crlf_template_links_as_its_lf_twin(self, capsys, tmp_path, e2e_paths, e2e_fixture):
         """A template file is read in universal-newline mode, so a CRLF copy of
@@ -1311,8 +1335,9 @@ class TestReproducibility:
             return [argv[0], "--config", str(config)]
 
         cold = pipeline()
-        # One entry each for the mapping, the benchmark and the counts.
-        assert len(os.listdir(tmp_path / "cache" / "elbench")) == 3
+        # One entry each for the mapping, the benchmark, the counts, the two
+        # predictions files (link's and resolve's) and the external rows.
+        assert len(os.listdir(tmp_path / "cache" / "elbench")) == 6
         assert pipeline() == cold
         with monkeypatch.context() as patch:
             without_sqlite3(patch)

@@ -74,6 +74,12 @@ class TestCorpus:
         assert outcome.status == STATUS_UNPARSEABLE
         assert outcome.diagnostics == ("unrecoverable-json",)
 
+    def test_integer_past_the_digit_limit_is_unparseable(self):
+        # json.loads raises a plain ValueError, not a JSONDecodeError, for it.
+        outcome = parse_predictions('[{"Entities":{"a":' + "9" * 5000 + "}}]")
+        assert outcome.status == STATUS_UNPARSEABLE
+        assert outcome.diagnostics == ("unrecoverable-json",)
+
     def test_lone_surrogate_pair_skipped(self):
         # A surrogate pair escape cut off after its first half by the token limit.
         outcome = parse_predictions('[{"Entities":{"Bach":"J. S. Bach",'
