@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from . import cache, kb, records
 from .kb import KbIndex, is_qid, title_to_qid
 from .parsing import STATUS_CLEAN, PredictedLink, PredictionRecord
 from .records import BadLine, read_records
@@ -54,13 +53,9 @@ def load_external_predictions(path: str, idx: Union[KbIndex, Callable[..., KbInd
     titles and the page IDs of the rows once they are checked.
     Returns the grouped prediction records plus a tally keyed by resolution
     path.  Every input row yields exactly one output link (no silent drops);
-    the per-link resolution field documents which path resolved it.  A file
-    whose rows passed every check is kept in the input cache (see `cache`),
-    so later loads of the same bytes skip the decoding and the checks.
+    the per-link resolution field documents which path resolved it.
     """
-    rows = [ExternalPrediction(*row) for row in
-            cache.compiled(path, (__file__, records.__file__, kb.__file__), ".external",
-                           lambda handle: read_records(path, _check_row, handle=handle))]
+    rows = read_records(path, _check_row)
     if callable(idx):
         idx = idx(titles={row.title for row in rows if row.title is not None},
                   page_ids={row.page_id for row in rows if row.page_id is not None})
@@ -73,15 +68,12 @@ def load_external_predictions(path: str, idx: Union[KbIndex, Callable[..., KbInd
         tally[resolution] += 1
         link = PredictedLink(surface=row.surface, title=row.title, qid=qid, resolution=resolution)
         grouped.setdefault(row.sentence_id, []).append(link)
-    predictions = [PredictionRecord(sentence_id, tuple(links), STATUS_CLEAN)
-                   for sentence_id, links in grouped.items()]
-    return predictions, tally
+    records = [PredictionRecord(sentence_id=sentence_id, links=tuple(links), status=STATUS_CLEAN)
+               for sentence_id, links in grouped.items()]
+    return records, tally
 
 
-# A row as the input cache stores it (marshal takes no dataclass): the
-# ExternalPrediction fields.
-def _check_row(raw: Dict[str, object], lineno: int
-               ) -> Tuple[str, str, Optional[int], Optional[str], Optional[str]]:
+def _check_row(raw: Dict[str, object], lineno: int) -> ExternalPrediction:
     sentence_id = raw.get("sentence_id")
     surface = raw.get("surface")
     page_id = raw.get("page_id")
@@ -100,4 +92,5 @@ def _check_row(raw: Dict[str, object], lineno: int
         raise BadLine(f"invalid qid {qid!r}")
     if page_id is None and title is None and qid is None:
         raise BadLine("at least one of page_id, title, qid must be present")
-    return sentence_id, surface, page_id, title, qid
+    return ExternalPrediction(sentence_id=sentence_id, surface=surface,
+                              page_id=page_id, title=title, qid=qid)

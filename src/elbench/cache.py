@@ -55,10 +55,8 @@ def publish(entry: str, source: str, fill: Callable[[str], None],
     """Make entry, built from the input file at source, with fill(tmp), which
     writes it under a temporary name, then drop every other entry with its
     suffix that source_of(entry) says was built from source, or from a file
-    that is gone; an answer other than a path, as an entry that another
-    elbench version left in another shape may give, counts as gone.
-    Best-effort: an OSError, or one of errors, leaves the cache without the
-    entry, or the other entry in place.
+    that is gone.  Best-effort: an OSError, or one of errors, leaves the
+    cache without the entry, or the other entry in place.
     """
     import tempfile
 
@@ -85,8 +83,7 @@ def publish(entry: str, source: str, fill: Callable[[str], None],
             continue
         try:
             built_from = source_of(other)
-            if (not isinstance(built_from, str) or built_from == source
-                    or not os.path.exists(built_from)):
+            if built_from == source or not os.path.exists(built_from):
                 os.unlink(other)
         except (OSError, *errors):
             continue

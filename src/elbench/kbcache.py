@@ -95,4 +95,4 @@ def _source_of(entry: str) -> str:
         row = con.execute("SELECT v FROM meta WHERE k = 'source'").fetchone()
     finally:
         con.close()
-    return row[0] if row else ""
+    return row[0] if row and isinstance(row[0], str) else ""

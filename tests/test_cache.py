@@ -1,12 +1,12 @@
-"""The input cache for gold benchmarks, popularity counts, predictions and
-external rows, against the reference loaders.
+"""The input cache for gold benchmarks, popularity counts and predictions,
+against the reference loaders.
 
-A benchmark, a counts file, a predictions file or a file of external rows
-that passed every check is stored once per file; later loads of the same
-bytes read it back.  Cold, warm and unusable-cache loads must all give what
-the loaders of `tests/reference_loaders.py` give, and every failure of the
-cache (a damaged entry, a directory that cannot be made, an entry in a
-shape this version does not write) must be a miss.  The cache's shared code
+A benchmark, a counts file or a predictions file that passed every check is
+stored once per file; later loads of the same bytes read it back.  Cold,
+warm and unusable-cache loads must all give what the loaders of
+`tests/reference_loaders.py` give, and every failure of the cache (a
+damaged entry, a directory that cannot be made, an entry in a shape this
+version does not write) must be a miss.  The cache's shared code
 is also exercised through the KB index cache, in `tests/test_kb.py`.
 """
 
@@ -22,12 +22,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_loaders import (reference_load_benchmark, reference_load_counts,
-                               reference_load_external_predictions, reference_load_predictions)
+                               reference_load_predictions)
 from test_acceptance import assert_pinned, pinned_pipeline
-from test_records import COUNTS_TSV, EXTERNAL, KB, PREDICTIONS, outcome
+from test_records import COUNTS_TSV, PREDICTIONS, outcome
 
-from elbench import baseline, benchmark, cache, cli, kb, parsing, popularity, records
-from elbench.baseline import load_external_predictions
+from elbench import benchmark, cache, cli, kb, parsing, popularity, records
 from elbench.benchmark import (FORMATS, Benchmark, BenchmarkSentence, GoldMention, load_benchmark,
                                save_benchmark)
 from elbench.cache import cache_dir
@@ -323,68 +322,47 @@ def test_counts_loader_source_is_part_of_the_key(tmp_path, module):
     assert only_entry() != entry
 
 
-def load_external(path):
-    return load_external_predictions(path, KB)
+# A valid predictions file.
+PREDICTIONS_JSONL = ('{"sentence_id": "s1", "links": [{"surface": "Alpha", "title": "A",'
+                     ' "qid": "Q1", "resolution": "title"}, {"surface": "beta", "title": null}],'
+                     ' "status": "repaired"}\n'
+                     '{"sentence_id": "s2", "links": [], "status": "unparseable",'
+                     ' "error": "replay-miss"}\n')
 
 
-def reference_external(path):
-    return reference_load_external_predictions(path, KB)
-
-
-# Each kind of records file: the module whose read_records checks its
-# lines, its loader, the loader's oracle, random files and a valid file.
-RECORD_FILES = {
-    "predictions": (parsing, load_predictions, reference_load_predictions, PREDICTIONS,
-                    '{"sentence_id": "s1", "links": [{"surface": "Alpha", "title": "A",'
-                    ' "qid": "Q1", "resolution": "title"}, {"surface": "beta", "title": null}],'
-                    ' "status": "repaired"}\n'
-                    '{"sentence_id": "s2", "links": [], "status": "unparseable",'
-                    ' "error": "replay-miss"}\n'),
-    "external": (baseline, load_external, reference_external, EXTERNAL,
-                 '{"sentence_id": "s1", "surface": "Alpha", "page_id": 1}\n'
-                 '{"sentence_id": "s1", "surface": "Beta", "title": "B", "qid": "Q7"}\n'
-                 '{"sentence_id": "s2", "surface": "Gamma", "page_id": 9, "title": "Nowhere"}\n'),
-}
-
-
-def never_line_checked(module):
+def never_line_checked():
     """Within this, a load that checks the file's lines fails: it must come from the cache."""
-    return mock.patch.object(module, "read_records", side_effect=AssertionError("line-checked"))
+    return mock.patch.object(parsing, "read_records", side_effect=AssertionError("line-checked"))
 
 
-@pytest.mark.parametrize("kind", RECORD_FILES)
 @settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_records_cold_warm_and_unusable_loads_equal_reference(kind, data):
-    module, load, reference, files, _ = RECORD_FILES[kind]
-    text = data.draw(files)
+@given(text=PREDICTIONS)
+def test_predictions_cold_warm_and_unusable_loads_equal_reference(text):
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.dict(os.environ, {"XDG_CACHE_HOME": os.path.join(tmp, "cache")}):
-        path = os.path.join(tmp, f"{kind}.jsonl")
+        path = os.path.join(tmp, "preds.jsonl")
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
-        expected = outcome(reference, path)
-        assert outcome(load, path) == expected
+        expected = outcome(reference_load_predictions, path)
+        assert outcome(load_predictions, path) == expected
         assert len(entries()) == (expected[0] == "ok")
         if expected[0] == "ok":
-            with never_line_checked(module):
-                assert load(path) == expected[1]
+            with never_line_checked():
+                assert load_predictions(path) == expected[1]
         blocker = os.path.join(tmp, "not-a-directory")
         with open(blocker, "wb"):
             pass
         with mock.patch.dict(os.environ, {"XDG_CACHE_HOME": blocker}):
-            assert outcome(load, path) == expected
+            assert outcome(load_predictions, path) == expected
         assert os.path.getsize(blocker) == 0
 
 
 @pytest.mark.parametrize("damage", ["truncate", "cut-in-half", "flip-a-letter", "empty"])
-@pytest.mark.parametrize("kind", RECORD_FILES)
-def test_damaged_records_entry_is_a_miss(tmp_path, kind, damage):
-    module, load, reference, _, text = RECORD_FILES[kind]
-    path = tmp_path / f"{kind}.jsonl"
-    path.write_text(text, encoding="utf-8")
-    expected = reference(str(path))
-    assert load(str(path)) == expected
+def test_damaged_predictions_entry_is_a_miss(tmp_path, damage):
+    path = tmp_path / "preds.jsonl"
+    path.write_text(PREDICTIONS_JSONL, encoding="utf-8")
+    expected = reference_load_predictions(str(path))
+    assert load_predictions(str(path)) == expected
     entry = only_entry()
     with open(entry, "rb") as handle:
         blob = handle.read()
@@ -394,11 +372,11 @@ def test_damaged_records_entry_is_a_miss(tmp_path, kind, damage):
     with open(entry, "wb") as handle:
         handle.write(damaged)
     assert cache.load(entry) is None
-    assert load(str(path)) == expected
+    assert load_predictions(str(path)) == expected
     # The miss stored the entry afresh.
     assert cache.load(entry) is not None
-    with never_line_checked(module):
-        assert load(str(path)) == expected
+    with never_line_checked():
+        assert load_predictions(str(path)) == expected
 
 
 @pytest.mark.parametrize("content", [
@@ -410,36 +388,30 @@ def test_damaged_records_entry_is_a_miss(tmp_path, kind, damage):
     b'{"sentence_id": "s1", "surface": "A \\ud83d", "title": "T", "status": "clean"}\n',
     b'{"sentence_id": "s1", "surface": "A \xff", "title": "T", "status": "clean"}\n',
 ], ids=["duplicate-and-bad-json", "bad-qid", "digit-limit", "lone-surrogate", "not-utf-8"])
-@pytest.mark.parametrize("kind", RECORD_FILES)
-def test_bad_records_write_no_entry_and_fail_the_same_twice(tmp_path, kind, content):
-    """Each content fails both kinds of file."""
-    load = RECORD_FILES[kind][1]
-    path = tmp_path / f"{kind}.jsonl"
+def test_bad_predictions_write_no_entry_and_fail_the_same_twice(tmp_path, content):
+    path = tmp_path / "preds.jsonl"
     path.write_bytes(content)
     errors = []
     for _ in range(2):
         with pytest.raises(ValueError) as err:
-            load(str(path))
+            load_predictions(str(path))
         errors.append(str(err.value))
     assert errors[0] == errors[1]
     assert entries() == []
 
 
-@pytest.mark.parametrize("kind, module", [
-    (kind, module) for kind, own in (("predictions", parsing), ("external", baseline))
-    for module in (own, records, kb, cache)],
-    ids=lambda value: value if isinstance(value, str) else value.__name__.split(".")[-1])
-def test_records_loader_source_is_part_of_the_key(tmp_path, kind, module):
-    load, text = RECORD_FILES[kind][1], RECORD_FILES[kind][4]
-    path = tmp_path / f"{kind}.jsonl"
-    path.write_text(text, encoding="utf-8")
-    load(str(path))
+@pytest.mark.parametrize("module", [parsing, records, kb, cache],
+                         ids=lambda module: module.__name__.split(".")[-1])
+def test_predictions_loader_source_is_part_of_the_key(tmp_path, module):
+    path = tmp_path / "preds.jsonl"
+    path.write_text(PREDICTIONS_JSONL, encoding="utf-8")
+    load_predictions(str(path))
     entry = only_entry()
     edited = tmp_path / "edited.py"
     with open(module.__file__, "rb") as handle:
         edited.write_bytes(handle.read() + b"# edited\n")
     with mock.patch.object(module, "__file__", str(edited)):
-        load(str(path))
+        load_predictions(str(path))
     assert only_entry() != entry
 
 
@@ -459,8 +431,8 @@ FOREIGN = {"pair-of-tuples": (("a", "b"), []), "dict": {"source": "a"}, "int": 7
 @pytest.mark.parametrize("suffix, load, reference, text", [
     pytest.param(".benchmark", load_benchmark, reference_load_benchmark, BENCHMARK, id="benchmark"),
     pytest.param(".counts", load_counts, reference_load_counts, COUNTS, id="counts"),
-    *[pytest.param(f".{kind}", load, reference, text, id=kind)
-      for kind, (_, load, reference, _, text) in RECORD_FILES.items()]])
+    pytest.param(".predictions", load_predictions, reference_load_predictions, PREDICTIONS_JSONL,
+                 id="predictions")])
 def test_cold_load_drops_an_entry_of_another_shape(tmp_path, shape, suffix, load, reference,
                                                    text):
     """An entry that another version of elbench left with the same suffix,
@@ -494,15 +466,11 @@ def test_cold_mapping_load_drops_an_sqlite_entry_without_a_source_path(tmp_path,
 
 def test_every_marshal_entry_of_the_pinned_pipeline_is_a_path_and_a_value(
         tmp_path, monkeypatch, capsys, e2e_paths, e2e_fixture):
-    """The layout of each marshal entry that the pinned pipeline, and a
-    resolve of external rows, write: the absolute path of the input it was
-    built from, and the value."""
+    """The layout of each marshal entry that the pinned pipeline writes: the
+    absolute path of the input it was built from, and the value."""
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "external.jsonl").write_text(RECORD_FILES["external"][4], encoding="utf-8")
-    for argv in pinned_pipeline(e2e_paths, e2e_fixture)[1:] + [
-            ["resolve", "--external", "external.jsonl", "--kb", e2e_paths["mapping"],
-             "--out", "external_resolved.jsonl"]]:
+    for argv in pinned_pipeline(e2e_paths, e2e_fixture)[1:]:
         assert cli.main(argv) == 0, argv
     capsys.readouterr()
     assert_pinned(tmp_path, e2e_fixture)
@@ -518,5 +486,4 @@ def test_every_marshal_entry_of_the_pinned_pipeline_is_a_path_and_a_value(
         ".benchmark": {os.path.abspath(e2e_paths["benchmark"])},
         ".counts": {os.path.abspath(e2e_paths["counts"])},
         ".predictions": {os.path.abspath("preds.jsonl"), os.path.abspath("resolved.jsonl")},
-        ".external": {os.path.abspath("external.jsonl")},
     }

@@ -1335,9 +1335,10 @@ class TestReproducibility:
             return [argv[0], "--config", str(config)]
 
         cold = pipeline()
-        # One entry each for the mapping, the benchmark, the counts, the two
-        # predictions files (link's and resolve's) and the external rows.
-        assert len(os.listdir(tmp_path / "cache" / "elbench")) == 6
+        # One entry each for the mapping, the benchmark, the counts and the
+        # two predictions files (link's and resolve's); resolve --external
+        # stores none.
+        assert len(os.listdir(tmp_path / "cache" / "elbench")) == 5
         assert pipeline() == cold
         with monkeypatch.context() as patch:
             without_sqlite3(patch)
